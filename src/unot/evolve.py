@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg import schur
 
 from .circuit import full_unitary, optimal_three_qubit_circuit
-from .fidelity import AffineBlochChannel, FidelityStats, affine_channel_stats
+from .fidelity import AffineBlochChannel, FidelityStats, affine_stats_batch
 from .oracle import SeededSampler
 from .rotation import PAULI
 
@@ -33,6 +33,7 @@ __all__ = [
     "gell_mann_basis",
     "unitary_from_controls",
     "channel_from_unitary",
+    "control_stats_batch",
     "control_stats",
     "fitness",
     "optimal_controls",
@@ -44,7 +45,6 @@ __all__ = [
 
 _BASIS_TOL = 1e-12
 _KRAUS_TOL = 1e-9
-_VAR_CLIP = 1e-12
 
 _SIGMA = np.stack(PAULI)
 
@@ -117,9 +117,10 @@ def gell_mann_basis(dim: int) -> GeneratorBasis:
 
 
 def _check_controls(p: np.ndarray, basis: GeneratorBasis) -> np.ndarray:
+    """Finite controls of shape (count,), or (n, count) with a leading batch axis."""
     p = np.asarray(p, dtype=float)
-    if p.shape != (basis.count,):
-        raise ValueError(f"controls must have shape ({basis.count},), got {p.shape}")
+    if p.ndim not in (1, 2) or p.shape[-1] != basis.count:
+        raise ValueError(f"controls must have shape ([n,] {basis.count}), got {p.shape}")
     if not np.all(np.isfinite(p)):
         raise ValueError("controls must be finite")
     return p
@@ -127,10 +128,8 @@ def _check_controls(p: np.ndarray, basis: GeneratorBasis) -> np.ndarray:
 
 def unitary_from_controls(p: np.ndarray, basis: GeneratorBasis) -> np.ndarray:
     """U(p) = exp(-i sum_j p_j g_j)."""
-    p = _check_controls(p, basis)
-    h = np.tensordot(p, basis.matrices, axes=1)
-    vals, vecs = np.linalg.eigh(h)
-    return (vecs * np.exp(-1.0j * vals)) @ vecs.conj().T
+    p = _check_controls(p, basis).reshape(1, basis.count)
+    return _unitaries_from_control_batch(p, basis)[0]
 
 
 def _unitaries_from_control_batch(pop: np.ndarray, basis: GeneratorBasis) -> np.ndarray:
@@ -163,29 +162,18 @@ def channel_from_unitary(u: np.ndarray) -> AffineBlochChannel:
     return AffineBlochChannel(linear[0], shift[0])
 
 
-def _stats_from_parts(linear: np.ndarray, shift: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    tr = np.trace(linear, axis1=1, axis2=2)
-    frob = np.einsum("nij,nij->n", linear, linear)
-    sym = np.einsum("nij,nji->n", linear, linear)
-    second = (tr * tr + frob + sym) / 15.0
-    var = 0.25 * (second + np.einsum("ni,ni->n", shift, shift) / 3.0 - tr * tr / 9.0)
-    if np.min(var) < -_VAR_CLIP:
-        raise RuntimeError(f"variance {np.min(var)} below clipping threshold")
-    avg_f = 0.5 - tr / 6.0
-    return avg_f, np.sqrt(np.clip(var, 0.0, None))
-
-
-def _control_stats_batch(pop: np.ndarray, basis: GeneratorBasis) -> tuple[np.ndarray, np.ndarray]:
+def control_stats_batch(pop: np.ndarray, basis: GeneratorBasis) -> tuple[np.ndarray, np.ndarray]:
+    """(F, Delta) arrays of the channels realized by each row of `pop`."""
+    pop = _check_controls(pop, basis).reshape(-1, basis.count)
     us = _unitaries_from_control_batch(pop, basis)
-    linear, shift = _channel_parts_from_unitaries(us)
-    return _stats_from_parts(linear, shift)
+    return affine_stats_batch(*_channel_parts_from_unitaries(us))
 
 
 def control_stats(p: np.ndarray, basis: GeneratorBasis) -> FidelityStats:
     """(F, Delta) of the channel realized by control vector p."""
-    p = _check_controls(p, basis)
-    avg_f, dev = _control_stats_batch(p[None, :], basis)
-    return FidelityStats(float(avg_f[0]), float(dev[0]))
+    p = _check_controls(p, basis).reshape(1, basis.count)
+    avg_f, dev = control_stats_batch(p, basis)
+    return FidelityStats(avg_f[0], dev[0])
 
 
 def fitness(p: np.ndarray, basis: GeneratorBasis) -> float:
@@ -348,7 +336,7 @@ def run_feedback(
             raise ValueError(f"initial population must have shape ({n}, {d})")
     if noise.hits(0):
         population = apply_noise(population, noise, sampler)
-    avg_f, dev = _control_stats_batch(population, basis)
+    avg_f, dev = control_stats_batch(population, basis)
     fit = avg_f - dev
 
     trace: list[IterationRecord] = []
@@ -370,7 +358,7 @@ def run_feedback(
             trials[i] = de_crossover(
                 population[i], mutant, config.crossover_rate, sampler
             )
-        t_avg_f, t_dev = _control_stats_batch(trials, basis)
+        t_avg_f, t_dev = control_stats_batch(trials, basis)
         t_fit = t_avg_f - t_dev
         better = t_fit > fit
         population[better] = trials[better]
@@ -380,7 +368,7 @@ def run_feedback(
         injected = noise.hits(iteration)
         if injected:
             population = apply_noise(population, noise, sampler)
-            avg_f, dev = _control_stats_batch(population, basis)
+            avg_f, dev = control_stats_batch(population, basis)
             fit = avg_f - dev
         best = record(iteration, injected)
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .circuit import (
-    bloch_from_density,
+    StochasticMap,
     compensated_four_gate_map,
     density_from_bloch,
     misaligned_three_gate_map,
@@ -26,18 +26,18 @@ from .evolve import (
     DeConfig,
     NoiseModel,
     apply_noise,
+    control_stats_batch,
     gell_mann_basis,
     optimal_controls,
     run_feedback,
 )
-from .evolve import _control_stats_batch
 from .fidelity import (
     DEVIATION_SLOPE,
     MAX_AVG_FIDELITY,
     one_qubit_stats,
     pair_covariance,
     region_membership,
-    rotation_pair_second_moment,
+    region_residual,
     stochastic_map_stats,
     three_qubit_avg_fidelity,
 )
@@ -51,7 +51,7 @@ from .oracle import (
     sample_ladder_circuit,
     sample_unitary,
 )
-from .rotation import OneQubitGate, rotation_from_gate, rotation_trace, unit_axis
+from .rotation import OneQubitGate, rotation_from_gate, rotation_trace
 
 __all__ = [
     "ExperimentConfig",
@@ -222,17 +222,6 @@ def _sample_weights(sampler: SeededSampler, count: int) -> np.ndarray:
     return w / w.sum()
 
 
-def _region_residual(f: float, d: float, qubit_count: int) -> float:
-    """Distance outside the attainable region (0 when inside)."""
-    upper = f * DEVIATION_SLOPE
-    out = max(0.0, -f, f - MAX_AVG_FIDELITY)
-    if qubit_count == 1:
-        return max(out, abs(d - upper))
-    if qubit_count == 2:
-        return max(out, 0.5 * upper - d, d - upper, 0.0)
-    return max(out, -d, d - upper, 0.0)
-
-
 def _verify_families(config: ExperimentConfig):
     scale = config.tol_scale
     n = config.trials
@@ -292,7 +281,7 @@ def _verify_families(config: ExperimentConfig):
         count = 2 + i % 4
         gates = tuple(sample_gate(s) for _ in range(count))
         smap_stats = stochastic_map_stats(
-            _map_from_parts(_sample_weights(s, count), gates)
+            StochasticMap(_sample_weights(s, count), gates)
         )
         worst = max(
             worst, smap_stats.deviation - smap_stats.avg_fidelity * DEVIATION_SLOPE, 0.0
@@ -304,7 +293,7 @@ def _verify_families(config: ExperimentConfig):
     worst = 0.0
     for _ in range(n):
         gates = (sample_gate(s), sample_gate(s))
-        st = stochastic_map_stats(_map_from_parts(_sample_weights(s, 2), gates))
+        st = stochastic_map_stats(StochasticMap(_sample_weights(s, 2), gates))
         worst = max(worst, 0.5 * st.avg_fidelity * DEVIATION_SLOPE - st.deviation, 0.0)
     yield "two-qubit-lower-bound", worst, 1e-12 * scale
 
@@ -317,9 +306,7 @@ def _verify_families(config: ExperimentConfig):
             st = stochastic_map_stats(
                 stochastic_map_from_circuit(sample_ladder_circuit(s, qubit_count))
             )
-            worst = max(
-                worst, _region_residual(st.avg_fidelity, st.deviation, qubit_count)
-            )
+            worst = max(worst, region_residual(st, qubit_count))
     yield "region-membership", worst, 1e-9 * scale
 
     # Three-qubit ceiling and oracle agreement for Haar unitaries.
@@ -352,12 +339,6 @@ def _verify_families(config: ExperimentConfig):
             diff = simulate_full(circuit, rho) - smap.apply_density(rho)
             worst = max(worst, float(np.max(np.abs(diff))))
     yield "circuit-map-equivalence", worst, 1e-10 * scale
-
-
-def _map_from_parts(weights, gates):
-    from .circuit import StochasticMap
-
-    return StochasticMap(weights, gates)
 
 
 def run_verify(config: ExperimentConfig) -> ExperimentResult:
@@ -425,7 +406,7 @@ def run_noise_sweep(config: ExperimentConfig) -> ExperimentResult:
     for eta, child in zip(grid, SeededSampler(config.seed).split(len(grid))):
         pop = np.tile(p_star, (config.trials, 1))
         pop = apply_noise(pop, NoiseModel(eta, period=None), child)
-        f, d = _control_stats_batch(pop, basis)
+        f, d = control_stats_batch(pop, basis)
         ddof = 1 if config.trials > 1 else 0
         rows.append(
             {

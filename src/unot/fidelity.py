@@ -5,6 +5,10 @@ fidelity f[a] = (1 - a . r_out(a)) / 2 against the antipodal target state.
 Averaging f and f^2 over the uniform sphere gives the pair (F, Delta)
 computed here in closed form for single gates, stochastic mixtures of
 gates, affine Bloch channels, and three-qubit dilations.
+
+`affine_stats_batch` is the one kernel for affine channels a -> M a + c:
+it maps a batch of (M, c) to arrays of (F, Delta), and the scalar
+`affine_channel_stats` is a one-row call of it.
 """
 
 from __future__ import annotations
@@ -21,12 +25,13 @@ __all__ = [
     "AffineBlochChannel",
     "pointwise_fidelity",
     "one_qubit_stats",
-    "rotation_pair_second_moment",
     "pair_covariance",
     "covariance_matrix",
     "stochastic_map_stats",
+    "affine_stats_batch",
     "affine_channel_stats",
     "three_qubit_avg_fidelity",
+    "region_residual",
     "region_membership",
     "MAX_AVG_FIDELITY",
     "DEVIATION_SLOPE",
@@ -86,12 +91,12 @@ class AffineBlochChannel:
         object.__setattr__(self, "shift", shift)
 
 
-def _deviation_from_variance(var: float) -> float:
+def _deviation_from_variance(var: np.ndarray | float) -> np.ndarray:
     # Exact cancellation can leave tiny negative variances; anything worse
     # signals a real inconsistency.
-    if var < -_VAR_CLIP:
-        raise RuntimeError(f"variance {var} below clipping threshold")
-    return float(np.sqrt(max(var, 0.0)))
+    if np.min(var) < -_VAR_CLIP:
+        raise RuntimeError(f"variance {np.min(var)} below clipping threshold")
+    return np.sqrt(np.clip(var, 0.0, None))
 
 
 def pointwise_fidelity(rotation: np.ndarray, bloch: np.ndarray) -> np.ndarray | float:
@@ -120,21 +125,6 @@ def one_qubit_stats(gate: OneQubitGate) -> FidelityStats:
     """
     f = (3.0 - rotation_trace(gate)) / 6.0
     return FidelityStats(f, f * DEVIATION_SLOPE)
-
-
-def rotation_pair_second_moment(r_k: np.ndarray, r_l: np.ndarray) -> float:
-    """Sphere average of (a . R_k a)(a . R_l a).
-
-    Equals [Tr R_k Tr R_l + Tr(R_k R_l^T) + Tr(R_k R_l)] / 15 by the
-    isotropic fourth-moment identity of the uniform sphere.
-    """
-    r_k = np.asarray(r_k, dtype=float)
-    r_l = np.asarray(r_l, dtype=float)
-    return (
-        np.trace(r_k) * np.trace(r_l)
-        + np.trace(r_k @ r_l.T)
-        + np.trace(r_k @ r_l)
-    ) / 15.0
 
 
 def pair_covariance(gate_k: OneQubitGate, gate_l: OneQubitGate) -> float:
@@ -177,19 +167,31 @@ def stochastic_map_stats(smap: StochasticMap) -> FidelityStats:
     return FidelityStats(float(smap.weights @ f_each), _deviation_from_variance(var))
 
 
-def affine_channel_stats(channel: AffineBlochChannel) -> FidelityStats:
-    """(F, Delta) of an affine Bloch channel a -> M a + c.
+def affine_stats_batch(linear: np.ndarray, shift: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(F, Delta) arrays of a batch of affine Bloch channels a -> M a + c.
 
-    F = 1/2 - Tr M / 6.  The variance combines the isotropic second and
-    fourth sphere moments:
+    `linear` has shape (n, 3, 3) and `shift` shape (n, 3).  F = 1/2 - Tr M / 6.
+    The variance combines the isotropic second and fourth sphere moments:
     Delta^2 = [ (Tr(M)^2 + Tr(M M^T) + Tr(M M)) / 15 + |c|^2 / 3 - Tr(M)^2 / 9 ] / 4.
+    Raises RuntimeError when any row leaves F in [0, 1] or Delta <= 1/2.
     """
-    m = channel.linear
-    c = channel.shift
-    tr = np.trace(m)
-    second = rotation_pair_second_moment(m, m)
-    var = 0.25 * (second + c @ c / 3.0 - tr * tr / 9.0)
-    return FidelityStats(0.5 - tr / 6.0, _deviation_from_variance(var))
+    tr = np.trace(linear, axis1=1, axis2=2)
+    frob = np.einsum("nij,nij->n", linear, linear)
+    sym = np.einsum("nij,nji->n", linear, linear)
+    second = (tr * tr + frob + sym) / 15.0
+    var = 0.25 * (second + np.einsum("ni,ni->n", shift, shift) / 3.0 - tr * tr / 9.0)
+    dev = _deviation_from_variance(var)
+    avg_f = 0.5 - tr / 6.0
+    tol = _STATS_TOL
+    if not np.all((avg_f >= -tol) & (avg_f <= 1.0 + tol) & (dev <= 0.5 + tol)):
+        raise RuntimeError("channel statistics outside F in [0, 1], Delta <= 1/2")
+    return avg_f, dev
+
+
+def affine_channel_stats(channel: AffineBlochChannel) -> FidelityStats:
+    """(F, Delta) of one affine Bloch channel; see `affine_stats_batch`."""
+    avg_f, dev = affine_stats_batch(channel.linear[None], channel.shift[None])
+    return FidelityStats(avg_f[0], dev[0])
 
 
 def three_qubit_avg_fidelity(u: np.ndarray) -> float:
@@ -208,8 +210,8 @@ def three_qubit_avg_fidelity(u: np.ndarray) -> float:
     return MAX_AVG_FIDELITY - float(np.sum(np.abs(overlap) ** 2)) / 6.0
 
 
-def region_membership(stats: FidelityStats, qubit_count: int, tol: float = 1e-9) -> bool:
-    """Whether (F, Delta) lies in the attainable region for `qubit_count` qubits.
+def region_residual(stats: FidelityStats, qubit_count: int) -> float:
+    """Distance of (F, Delta) outside the attainable region (0 when inside).
 
     One qubit: the line Delta = F / sqrt(5).  Two qubits: the band
     F / (2 sqrt(5)) <= Delta <= F / sqrt(5).  Three or more: the full wedge
@@ -218,11 +220,15 @@ def region_membership(stats: FidelityStats, qubit_count: int, tol: float = 1e-9)
     if qubit_count < 1:
         raise ValueError("qubit_count must be at least 1")
     f, d = stats.avg_fidelity, stats.deviation
-    if f < -tol or f > MAX_AVG_FIDELITY + tol:
-        return False
     upper = f * DEVIATION_SLOPE
+    out = max(0.0, -f, f - MAX_AVG_FIDELITY)
     if qubit_count == 1:
-        return abs(d - upper) <= tol
+        return max(out, abs(d - upper))
     if qubit_count == 2:
-        return 0.5 * upper - tol <= d <= upper + tol
-    return -tol <= d <= upper + tol
+        return max(out, 0.5 * upper - d, d - upper)
+    return max(out, -d, d - upper)
+
+
+def region_membership(stats: FidelityStats, qubit_count: int, tol: float = 1e-9) -> bool:
+    """Whether (F, Delta) lies within `tol` of the region for `qubit_count` qubits."""
+    return bool(region_residual(stats, qubit_count) <= tol)

@@ -14,6 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import qr
 
+from .circuit import LadderCircuit
+from .rotation import OneQubitGate
+
 __all__ = [
     "SeededSampler",
     "McEstimate",
@@ -120,18 +123,14 @@ def sample_unitary(sampler: SeededSampler, dim: int) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def sample_gate(sampler: SeededSampler):
+def sample_gate(sampler: SeededSampler) -> OneQubitGate:
     """Random gate: angle uniform in [0, 2*pi), axis uniform on the sphere."""
-    from .rotation import OneQubitGate
-
     angle = float(sampler.uniform(0.0, 2.0 * np.pi, 1)[0])
     return OneQubitGate(angle, sample_bloch(sampler))
 
 
-def sample_ladder_circuit(sampler: SeededSampler, qubit_count: int):
+def sample_ladder_circuit(sampler: SeededSampler, qubit_count: int) -> LadderCircuit:
     """Random ladder: uniform preparation parameters and random gates."""
-    from .circuit import LadderCircuit
-
     if qubit_count < 1:
         raise ValueError("qubit_count must be at least 1")
     preps = tuple(float(v) for v in sampler.uniform(0.0, 1.0, qubit_count - 1))

@@ -20,11 +20,11 @@ from unot.evolve import (
     DeConfig,
     NoiseModel,
     apply_noise,
+    control_stats_batch,
     gell_mann_basis,
     optimal_controls,
     run_feedback,
 )
-from unot.evolve import _control_stats_batch
 from unot.fidelity import (
     DEVIATION_SLOPE,
     one_qubit_stats,
@@ -134,7 +134,7 @@ def test_07_noise_degradation_band_at_one_tenth():
     start = time.perf_counter()
     population = np.tile(optimal_controls(_BASIS8), (1000, 1))
     population = apply_noise(population, NoiseModel(0.1), SeededSampler(424242))
-    avg_f, dev = _control_stats_batch(population, _BASIS8)
+    avg_f, dev = control_stats_batch(population, _BASIS8)
     assert 0.615 <= avg_f.mean() <= 0.651
     assert 0.068 <= dev.mean() <= 0.122
     assert time.perf_counter() - start < 120.0

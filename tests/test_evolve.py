@@ -12,6 +12,7 @@ from unot.evolve import (
     apply_noise,
     channel_from_unitary,
     control_stats,
+    control_stats_batch,
     de_crossover,
     de_mutate,
     fitness,
@@ -277,3 +278,31 @@ def test_run_feedback_accepts_initial_population():
     assert all(abs(row.fitness - 2.0 / 3.0) < 1e-12 for row in trace)
     with pytest.raises(ValueError):
         run_feedback(config, NoiseModel(0.0), _BASIS8, np.zeros((3, 63)))
+
+
+def test_run_feedback_rejects_nonfinite_initial_population():
+    config = DeConfig(max_iterations=1, seed=13)
+    start = np.tile(optimal_controls(_BASIS8), (10, 1))
+    start[3, 5] = np.nan
+    with pytest.raises(ValueError, match="finite") as info:
+        run_feedback(config, NoiseModel(0.0), _BASIS8, start)
+    assert not isinstance(info.value, np.linalg.LinAlgError)
+
+
+def test_batch_control_stats_check_their_controls():
+    sampler = SeededSampler(46)
+    pop = sampler.uniform(-np.pi, np.pi, (4, 63))
+    avg_f, dev = control_stats_batch(pop, _BASIS8)
+    for k in range(4):
+        stats = control_stats(pop[k], _BASIS8)
+        assert abs(stats.avg_fidelity - avg_f[k]) < 1e-12
+        assert abs(stats.deviation - dev[k]) < 1e-12
+    with pytest.raises(ValueError, match="shape"):
+        control_stats_batch(pop[:, :62], _BASIS8)
+    with pytest.raises(ValueError, match="shape"):
+        control_stats_batch(pop[None], _BASIS8)
+    with pytest.raises(ValueError, match="shape"):
+        control_stats(pop, _BASIS8)
+    pop[2, 0] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        control_stats_batch(pop, _BASIS8)

@@ -10,12 +10,13 @@ from unot.fidelity import (
     AffineBlochChannel,
     FidelityStats,
     affine_channel_stats,
+    affine_stats_batch,
     covariance_matrix,
     one_qubit_stats,
     pair_covariance,
     pointwise_fidelity,
     region_membership,
-    rotation_pair_second_moment,
+    region_residual,
     stochastic_map_stats,
     three_qubit_avg_fidelity,
 )
@@ -54,8 +55,11 @@ def test_pointwise_fidelity_batch_matches_scalar():
 
 
 def test_second_moment_of_full_flip_quadratic_form():
-    r = rotation_from_gate(_FLIP_X)
-    assert abs(rotation_pair_second_moment(r, r) - 7.0 / 15.0) < 1e-15
+    # The sphere average of (a . R a)^2 is 7/15 for the pi flip R, and
+    # Delta^2 = [<(a . R a)^2> - <a . R a>^2] / 4 with <a . R a> = -1/3.
+    channel = AffineBlochChannel(rotation_from_gate(_FLIP_X), np.zeros(3))
+    stats = affine_channel_stats(channel)
+    assert abs(stats.deviation**2 - (7.0 / 15.0 - 1.0 / 9.0) / 4.0) < 1e-15
 
 
 def test_second_moment_against_direct_haar_average():
@@ -139,6 +143,20 @@ def test_negative_variance_clip_and_guard():
         AffineBlochChannel(np.eye(3) * np.nan, np.zeros(3))
 
 
+def test_affine_batch_rejects_rows_outside_the_stats_range():
+    good_linear = -np.eye(3)[None]
+    good_shift = np.zeros((1, 3))
+    # Tr M = -6 gives F = 3/2; a shift of length 3 gives Delta = sqrt(3)/2.
+    too_faithful = np.concatenate([good_linear, -2.0 * np.eye(3)[None]])
+    too_spread = np.concatenate([good_shift, [[0.0, 0.0, 3.0]]])
+    with pytest.raises(RuntimeError):
+        affine_stats_batch(too_faithful, np.zeros((2, 3)))
+    with pytest.raises(RuntimeError):
+        affine_stats_batch(np.zeros((2, 3, 3)), too_spread)
+    with pytest.raises(RuntimeError):
+        affine_channel_stats(AffineBlochChannel(np.zeros((3, 3)), [0.0, 0.0, 3.0]))
+
+
 def test_three_qubit_ceiling_markers():
     assert three_qubit_avg_fidelity(np.eye(8, dtype=complex)) == 0.0
     sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -188,3 +206,15 @@ def test_region_membership_by_qubit_count():
     assert not region_membership(FidelityStats(0.4, 0.0), 2)
     assert region_membership(FidelityStats(0.4, 0.0), 3)
     assert not region_membership(FidelityStats(0.8, 0.1), 3)
+    for qubit_count, inside in (
+        (1, line_point),
+        (2, FidelityStats(0.4, 0.3 * DEVIATION_SLOPE)),
+        (3, FidelityStats(0.4, 0.0)),
+        (4, FidelityStats(0.4, 0.2 * DEVIATION_SLOPE)),
+    ):
+        assert region_residual(inside, qubit_count) == 0.0
+    assert abs(region_residual(off_line, 1) - (0.4 * DEVIATION_SLOPE - 0.1)) < 1e-15
+    assert abs(region_residual(FidelityStats(0.4, 0.0), 2) - 0.2 * DEVIATION_SLOPE) < 1e-15
+    assert abs(region_residual(FidelityStats(0.8, 0.1), 3) - (0.8 - 2.0 / 3.0)) < 1e-15
+    with pytest.raises(ValueError):
+        region_residual(line_point, 0)
