@@ -1,19 +1,25 @@
 """Command-line entry point.
 
-Subcommands map one-to-one onto the experiment drivers.  Settings resolve
-with flags taking precedence over a JSON config file, which takes
-precedence over built-in defaults.  Exit codes: 0 on success, 1 when a
-verification or invariant check fails, 2 for invalid configuration.
+Subcommands map one-to-one onto the experiment drivers.  Each subcommand
+takes `--out`, `--format` and `--config`, plus one flag per setting its
+experiment reads (`experiments.SETTINGS`); a JSON config file may hold `out`,
+`format` and those same settings, and no other key.  Settings resolve with
+flags taking precedence over the config file, which takes precedence over
+built-in defaults.  Exit codes: 0 on success, 1 when a verification or
+invariant check fails, 2 for invalid configuration, including an output
+path that cannot be written (checked before the run).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
 from .experiments import (
+    SETTINGS,
     ExperimentConfig,
     run_experiment,
     write_config_echo,
@@ -24,69 +30,29 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_BAD_CONFIG = 2
 
-# JSON config keys and the ExperimentConfig fields they set.
-_CONFIG_KEYS = {
-    "seed": "seed",
-    "trials": "trials",
-    "samples": "samples",
-    "npop": "npop",
-    "dweight": "dweight",
-    "cr": "cr",
-    "iters": "iters",
-    "eta": "eta",
-    "period": "period",
-    "out": "out",
-    "format": "fmt",
-    "stride": "stride",
-    "tol_scale": "tol_scale",
-    "eta_grid": "eta_grid",
-    "alpha_grid": "alpha_grid",
+_COMMAND_HELP = {
+    "verify": "check closed forms against oracles",
+    "tradeoff": "sample circuits across the F-Delta region",
+    "noise-sweep": "response of the optimal controls to control noise",
+    "optimize": "differential-evolution search runs",
+    "recover": "search under periodically injected control noise",
+    "compensate": "deviation of tilted-axis mixtures",
 }
 
-_FLAG_FIELDS = (
-    "seed",
-    "trials",
-    "samples",
-    "out",
-    "fmt",
-    "npop",
-    "dweight",
-    "cr",
-    "iters",
-    "eta",
-    "period",
-    "stride",
-    "tol_scale",
-)
-
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=None, help="master RNG seed")
-    sub.add_argument("--trials", type=int, default=None, help="number of repetitions")
-    sub.add_argument(
-        "--samples", type=int, default=None, help="Monte Carlo samples per estimate"
-    )
-    sub.add_argument("--out", default=None, help="output file path")
-    sub.add_argument(
-        "--format",
-        dest="fmt",
-        choices=("csv", "jsonl"),
-        default=None,
-        help="output format",
-    )
-    sub.add_argument("--config", default=None, help="JSON config file")
-
-
-def _add_de_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--npop", type=int, default=None, help="population size")
-    sub.add_argument(
-        "--dweight", type=float, default=None, help="differential weight"
-    )
-    sub.add_argument("--cr", type=float, default=None, help="crossover rate")
-    sub.add_argument("--iters", type=int, default=None, help="iteration count")
-    sub.add_argument(
-        "--stride", type=int, default=None, help="iterations between output rows"
-    )
+# Flag type and help of every setting; the grids are config-file keys only.
+_FLAGS = {
+    "seed": (int, "master RNG seed"),
+    "trials": (int, "number of repetitions"),
+    "samples": (int, "Monte Carlo samples per estimate"),
+    "npop": (int, "population size"),
+    "dweight": (float, "differential weight"),
+    "cr": (float, "crossover rate"),
+    "iters": (int, "iteration count"),
+    "stride": (int, "iterations between output rows"),
+    "eta": (float, "noise degree in [0, 1]"),
+    "period": (int, "iterations between injections"),
+    "tol_scale": (float, "multiply every verification budget by this factor"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -96,63 +62,42 @@ def build_parser() -> argparse.ArgumentParser:
         "approximate universal spin-flip operations.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("verify", help="check closed forms against oracles")
-    _add_common(sub)
-    sub.add_argument(
-        "--tol-scale",
-        type=float,
-        default=None,
-        help="multiply every verification budget by this factor",
-    )
-
-    sub = subs.add_parser("tradeoff", help="sample circuits across the F-Delta region")
-    _add_common(sub)
-
-    sub = subs.add_parser(
-        "noise-sweep", help="response of the optimal controls to control noise"
-    )
-    _add_common(sub)
-    sub.add_argument("--eta", type=float, default=None, help="single noise degree")
-
-    sub = subs.add_parser("optimize", help="differential-evolution search runs")
-    _add_common(sub)
-    _add_de_flags(sub)
-
-    sub = subs.add_parser(
-        "recover", help="search under periodically injected control noise"
-    )
-    _add_common(sub)
-    _add_de_flags(sub)
-    sub.add_argument("--eta", type=float, default=None, help="noise degree")
-    sub.add_argument(
-        "--period", type=int, default=None, help="iterations between injections"
-    )
-
-    sub = subs.add_parser("compensate", help="deviation of tilted-axis mixtures")
-    _add_common(sub)
-
+    for command, settings in SETTINGS.items():
+        sub = subs.add_parser(command, help=_COMMAND_HELP[command])
+        sub.add_argument("--out", help="output file path")
+        sub.add_argument(
+            "--format", dest="fmt", choices=("csv", "jsonl"), help="output format"
+        )
+        sub.add_argument("--config", help="JSON config file")
+        for name in settings:
+            if name in _FLAGS:
+                kind, text = _FLAGS[name]
+                sub.add_argument("--" + name.replace("_", "-"), type=kind, help=text)
     return parser
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
+    keys = ("out", "format", *SETTINGS[args.command])
     merged: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         data = json.loads(Path(args.config).read_text())
         if not isinstance(data, dict):
             raise ValueError("config file must hold a JSON object")
         for key, value in data.items():
-            target = _CONFIG_KEYS.get(key)
-            if target is None:
-                raise ValueError(f"unknown config key {key!r}")
-            if target in ("eta_grid", "alpha_grid") and value is not None:
-                value = tuple(value)
-            merged[target] = value
-    for name in _FLAG_FIELDS:
-        value = getattr(args, name, None)
-        if value is not None:
+            if key not in keys:
+                raise ValueError(
+                    f"config key {key!r} is not a setting of {args.command} "
+                    f"(allowed: {', '.join(keys)})"
+                )
+            merged["fmt" if key == "format" else key] = value
+    for name, value in vars(args).items():
+        if name not in ("command", "config") and value is not None:
             merged[name] = value
-    return ExperimentConfig(name=args.command, **merged)
+    config = ExperimentConfig(name=args.command, **merged)
+    out = config.output_path()
+    if out.is_dir() or not os.access(out.parent, os.W_OK | os.X_OK):
+        raise ValueError(f"out {str(out)!r} is a directory or not in a writable folder")
+    return config
 
 
 def main(argv=None) -> int:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -57,12 +58,24 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
     "EXPERIMENT_NAMES",
+    "SETTINGS",
     "run_experiment",
     "write_rows",
     "write_config_echo",
 ]
 
-EXPERIMENT_NAMES = ("verify", "tradeoff", "noise-sweep", "optimize", "recover", "compensate")
+# The settings each experiment reads, besides the output path and format.
+# The command line offers exactly these as flags and config-file keys.
+_DE_SETTINGS = ("seed", "trials", "npop", "dweight", "cr", "iters", "stride")
+SETTINGS = {
+    "verify": ("seed", "trials", "samples", "tol_scale"),
+    "tradeoff": ("seed", "trials"),
+    "noise-sweep": ("seed", "trials", "eta", "eta_grid"),
+    "optimize": _DE_SETTINGS,
+    "recover": _DE_SETTINGS + ("eta", "period"),
+    "compensate": ("alpha_grid",),
+}
+EXPERIMENT_NAMES = tuple(SETTINGS)
 
 _DEFAULT_TRIALS = {
     "verify": 1000,
@@ -76,13 +89,28 @@ _DEFAULT_STRIDE = {"optimize": 20, "recover": 1}
 
 _FORMATS = ("csv", "jsonl")
 
+# Type of each numeric setting; only `eta` and `period` may stay None.
+_NUMBER_TYPES = {
+    **dict.fromkeys(
+        ("seed", "trials", "samples", "npop", "iters", "period", "stride"),
+        numbers.Integral,
+    ),
+    **dict.fromkeys(("dweight", "cr", "eta", "tol_scale"), numbers.Real),
+}
+
+
+def _is_number(value, kind=numbers.Real) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
+
 
 @dataclass
 class ExperimentConfig:
     """Effective settings of one experiment run.
 
     `trials` and `stride` default per experiment when left as None; `eta`
-    and `period` default to the experiment's own noise protocol.
+    and `period` default to the experiment's own noise protocol.  Every
+    value is type-checked: integers reject bools and floats, reals reject
+    bools, grids are lists of numbers and `out` is a string.
     """
 
     name: str
@@ -107,11 +135,31 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment {self.name!r}")
         if self.fmt not in _FORMATS:
             raise ValueError(f"format must be one of {_FORMATS}, got {self.fmt!r}")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ValueError(f"out must be a string, got {self.out!r}")
         if self.trials is None:
             self.trials = _DEFAULT_TRIALS[self.name]
         if self.stride is None:
             self.stride = _DEFAULT_STRIDE.get(self.name, 1)
-        if not 0 <= int(self.seed) < 2**64:
+        for label, kind in _NUMBER_TYPES.items():
+            value = getattr(self, label)
+            optional = label in ("eta", "period")
+            if not (_is_number(value, kind) or optional and value is None):
+                what = "an integer" if kind is numbers.Integral else "a real number"
+                raise ValueError(f"{label} must be {what}, got {value!r}")
+        for label, inside, span in (
+            ("eta_grid", lambda e: 0.0 <= e <= 1.0, "[0, 1]"),
+            ("alpha_grid", lambda a: 0.0 < a < 0.3, "(0, 0.3)"),
+        ):
+            grid = getattr(self, label)
+            if grid is None:
+                continue
+            if not isinstance(grid, (list, tuple)) or not all(map(_is_number, grid)):
+                raise ValueError(f"{label} must be a list of numbers, got {grid!r}")
+            if not grid or not all(map(inside, grid)):
+                raise ValueError(f"{label} values must lie in {span}")
+            setattr(self, label, tuple(float(v) for v in grid))
+        if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         for label, value, low in (
             ("trials", self.trials, 1),
@@ -120,7 +168,7 @@ class ExperimentConfig:
             ("iters", self.iters, 1),
             ("stride", self.stride, 1),
         ):
-            if int(value) < low:
+            if value < low:
                 raise ValueError(f"{label} must be at least {low}")
         if not 0.0 < self.dweight <= 2.0:
             raise ValueError("dweight must lie in (0, 2]")
@@ -128,20 +176,12 @@ class ExperimentConfig:
             raise ValueError("cr must lie in [0, 1]")
         if self.eta is not None and not 0.0 <= self.eta <= 1.0:
             raise ValueError("eta must lie in [0, 1]")
+        if self.eta is not None and self.eta_grid is not None:
+            raise ValueError("eta and eta_grid cannot both be set")
         if self.period is not None and self.period < 0:
             raise ValueError("period must be nonnegative")
-        if self.tol_scale <= 0.0:
-            raise ValueError("tol_scale must be positive")
-        if self.eta_grid is not None:
-            self.eta_grid = tuple(float(e) for e in self.eta_grid)
-            if not self.eta_grid or any(not 0.0 <= e <= 1.0 for e in self.eta_grid):
-                raise ValueError("eta_grid values must lie in [0, 1]")
-        if self.alpha_grid is not None:
-            self.alpha_grid = tuple(float(a) for a in self.alpha_grid)
-            if not self.alpha_grid or any(
-                not 0.0 < a < 0.3 for a in self.alpha_grid
-            ):
-                raise ValueError("alpha_grid values must lie in (0, 0.3)")
+        if not 0.0 < self.tol_scale < np.inf:
+            raise ValueError("tol_scale must be positive and finite")
 
     def output_path(self) -> Path:
         ext = "csv" if self.fmt == "csv" else "jsonl"

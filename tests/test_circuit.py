@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from ladder_strategies import bloch_vectors, ladder_circuits
 
 from unot.circuit import (
     LadderCircuit,
@@ -161,3 +163,11 @@ def test_tilt_angle_bounds():
         misaligned_three_gate_map(0.3)
     with pytest.raises(ValueError):
         compensated_four_gate_map(-0.01)
+
+
+@settings(deadline=None)
+@given(circuit=ladder_circuits(), bloch=bloch_vectors)
+def test_full_simulation_matches_reduced_map(circuit, bloch):
+    rho = density_from_bloch(bloch)
+    reduced = stochastic_map_from_circuit(circuit).apply_density(rho)
+    assert np.max(np.abs(simulate_full(circuit, rho) - reduced)) < 1e-10

@@ -2,6 +2,7 @@
 
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -102,12 +103,37 @@ def test_flags_override_config_file(tmp_path):
     assert echo["trials"] == 12
 
 
-def test_unknown_config_key_is_rejected(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"tirals": 12}))
-    code = main(["tradeoff", "--config", str(cfg)])
+@pytest.mark.parametrize(
+    "command, data, name",
+    [
+        pytest.param("tradeoff", {"tirals": 12}, "tirals", id="misspelt"),
+        pytest.param("tradeoff", {"trials": 1.5}, "trials", id="float-trials"),
+        pytest.param("tradeoff", {"trials": True}, "trials", id="bool-trials"),
+        pytest.param("tradeoff", {"seed": 1e3}, "seed", id="float-seed"),
+        pytest.param("tradeoff", {"out": 5}, "out", id="number-out"),
+        pytest.param(
+            "noise-sweep", {"eta_grid": [0.1, True]}, "eta_grid", id="bool-in-grid"
+        ),
+        pytest.param("noise-sweep", {"eta_grid": "0.5"}, "eta_grid", id="string-grid"),
+        pytest.param(
+            "noise-sweep", {"eta": 0.3, "eta_grid": [0.1]}, "eta_grid", id="eta-and-grid"
+        ),
+        pytest.param("optimize", {"eta": 0.3, "period": 5}, "eta", id="unread-keys"),
+        pytest.param("compensate", {"seed": 3}, "seed", id="unread-seed"),
+        pytest.param(
+            "verify", {"tol_scale": float("inf")}, "tol_scale", id="inf-tol-scale"
+        ),
+    ],
+)
+def test_unknown_config_key_is_rejected(
+    tmp_path, monkeypatch, capsys, command, data, name
+):
+    monkeypatch.chdir(tmp_path)
+    Path("cfg.json").write_text(json.dumps(data))
+    code = main([command, "--config", "cfg.json"])
     assert code == EXIT_BAD_CONFIG
-    assert "tirals" in capsys.readouterr().err
+    assert name in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 def test_missing_config_file_is_rejected(tmp_path):
@@ -115,10 +141,29 @@ def test_missing_config_file_is_rejected(tmp_path):
     assert code == EXIT_BAD_CONFIG
 
 
-def test_semantic_validation_exits_two(tmp_path):
-    assert main(["optimize", "--npop", "2"]) == EXIT_BAD_CONFIG
-    assert main(["recover", "--eta", "1.5"]) == EXIT_BAD_CONFIG
-    assert main(["verify", "--trials", "0"]) == EXIT_BAD_CONFIG
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        pytest.param(["optimize", "--npop", "2"], "npop", id="small-npop"),
+        pytest.param(["recover", "--eta", "1.5"], "eta", id="large-eta"),
+        pytest.param(["verify", "--trials", "0"], "trials", id="zero-trials"),
+        pytest.param(["verify", "--tol-scale", "inf"], "tol_scale", id="inf-tol-scale"),
+        pytest.param(["verify", "--tol-scale", "nan"], "tol_scale", id="nan-tol-scale"),
+        pytest.param(["compensate", "--seed", "3"], "--seed", id="unread-seed"),
+        pytest.param(
+            ["noise-sweep", "--samples", "3"], "--samples", id="unread-samples"
+        ),
+        pytest.param(
+            ["compensate", "--out", "/nonexistent/x.csv"], "out", id="missing-folder"
+        ),
+        pytest.param(["verify", "--out", "./"], "out", id="directory-out"),
+    ],
+)
+def test_semantic_validation_exits_two(tmp_path, monkeypatch, capsys, argv, name):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == EXIT_BAD_CONFIG
+    assert name in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_usage_errors_exit_two():

@@ -36,12 +36,24 @@ def test_config_validation():
         ExperimentConfig("recover", eta=1.5)
     with pytest.raises(ValueError):
         ExperimentConfig("recover", period=-2)
-    with pytest.raises(ValueError):
-        ExperimentConfig("verify", tol_scale=0.0)
+    for tol_scale in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            ExperimentConfig("verify", tol_scale=tol_scale)
     with pytest.raises(ValueError):
         ExperimentConfig("compensate", alpha_grid=(0.1, 0.35))
     with pytest.raises(ValueError):
         ExperimentConfig("noise-sweep", eta_grid=(0.0, 1.2))
+    for bad in (
+        {"trials": True},
+        {"npop": 10.0},
+        {"cr": False},
+        {"out": 5},
+        {"eta_grid": (0.1, True)},
+        {"eta_grid": "0.5"},
+        {"eta": 0.1, "eta_grid": (0.2,)},
+    ):
+        with pytest.raises(ValueError):
+            ExperimentConfig("noise-sweep", **bad)
 
 
 def test_echo_dict_is_complete():

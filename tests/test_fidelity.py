@@ -2,8 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from ladder_strategies import ladder_circuits
 
-from unot.circuit import StochasticMap, optimal_stochastic_map
+from unot.circuit import (
+    StochasticMap,
+    optimal_stochastic_map,
+    stochastic_map_from_circuit,
+)
 from unot.fidelity import (
     DEVIATION_SLOPE,
     MAX_AVG_FIDELITY,
@@ -218,3 +224,15 @@ def test_region_membership_by_qubit_count():
     assert abs(region_residual(FidelityStats(0.8, 0.1), 3) - (0.8 - 2.0 / 3.0)) < 1e-15
     with pytest.raises(ValueError):
         region_residual(line_point, 0)
+
+
+@settings(deadline=None)
+@given(circuit=ladder_circuits())
+def test_covariance_and_moment_routes_agree(circuit):
+    smap = stochastic_map_from_circuit(circuit)
+    by_covariance = stochastic_map_stats(smap)
+    channel = AffineBlochChannel(smap.bloch_linear(), np.zeros(3))
+    by_moments = affine_channel_stats(channel)
+    assert abs(by_covariance.avg_fidelity - by_moments.avg_fidelity) < 1e-12
+    # Delta^2, not Delta: the square root amplifies rounding near Delta = 0.
+    assert abs(by_covariance.deviation**2 - by_moments.deviation**2) < 1e-12
