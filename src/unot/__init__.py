@@ -91,6 +91,7 @@ __all__ = [
     "stochastic_map_stats",
     "three_qubit_avg_fidelity",
     "unit_axis",
+    "unitary_from_controls",
     "unitary_from_gate",
     "weights_from_preps",
 ]

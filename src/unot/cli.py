@@ -1,13 +1,15 @@
 """Command-line entry point.
 
-Subcommands map one-to-one onto the experiment drivers.  Each subcommand
-takes `--out`, `--format` and `--config`, plus one flag per setting its
-experiment reads (`experiments.SETTINGS`); a JSON config file may hold `out`,
-`format` and those same settings, and no other key.  Settings resolve with
-flags taking precedence over the config file, which takes precedence over
+Subcommands map one-to-one onto the experiment drivers in
+`experiments.EXPERIMENTS`, which also gives each its help line.  Each
+subcommand takes `--out`, `--format` and `--config`, plus one flag per
+numeric setting its experiment reads, typed and described by
+`experiments.SETTING_TYPES`; a JSON config file may hold `out`, `format` and
+the experiment's settings, and no other key.  Settings resolve with flags
+taking precedence over the config file, which takes precedence over
 built-in defaults.  Exit codes: 0 on success, 1 when a verification or
-invariant check fails, 2 for invalid configuration, including an output
-path that cannot be written (checked before the run).
+invariant check fails, 2 for invalid configuration, including a row file or
+config echo path that cannot be written (checked before the run).
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ import sys
 from pathlib import Path
 
 from .experiments import (
-    SETTINGS,
+    EXPERIMENTS,
+    FORMATS,
+    SETTING_TYPES,
     ExperimentConfig,
     run_experiment,
     write_config_echo,
@@ -30,30 +34,6 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_BAD_CONFIG = 2
 
-_COMMAND_HELP = {
-    "verify": "check closed forms against oracles",
-    "tradeoff": "sample circuits across the F-Delta region",
-    "noise-sweep": "response of the optimal controls to control noise",
-    "optimize": "differential-evolution search runs",
-    "recover": "search under periodically injected control noise",
-    "compensate": "deviation of tilted-axis mixtures",
-}
-
-# Flag type and help of every setting; the grids are config-file keys only.
-_FLAGS = {
-    "seed": (int, "master RNG seed"),
-    "trials": (int, "number of repetitions"),
-    "samples": (int, "Monte Carlo samples per estimate"),
-    "npop": (int, "population size"),
-    "dweight": (float, "differential weight"),
-    "cr": (float, "crossover rate"),
-    "iters": (int, "iteration count"),
-    "stride": (int, "iterations between output rows"),
-    "eta": (float, "noise degree in [0, 1]"),
-    "period": (int, "iterations between injections"),
-    "tol_scale": (float, "multiply every verification budget by this factor"),
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -62,22 +42,20 @@ def build_parser() -> argparse.ArgumentParser:
         "approximate universal spin-flip operations.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for command, settings in SETTINGS.items():
-        sub = subs.add_parser(command, help=_COMMAND_HELP[command])
+    for command, experiment in EXPERIMENTS.items():
+        sub = subs.add_parser(command, help=experiment.help)
         sub.add_argument("--out", help="output file path")
-        sub.add_argument(
-            "--format", dest="fmt", choices=("csv", "jsonl"), help="output format"
-        )
+        sub.add_argument("--format", dest="fmt", choices=FORMATS, help="output format")
         sub.add_argument("--config", help="JSON config file")
-        for name in settings:
-            if name in _FLAGS:
-                kind, text = _FLAGS[name]
+        for name in experiment.settings:
+            if name in SETTING_TYPES:
+                kind, text = SETTING_TYPES[name]
                 sub.add_argument("--" + name.replace("_", "-"), type=kind, help=text)
     return parser
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
-    keys = ("out", "format", *SETTINGS[args.command])
+    keys = ("out", "format", *EXPERIMENTS[args.command].settings)
     merged: dict = {}
     if args.config:
         data = json.loads(Path(args.config).read_text())
@@ -94,9 +72,11 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         if name not in ("command", "config") and value is not None:
             merged[name] = value
     config = ExperimentConfig(name=args.command, **merged)
-    out = config.output_path()
-    if out.is_dir() or not os.access(out.parent, os.W_OK | os.X_OK):
-        raise ValueError(f"out {str(out)!r} is a directory or not in a writable folder")
+    for path in (config.output_path(), config.echo_path()):
+        if path.is_dir() or not os.access(path.parent, os.W_OK | os.X_OK):
+            raise ValueError(
+                f"out {str(path)!r} is a directory or not in a writable folder"
+            )
     return config
 
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 import csv
 import json
 import numbers
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -55,47 +56,33 @@ from .oracle import (
 from .rotation import OneQubitGate, rotation_from_gate, rotation_trace
 
 __all__ = [
+    "EXPERIMENTS",
+    "Experiment",
     "ExperimentConfig",
     "ExperimentResult",
-    "EXPERIMENT_NAMES",
-    "SETTINGS",
+    "FORMATS",
+    "SETTING_TYPES",
     "run_experiment",
     "write_rows",
     "write_config_echo",
 ]
 
-# The settings each experiment reads, besides the output path and format.
-# The command line offers exactly these as flags and config-file keys.
-_DE_SETTINGS = ("seed", "trials", "npop", "dweight", "cr", "iters", "stride")
-SETTINGS = {
-    "verify": ("seed", "trials", "samples", "tol_scale"),
-    "tradeoff": ("seed", "trials"),
-    "noise-sweep": ("seed", "trials", "eta", "eta_grid"),
-    "optimize": _DE_SETTINGS,
-    "recover": _DE_SETTINGS + ("eta", "period"),
-    "compensate": ("alpha_grid",),
-}
-EXPERIMENT_NAMES = tuple(SETTINGS)
+FORMATS = ("csv", "jsonl")
 
-_DEFAULT_TRIALS = {
-    "verify": 1000,
-    "tradeoff": 1000,
-    "noise-sweep": 1000,
-    "optimize": 20,
-    "recover": 20,
-    "compensate": 1,
-}
-_DEFAULT_STRIDE = {"optimize": 20, "recover": 1}
-
-_FORMATS = ("csv", "jsonl")
-
-# Type of each numeric setting; only `eta` and `period` may stay None.
-_NUMBER_TYPES = {
-    **dict.fromkeys(
-        ("seed", "trials", "samples", "npop", "iters", "period", "stride"),
-        numbers.Integral,
-    ),
-    **dict.fromkeys(("dweight", "cr", "eta", "tol_scale"), numbers.Real),
+# Type and flag help of each numeric setting; only `eta` and `period` may
+# stay None.  The grids `eta_grid` and `alpha_grid` are config-file keys only.
+SETTING_TYPES = {
+    "seed": (int, "master RNG seed"),
+    "trials": (int, "number of repetitions"),
+    "samples": (int, "Monte Carlo samples per estimate"),
+    "npop": (int, "population size"),
+    "dweight": (float, "differential weight"),
+    "cr": (float, "crossover rate"),
+    "iters": (int, "iteration count"),
+    "stride": (int, "iterations between output rows"),
+    "eta": (float, "noise degree in [0, 1]"),
+    "period": (int, "iterations between injections"),
+    "tol_scale": (float, "multiply every verification budget by this factor"),
 }
 
 
@@ -107,10 +94,11 @@ def _is_number(value, kind=numbers.Real) -> bool:
 class ExperimentConfig:
     """Effective settings of one experiment run.
 
-    `trials` and `stride` default per experiment when left as None; `eta`
-    and `period` default to the experiment's own noise protocol.  Every
-    value is type-checked: integers reject bools and floats, reals reject
-    bools, grids are lists of numbers and `out` is a string.
+    `trials` and `stride` default per experiment (`EXPERIMENTS`) when left
+    as None; `eta` and `period` default to the experiment's own noise
+    protocol.  Every value is type-checked: integers reject bools and floats
+    and are stored as `int`, reals reject bools, grids are lists of numbers
+    and `out` is a string.
     """
 
     name: str
@@ -131,22 +119,25 @@ class ExperimentConfig:
     alpha_grid: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.name not in EXPERIMENT_NAMES:
+        if self.name not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.name!r}")
-        if self.fmt not in _FORMATS:
-            raise ValueError(f"format must be one of {_FORMATS}, got {self.fmt!r}")
+        if self.fmt not in FORMATS:
+            raise ValueError(f"format must be one of {FORMATS}, got {self.fmt!r}")
         if self.out is not None and not isinstance(self.out, str):
             raise ValueError(f"out must be a string, got {self.out!r}")
         if self.trials is None:
-            self.trials = _DEFAULT_TRIALS[self.name]
+            self.trials = EXPERIMENTS[self.name].trials
         if self.stride is None:
-            self.stride = _DEFAULT_STRIDE.get(self.name, 1)
-        for label, kind in _NUMBER_TYPES.items():
+            self.stride = EXPERIMENTS[self.name].stride
+        for label, (kind, _) in SETTING_TYPES.items():
             value = getattr(self, label)
-            optional = label in ("eta", "period")
-            if not (_is_number(value, kind) or optional and value is None):
-                what = "an integer" if kind is numbers.Integral else "a real number"
+            if value is None and label in ("eta", "period"):
+                continue
+            if not _is_number(value, numbers.Integral if kind is int else numbers.Real):
+                what = "an integer" if kind is int else "a real number"
                 raise ValueError(f"{label} must be {what}, got {value!r}")
+            if kind is int:
+                setattr(self, label, int(value))
         for label, inside, span in (
             ("eta_grid", lambda e: 0.0 <= e <= 1.0, "[0, 1]"),
             ("alpha_grid", lambda a: 0.0 < a < 0.3, "(0, 0.3)"),
@@ -184,37 +175,47 @@ class ExperimentConfig:
             raise ValueError("tol_scale must be positive and finite")
 
     def output_path(self) -> Path:
-        ext = "csv" if self.fmt == "csv" else "jsonl"
-        return Path(self.out) if self.out else Path(f"{self.name}.{ext}")
+        return Path(self.out or f"{self.name}.{self.fmt}")
+
+    def echo_path(self) -> Path:
+        """Where the config echo is written: next to the output file."""
+        return Path(f"{self.output_path()}.config.json")
 
     def echo_dict(self) -> dict:
-        return {
-            "experiment": self.name,
-            "seed": int(self.seed),
-            "trials": int(self.trials),
-            "samples": int(self.samples),
-            "npop": int(self.npop),
-            "dweight": self.dweight,
-            "cr": self.cr,
-            "iters": int(self.iters),
-            "eta": self.eta,
-            "period": self.period,
-            "out": str(self.output_path()),
-            "format": self.fmt,
-            "stride": int(self.stride),
-            "tol_scale": self.tol_scale,
-            "eta_grid": list(self.eta_grid) if self.eta_grid else None,
-            "alpha_grid": list(self.alpha_grid) if self.alpha_grid else None,
-            "rng_algorithm": RNG_ALGORITHM,
-        }
+        """Every setting as it took effect, under its config-file name."""
+        echo = {}
+        for item in fields(self):
+            value = getattr(self, item.name)
+            key = {"name": "experiment", "fmt": "format"}.get(item.name, item.name)
+            echo[key] = list(value) if isinstance(value, tuple) else value
+        echo["out"] = str(self.output_path())
+        echo["rng_algorithm"] = RNG_ALGORITHM
+        return echo
 
 
 @dataclass
 class ExperimentResult:
-    fieldnames: list[str]
+    """Rows of one run; there is at least one, and all share their keys."""
+
     rows: list[dict]
     report: list[str] = field(default_factory=list)
     ok: bool = True
+
+    @property
+    def fieldnames(self) -> list[str]:
+        return list(self.rows[0])
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One subcommand: its driver, help line, the settings it reads besides
+    the output path and format, and its default trials and stride."""
+
+    run: Callable[[ExperimentConfig], ExperimentResult]
+    help: str
+    settings: tuple[str, ...]
+    trials: int
+    stride: int = 1
 
 
 def _sig12(value):
@@ -250,7 +251,7 @@ def write_rows(path: Path, fieldnames: list[str], rows: list[dict], fmt: str) ->
 
 def write_config_echo(config: ExperimentConfig) -> Path:
     """Write the effective config next to the output file, for audit."""
-    echo_path = Path(str(config.output_path()) + ".config.json")
+    echo_path = config.echo_path()
     with echo_path.open("w") as fh:
         json.dump(config.echo_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -382,7 +383,6 @@ def _verify_families(config: ExperimentConfig):
 
 
 def run_verify(config: ExperimentConfig) -> ExperimentResult:
-    fieldnames = ["family", "passed", "worst_residual", "budget"]
     rows, report = [], []
     ok = True
     for family, worst, budget in _verify_families(config):
@@ -403,11 +403,10 @@ def run_verify(config: ExperimentConfig) -> ExperimentResult:
     report.append(
         f"verify: {sum(r['passed'] for r in rows)}/{len(rows)} families passed"
     )
-    return ExperimentResult(fieldnames, rows, report, ok)
+    return ExperimentResult(rows, report, ok)
 
 
 def run_tradeoff(config: ExperimentConfig) -> ExperimentResult:
-    fieldnames = ["qubit_count", "avg_fidelity", "deviation", "in_region", "seed"]
     sampler = SeededSampler(config.seed)
     rows = []
     violations = 0
@@ -429,11 +428,10 @@ def run_tradeoff(config: ExperimentConfig) -> ExperimentResult:
     report = [
         f"tradeoff: {len(rows)} circuits, {violations} region violations"
     ]
-    return ExperimentResult(fieldnames, rows, report, violations == 0)
+    return ExperimentResult(rows, report, violations == 0)
 
 
 def run_noise_sweep(config: ExperimentConfig) -> ExperimentResult:
-    fieldnames = ["eta", "mean_f", "std_f", "mean_delta", "std_delta", "trials"]
     basis = gell_mann_basis(8)
     p_star = optimal_controls(basis)
     if config.eta_grid is not None:
@@ -447,24 +445,25 @@ def run_noise_sweep(config: ExperimentConfig) -> ExperimentResult:
         pop = np.tile(p_star, (config.trials, 1))
         pop = apply_noise(pop, NoiseModel(eta, period=None), child)
         f, d = control_stats_batch(pop, basis)
-        ddof = 1 if config.trials > 1 else 0
-        rows.append(
-            {
-                "eta": float(eta),
-                "mean_f": float(f.mean()),
-                "std_f": float(f.std(ddof=ddof)),
-                "mean_delta": float(d.mean()),
-                "std_delta": float(d.std(ddof=ddof)),
-                "trials": int(config.trials),
-            }
-        )
+        rows.append({"eta": float(eta), **_summary(f, d), "trials": config.trials})
     report = [
         "noise-sweep: eta={:.2f} -> F={:.4f}+-{:.4f} Delta={:.4f}+-{:.4f}".format(
             r["eta"], r["mean_f"], r["std_f"], r["mean_delta"], r["std_delta"]
         )
         for r in rows
     ]
-    return ExperimentResult(fieldnames, rows, report)
+    return ExperimentResult(rows, report)
+
+
+def _summary(f: np.ndarray, d: np.ndarray) -> dict:
+    """Mean and spread of F and Delta over trials (sample std from two on)."""
+    ddof = 1 if len(f) > 1 else 0
+    return {
+        "mean_f": float(f.mean()),
+        "std_f": float(f.std(ddof=ddof)),
+        "mean_delta": float(d.mean()),
+        "std_delta": float(d.std(ddof=ddof)),
+    }
 
 
 def _feedback_traces(config: ExperimentConfig, noise: NoiseModel):
@@ -489,21 +488,16 @@ def _trace_rows(traces, iterations, extra: dict | None = None):
         f = np.array([t[it].avg_fidelity for t in traces])
         d = np.array([t[it].deviation for t in traces])
         xi = np.array([t[it].fitness for t in traces])
-        ddof = 1 if len(traces) > 1 else 0
-        row = dict(extra or {})
-        row.update(
+        rows.append(
             {
+                **(extra or {}),
                 "iteration": int(it),
-                "mean_f": float(f.mean()),
-                "std_f": float(f.std(ddof=ddof)),
-                "mean_delta": float(d.mean()),
-                "std_delta": float(d.std(ddof=ddof)),
+                **_summary(f, d),
                 "mean_fitness": float(xi.mean()),
                 "noise_injected": bool(traces[0][it].noise_injected),
                 "trials": len(traces),
             }
         )
-        rows.append(row)
     return rows
 
 
@@ -515,16 +509,6 @@ def _strided(last: int, stride: int) -> list[int]:
 
 
 def run_optimize(config: ExperimentConfig) -> ExperimentResult:
-    fieldnames = [
-        "iteration",
-        "mean_f",
-        "std_f",
-        "mean_delta",
-        "std_delta",
-        "mean_fitness",
-        "noise_injected",
-        "trials",
-    ]
     traces = _feedback_traces(config, NoiseModel(0.0, period=None))
     rows = _trace_rows(traces, _strided(config.iters, config.stride))
     final_f = np.median([t[-1].avg_fidelity for t in traces])
@@ -533,21 +517,10 @@ def run_optimize(config: ExperimentConfig) -> ExperimentResult:
         f"optimize: {config.trials} runs x {config.iters} iterations; "
         f"final median F={final_f:.4f}, median Delta={final_d:.4f}"
     ]
-    return ExperimentResult(fieldnames, rows, report)
+    return ExperimentResult(rows, report)
 
 
 def run_recover(config: ExperimentConfig) -> ExperimentResult:
-    fieldnames = [
-        "schedule",
-        "iteration",
-        "mean_f",
-        "std_f",
-        "mean_delta",
-        "std_delta",
-        "mean_fitness",
-        "noise_injected",
-        "trials",
-    ]
     eta = 0.5 if config.eta is None else config.eta
     schedules = (config.period,) if config.period is not None else (50, 100)
     rows, report = [], []
@@ -566,11 +539,10 @@ def run_recover(config: ExperimentConfig) -> ExperimentResult:
             f"recover: eta={eta} every {schedule} iterations over "
             f"{config.trials} runs; final median F={med_final:.4f}"
         )
-    return ExperimentResult(fieldnames, rows, report)
+    return ExperimentResult(rows, report)
 
 
 def run_compensate(config: ExperimentConfig) -> ExperimentResult:
-    fieldnames = ["alpha", "deviation_three_gate", "deviation_four_gate", "avg_fidelity"]
     grid = config.alpha_grid or tuple(np.linspace(0.01, 0.25, 25))
     rows = []
     for alpha in grid:
@@ -588,18 +560,50 @@ def run_compensate(config: ExperimentConfig) -> ExperimentResult:
         f"compensate: {len(rows)} tilt values; worst four-gate deviation "
         f"{max(r['deviation_four_gate'] for r in rows):.3e}"
     ]
-    return ExperimentResult(fieldnames, rows, report)
+    return ExperimentResult(rows, report)
 
 
-_RUNNERS = {
-    "verify": run_verify,
-    "tradeoff": run_tradeoff,
-    "noise-sweep": run_noise_sweep,
-    "optimize": run_optimize,
-    "recover": run_recover,
-    "compensate": run_compensate,
+_DE_SETTINGS = ("seed", "trials", "npop", "dweight", "cr", "iters", "stride")
+
+# The command line offers exactly each experiment's settings as flags and
+# config-file keys, in this order of subcommands.
+EXPERIMENTS = {
+    "verify": Experiment(
+        run_verify,
+        "check closed forms against oracles",
+        ("seed", "trials", "samples", "tol_scale"),
+        trials=1000,
+    ),
+    "tradeoff": Experiment(
+        run_tradeoff,
+        "sample circuits across the F-Delta region",
+        ("seed", "trials"),
+        trials=1000,
+    ),
+    "noise-sweep": Experiment(
+        run_noise_sweep,
+        "response of the optimal controls to control noise",
+        ("seed", "trials", "eta", "eta_grid"),
+        trials=1000,
+    ),
+    "optimize": Experiment(
+        run_optimize,
+        "differential-evolution search runs",
+        _DE_SETTINGS,
+        trials=20,
+        stride=20,
+    ),
+    "recover": Experiment(
+        run_recover,
+        "search under periodically injected control noise",
+        _DE_SETTINGS + ("eta", "period"),
+        trials=20,
+    ),
+    "compensate": Experiment(
+        run_compensate, "deviation of tilted-axis mixtures", ("alpha_grid",), trials=1
+    ),
 }
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    return _RUNNERS[config.name](config)
+    return EXPERIMENTS[config.name].run(config)

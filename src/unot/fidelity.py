@@ -48,6 +48,7 @@ _VAR_CLIP = 1e-12
 _STATS_TOL = 1e-12
 _BLOCH_NORM_TOL = 1e-9
 _UNITARY_TOL = 1e-8
+_REGION_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -229,6 +230,6 @@ def region_residual(stats: FidelityStats, qubit_count: int) -> float:
     return max(out, -d, d - upper)
 
 
-def region_membership(stats: FidelityStats, qubit_count: int, tol: float = 1e-9) -> bool:
-    """Whether (F, Delta) lies within `tol` of the region for `qubit_count` qubits."""
-    return bool(region_residual(stats, qubit_count) <= tol)
+def region_membership(stats: FidelityStats, qubit_count: int) -> bool:
+    """Whether (F, Delta) lies within 1e-9 of the region for `qubit_count` qubits."""
+    return bool(region_residual(stats, qubit_count) <= _REGION_TOL)

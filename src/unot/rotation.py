@@ -34,6 +34,7 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULI = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 _AXIS_NORM_TOL = 1e-12
+_UNITARY_TOL = 1e-9
 _TWO_PI = 2.0 * np.pi
 
 
@@ -108,7 +109,7 @@ def unitary_from_gate(gate: OneQubitGate) -> np.ndarray:
     return np.cos(half) * np.eye(2, dtype=complex) - 1.0j * np.sin(half) * n_dot_sigma
 
 
-def rotation_from_unitary(u: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def rotation_from_unitary(u: np.ndarray) -> np.ndarray:
     """Bloch rotation R_ij = Tr(sigma_i u sigma_j u^dag) / 2 of any 2x2 unitary.
 
     Insensitive to the global phase of `u`.
@@ -116,7 +117,7 @@ def rotation_from_unitary(u: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {u.shape}")
-    if np.max(np.abs(u @ u.conj().T - np.eye(2))) > tol:
+    if np.max(np.abs(u @ u.conj().T - np.eye(2))) > _UNITARY_TOL:
         raise ValueError("matrix is not unitary within tolerance")
     r = np.empty((3, 3))
     for i in range(3):
@@ -126,7 +127,7 @@ def rotation_from_unitary(u: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     return r
 
 
-def gate_from_unitary(u: np.ndarray, tol: float = 1e-9) -> OneQubitGate:
+def gate_from_unitary(u: np.ndarray) -> OneQubitGate:
     """Recover axis-angle parameters from a 2x2 unitary, ignoring global phase.
 
     The unitary is first rescaled to determinant one; the remaining sign
@@ -136,7 +137,7 @@ def gate_from_unitary(u: np.ndarray, tol: float = 1e-9) -> OneQubitGate:
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {u.shape}")
-    if np.max(np.abs(u @ u.conj().T - np.eye(2))) > tol:
+    if np.max(np.abs(u @ u.conj().T - np.eye(2))) > _UNITARY_TOL:
         raise ValueError("matrix is not unitary within tolerance")
     v = u / np.sqrt(np.linalg.det(u))
     cos_half = 0.5 * (v[0, 0] + v[1, 1]).real

@@ -166,6 +166,14 @@ def test_semantic_validation_exits_two(tmp_path, monkeypatch, capsys, argv, name
     assert list(tmp_path.iterdir()) == []
 
 
+def test_unwritable_config_echo_exits_two(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("x.csv.config.json").mkdir()
+    assert main(["compensate", "--out", "x.csv"]) == EXIT_BAD_CONFIG
+    assert "out" in capsys.readouterr().err
+    assert not Path("x.csv").exists()
+
+
 def test_usage_errors_exit_two():
     assert main(["no-such-command"]) == EXIT_BAD_CONFIG
     assert main(["verify", "--no-such-flag"]) == EXIT_BAD_CONFIG

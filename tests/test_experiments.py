@@ -56,12 +56,17 @@ def test_config_validation():
             ExperimentConfig("noise-sweep", **bad)
 
 
-def test_echo_dict_is_complete():
+def test_echo_dict_is_complete(tmp_path):
     echo = ExperimentConfig("tradeoff", seed=5).echo_dict()
     assert echo["experiment"] == "tradeoff"
     assert echo["seed"] == 5
     assert echo["rng_algorithm"] == "numpy-pcg64"
     assert echo["trials"] == 1000
+    config = ExperimentConfig(
+        "recover", seed=np.int64(5), period=np.int64(7), out=str(tmp_path / "r.csv")
+    )
+    echo = json.loads(write_config_echo(config).read_text())
+    assert (echo["seed"], echo["period"]) == (5, 7)
 
 
 def test_write_rows_csv_format(tmp_path):

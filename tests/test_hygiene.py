@@ -1,0 +1,67 @@
+"""Import hygiene of the package sources, checked on their syntax trees.
+
+No import inside a function or class, no private name imported from a
+sibling module, and every imported name used in its module or exported
+through that module's `__all__`.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).parent.parent / "src" / "unot").glob("*.py"))
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _imports(tree: ast.Module):
+    return [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_imports_sit_at_module_level(path):
+    tree = _tree(path)
+    nested = [
+        f"line {node.lineno}"
+        for scope in ast.walk(tree)
+        if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        for node in _imports(scope)
+    ]
+    assert nested == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_private_names_from_sibling_modules(path):
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in _imports(_tree(path))
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_imported_names_are_used_or_exported(path):
+    tree = _tree(path)
+    bound = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in _imports(tree)
+        if not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+        for alias in node.names
+    }
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    assert sorted(bound - used - _exported(tree)) == []
