@@ -28,6 +28,7 @@ from .evolve import (
     gell_mann_basis,
     optimal_controls,
     run_feedback,
+    run_feedback_trials,
     unitary_from_controls,
 )
 from .fidelity import (
@@ -84,6 +85,7 @@ __all__ = [
     "rotation_from_gate",
     "rotation_from_unitary",
     "run_feedback",
+    "run_feedback_trials",
     "sample_bloch",
     "sample_unitary",
     "simulate_full",

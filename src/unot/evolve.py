@@ -14,6 +14,7 @@ optionally disturbed by periodic control noise to probe stability.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,7 @@ __all__ = [
     "de_mutate",
     "de_crossover",
     "run_feedback",
+    "run_feedback_trials",
 ]
 
 _BASIS_TOL = 1e-12
@@ -292,22 +294,123 @@ class IterationRecord:
     noise_injected: bool
 
 
-def de_mutate(
-    population: np.ndarray, index: int, weight: float, sampler: SeededSampler
-) -> np.ndarray:
-    """DE/rand/1 mutant: p_a + weight * (p_b - p_c), a, b, c distinct from index."""
-    n = population.shape[0]
-    picks = sampler.pick_distinct(n - 1, 3)
-    a, b, c = np.where(picks >= index, picks + 1, picks)
-    return population[a] + weight * (population[b] - population[c])
+def de_mutate(population: np.ndarray, weight: float, picks: np.ndarray) -> np.ndarray:
+    """DE/rand/1 mutants of every member of every trial.
+
+    `population` has shape (trials, n, d) and `picks` shape (trials, n, 3),
+    three distinct indices from range(n - 1) per member.  Member i's donors
+    a, b, c are its picks with those >= i shifted up by one, so they differ
+    from i; its mutant is p_a + weight * (p_b - p_c).
+    """
+    n = population.shape[1]
+    donors = np.where(picks >= np.arange(n)[:, None], picks + 1, picks)
+    a, b, c = np.moveaxis(donors, -1, 0)
+    trial = np.arange(population.shape[0])[:, None]
+    return population[trial, a] + weight * (population[trial, b] - population[trial, c])
 
 
 def de_crossover(
-    target: np.ndarray, mutant: np.ndarray, rate: float, sampler: SeededSampler
+    target: np.ndarray, mutant: np.ndarray, rate: float, draws: np.ndarray
 ) -> np.ndarray:
-    """Binomial crossover: each component comes from the mutant iff r <= rate."""
-    r = sampler.random(target.shape)
-    return np.where(r <= rate, mutant, target)
+    """Binomial crossover: each component comes from the mutant iff its
+    uniform draw r satisfies r <= rate; `draws` has the shape of `target`."""
+    return np.where(draws <= rate, mutant, target)
+
+
+def run_feedback_trials(
+    config: DeConfig,
+    noise: NoiseModel,
+    basis: GeneratorBasis,
+    seeds: Sequence[int],
+    initial_population: np.ndarray | None = None,
+) -> list[tuple[DeState, list[IterationRecord]]]:
+    """Run one feedback loop per seed, all trials advancing in lockstep.
+
+    Returns the final state and the trace of each trial, in seed order;
+    `config.seed` is not read.  Trial k draws only from its own sampler,
+    seeded with `seeds[k]`, so it is bitwise the lone run of that seed.  An
+    `initial_population` replaces the first draw and has shape (trials, n, d).
+
+    Iteration 0 records the initial population; each later iteration runs
+    one DE sweep and then applies any noise scheduled for it, so an
+    injection row shows the raw disturbed values before the loop starts
+    healing them.  A sweep draws, per trial, `pick_distinct(n - 1, 3, (n,))`
+    for the donors and `random((n, d))` for the crossover mask.  Trial moves
+    are built from the pre-sweep population and committed together, so the
+    trace does not depend on evaluation order.  Selection is strict: a
+    trial vector replaces its target only when its fitness improves, so one
+    that took no mutant component is not evaluated.
+    """
+    samplers = [SeededSampler(seed) for seed in seeds]
+    t, n, d = len(samplers), config.population_size, basis.count
+    if t == 0:
+        raise ValueError("seeds must not be empty")
+    if initial_population is None:
+        population = np.stack([s.uniform(-np.pi, np.pi, (n, d)) for s in samplers])
+    else:
+        population = np.array(initial_population, dtype=float)
+        if population.shape != (t, n, d):
+            raise ValueError(f"initial population must have shape ({t}, {n}, {d})")
+
+    def disturb(population):
+        return np.stack([apply_noise(p, noise, s) for p, s in zip(population, samplers)])
+
+    def evaluate(population):
+        avg_f, dev = control_stats_batch(population.reshape(t * n, d), basis)
+        return avg_f.reshape(t, n), dev.reshape(t, n)
+
+    if noise.hits(0):
+        population = disturb(population)
+    avg_f, dev = evaluate(population)
+    fit = avg_f - dev
+
+    # Per iteration: (F, Delta, xi) of each trial's best member, and the noise flag.
+    history = []
+
+    def record(injected: bool) -> None:
+        best = np.arange(t), np.argmax(fit, axis=1)
+        history.append((avg_f[best], dev[best], fit[best], injected))
+
+    record(noise.hits(0))
+    for iteration in range(1, config.max_iterations + 1):
+        picks = np.stack([s.pick_distinct(n - 1, 3, (n,)) for s in samplers])
+        draws = np.stack([s.random((n, d)) for s in samplers])
+        mutant = de_mutate(population, config.differential_weight, picks)
+        trial = de_crossover(population, mutant, config.crossover_rate, draws)
+        changed = (draws <= config.crossover_rate).any(axis=-1)
+        if changed.any():
+            t_avg_f, t_dev = control_stats_batch(trial[changed], basis)
+            t_fit = t_avg_f - t_dev
+            won = t_fit > fit[changed]
+            better = np.zeros_like(changed)
+            better[changed] = won
+            population[better] = trial[better]
+            avg_f[better] = t_avg_f[won]
+            dev[better] = t_dev[won]
+            fit[better] = t_fit[won]
+        injected = noise.hits(iteration)
+        if injected:
+            population = disturb(population)
+            avg_f, dev = evaluate(population)
+            fit = avg_f - dev
+        record(injected)
+
+    results = []
+    for k in range(t):
+        trace = [
+            IterationRecord(it, float(f[k]), float(dv[k]), float(xi[k]), injected)
+            for it, (f, dv, xi, injected) in enumerate(history)
+        ]
+        state = DeState(
+            population=population[k],
+            avg_fidelity=avg_f[k],
+            deviation=dev[k],
+            fitness=fit[k],
+            best_index=int(np.argmax(fit[k])),
+            iteration=config.max_iterations,
+        )
+        results.append((state, trace))
+    return results
 
 
 def run_feedback(
@@ -316,68 +419,8 @@ def run_feedback(
     basis: GeneratorBasis,
     initial_population: np.ndarray | None = None,
 ) -> tuple[DeState, list[IterationRecord]]:
-    """Run the feedback loop and return the final state plus its trace.
-
-    Iteration 0 records the initial population; each later iteration runs
-    one DE sweep and then applies any noise scheduled for it, so an
-    injection row shows the raw disturbed values before the loop starts
-    healing them.  Trial moves are built from the pre-sweep population and
-    committed together, so the trace does not depend on evaluation order.
-    Selection is strict: a trial replaces its target only when its fitness
-    improves.
-    """
-    sampler = SeededSampler(config.seed)
-    n, d = config.population_size, basis.count
-    if initial_population is None:
-        population = sampler.uniform(-np.pi, np.pi, (n, d))
-    else:
-        population = np.array(initial_population, dtype=float)
-        if population.shape != (n, d):
-            raise ValueError(f"initial population must have shape ({n}, {d})")
-    if noise.hits(0):
-        population = apply_noise(population, noise, sampler)
-    avg_f, dev = control_stats_batch(population, basis)
-    fit = avg_f - dev
-
-    trace: list[IterationRecord] = []
-
-    def record(iteration: int, injected: bool) -> int:
-        best = int(np.argmax(fit))
-        trace.append(
-            IterationRecord(
-                iteration, float(avg_f[best]), float(dev[best]), float(fit[best]), injected
-            )
-        )
-        return best
-
-    best = record(0, noise.hits(0))
-    for iteration in range(1, config.max_iterations + 1):
-        trials = np.empty_like(population)
-        for i in range(n):
-            mutant = de_mutate(population, i, config.differential_weight, sampler)
-            trials[i] = de_crossover(
-                population[i], mutant, config.crossover_rate, sampler
-            )
-        t_avg_f, t_dev = control_stats_batch(trials, basis)
-        t_fit = t_avg_f - t_dev
-        better = t_fit > fit
-        population[better] = trials[better]
-        avg_f = np.where(better, t_avg_f, avg_f)
-        dev = np.where(better, t_dev, dev)
-        fit = np.where(better, t_fit, fit)
-        injected = noise.hits(iteration)
-        if injected:
-            population = apply_noise(population, noise, sampler)
-            avg_f, dev = control_stats_batch(population, basis)
-            fit = avg_f - dev
-        best = record(iteration, injected)
-
-    state = DeState(
-        population=population,
-        avg_fidelity=avg_f,
-        deviation=dev,
-        fitness=fit,
-        best_index=best,
-        iteration=config.max_iterations,
-    )
-    return state, trace
+    """Run the feedback loop of seed `config.seed` and return the final
+    state plus its trace: the one-trial call of `run_feedback_trials`."""
+    if initial_population is not None:
+        initial_population = np.asarray(initial_population, dtype=float)[None]
+    return run_feedback_trials(config, noise, basis, [config.seed], initial_population)[0]

@@ -31,7 +31,7 @@ from .evolve import (
     control_stats_batch,
     gell_mann_basis,
     optimal_controls,
-    run_feedback,
+    run_feedback_trials,
 )
 from .fidelity import (
     DEVIATION_SLOPE,
@@ -97,7 +97,8 @@ class ExperimentConfig:
     `trials` and `stride` default per experiment (`EXPERIMENTS`) when left
     as None; `eta` and `period` default to the experiment's own noise
     protocol.  Every value is type-checked: integers reject bools and floats
-    and are stored as `int`, reals reject bools, grids are lists of numbers
+    and are stored as `int`, reals reject bools and numpy scalars among them
+    are stored as the Python number they hold, grids are lists of numbers
     and `out` is a string.
     """
 
@@ -138,6 +139,8 @@ class ExperimentConfig:
                 raise ValueError(f"{label} must be {what}, got {value!r}")
             if kind is int:
                 setattr(self, label, int(value))
+            elif isinstance(value, np.generic):
+                setattr(self, label, value.item())
         for label, inside, span in (
             ("eta_grid", lambda e: 0.0 <= e <= 1.0, "[0, 1]"),
             ("alpha_grid", lambda a: 0.0 < a < 0.3, "(0, 0.3)"),
@@ -252,9 +255,8 @@ def write_rows(path: Path, fieldnames: list[str], rows: list[dict], fmt: str) ->
 def write_config_echo(config: ExperimentConfig) -> Path:
     """Write the effective config next to the output file, for audit."""
     echo_path = config.echo_path()
-    with echo_path.open("w") as fh:
-        json.dump(config.echo_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    text = json.dumps(config.echo_dict(), indent=2, sort_keys=True)
+    echo_path.write_text(text + "\n")
     return echo_path
 
 
@@ -467,19 +469,15 @@ def _summary(f: np.ndarray, d: np.ndarray) -> dict:
 
 
 def _feedback_traces(config: ExperimentConfig, noise: NoiseModel):
-    basis = gell_mann_basis(8)
-    traces = []
-    for child in SeededSampler(config.seed).split(config.trials):
-        de_config = DeConfig(
-            population_size=config.npop,
-            differential_weight=config.dweight,
-            crossover_rate=config.cr,
-            max_iterations=config.iters,
-            seed=child.seed,
-        )
-        _, trace = run_feedback(de_config, noise, basis)
-        traces.append(trace)
-    return traces
+    de_config = DeConfig(
+        population_size=config.npop,
+        differential_weight=config.dweight,
+        crossover_rate=config.cr,
+        max_iterations=config.iters,
+    )
+    seeds = [child.seed for child in SeededSampler(config.seed).split(config.trials)]
+    runs = run_feedback_trials(de_config, noise, gell_mann_basis(8), seeds)
+    return [trace for _, trace in runs]
 
 
 def _trace_rows(traces, iterations, extra: dict | None = None):

@@ -30,7 +30,7 @@ __all__ = [
     "bloch_map_from_three_qubit_unitary",
 ]
 
-RNG_ALGORITHM = "numpy-pcg64"
+RNG_ALGORITHM = "numpy-pcg64/de-v2"
 
 
 @dataclass
@@ -66,11 +66,17 @@ class SeededSampler:
         self.position += out.size
         return out
 
-    def pick_distinct(self, pool_size: int, count: int) -> np.ndarray:
-        """Draw `count` distinct indices from range(pool_size)."""
-        out = self._rng.choice(pool_size, size=count, replace=False)
-        self.position += count
-        return out
+    def pick_distinct(self, pool_size: int, count: int, shape: tuple = ()) -> np.ndarray:
+        """Draw `count` distinct indices from range(pool_size), once per cell
+        of `shape`: an array of shape `shape + (count,)`.
+
+        Each cell ranks `pool_size` uniform keys and keeps the first `count`
+        positions of the ranking, so it consumes `pool_size` draws.
+        """
+        if not 0 <= count <= pool_size:
+            raise ValueError("count must lie in [0, pool_size]")
+        keys = self.random(tuple(shape) + (pool_size,))
+        return np.argsort(keys, axis=-1)[..., :count]
 
     def split(self, count: int) -> list["SeededSampler"]:
         """Derive independent child samplers, deterministic in the seed."""

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import unot.evolve
 from unot.circuit import full_unitary, optimal_three_qubit_circuit
 from unot.evolve import (
     DeConfig,
@@ -19,6 +20,7 @@ from unot.evolve import (
     gell_mann_basis,
     optimal_controls,
     run_feedback,
+    run_feedback_trials,
     unitary_from_controls,
 )
 from unot.fidelity import affine_channel_stats
@@ -192,31 +194,47 @@ def test_apply_noise_shift_is_bounded():
 
 
 def test_de_mutate_arithmetic():
-    population = np.arange(8.0).reshape(4, 2)
-    sampler = SeededSampler(49)
-    probe = SeededSampler(49)
-    mutant = de_mutate(population, 2, 0.1, sampler)
-    picks = probe.pick_distinct(3, 3)
-    a, b, c = np.where(picks >= 2, picks + 1, picks)
-    assert a != 2 and b != 2 and c != 2
-    expected = population[a] + 0.1 * (population[b] - population[c])
-    assert np.array_equal(mutant, expected)
+    population = np.arange(24.0).reshape(3, 4, 2)
+    picks = SeededSampler(49).pick_distinct(3, 3, (3, 4))
+    mutant = de_mutate(population, 0.1, picks)
+    assert mutant.shape == population.shape
+    for t in range(3):
+        for i in range(4):
+            a, b, c = np.where(picks[t, i] >= i, picks[t, i] + 1, picks[t, i])
+            assert a != i and b != i and c != i
+            expected = population[t, a] + 0.1 * (population[t, b] - population[t, c])
+            assert np.array_equal(mutant[t, i], expected)
+
+
+def test_de_mutate_donors_are_distinct_and_not_the_member():
+    # Member j of every trial is the unit vector e_j, so the mutant
+    # e_a + 0.5 (e_b - e_c) shows its donors: 1 at a, 0.5 at b, -0.5 at c.
+    trials, n = 50, 10
+    population = np.tile(np.eye(n), (trials, 1, 1))
+    picks = SeededSampler(52).pick_distinct(n - 1, 3, (trials, n))
+    mutant = de_mutate(population, 0.5, picks)
+    for t in range(trials):
+        for i in range(n):
+            row = mutant[t, i]
+            assert row[i] == 0.0
+            assert sorted(row[row != 0.0].tolist()) == [-0.5, 0.5, 1.0]
 
 
 def test_de_crossover_rate_statistics():
     sampler = SeededSampler(50)
-    target = np.zeros(63)
-    mutant = np.ones(63)
-    counts = [de_crossover(target, mutant, 0.5, sampler).sum() for _ in range(10000)]
-    assert abs(np.mean(counts) - 31.5) < 1.0
+    target = np.zeros((10, 1000, 63))
+    mutant = np.ones((10, 1000, 63))
+    trial = de_crossover(target, mutant, 0.5, sampler.random(target.shape))
+    assert abs(trial.sum(axis=-1).mean() - 31.5) < 1.0
 
 
 def test_de_crossover_extremes():
     sampler = SeededSampler(51)
-    target = np.zeros(63)
-    mutant = np.ones(63)
-    assert de_crossover(target, mutant, 0.0, sampler).sum() == 0.0
-    assert de_crossover(target, mutant, 1.0, sampler).sum() == 63.0
+    target = np.zeros((4, 10, 63))
+    mutant = np.ones((4, 10, 63))
+    draws = sampler.random(target.shape)
+    assert np.all(de_crossover(target, mutant, 0.0, draws).sum(axis=-1) == 0.0)
+    assert np.all(de_crossover(target, mutant, 1.0, draws).sum(axis=-1) == 63.0)
 
 
 def test_de_config_validation():
@@ -306,3 +324,42 @@ def test_batch_control_stats_check_their_controls():
     pop[2, 0] = np.inf
     with pytest.raises(ValueError, match="finite"):
         control_stats_batch(pop, _BASIS8)
+
+
+@pytest.mark.parametrize("noise", [NoiseModel(0.0), NoiseModel(0.4, period=25)])
+def test_lockstep_trials_equal_their_lone_runs(noise):
+    seeds = [3, 17, 2**63 + 5]
+    runs = run_feedback_trials(DeConfig(max_iterations=60), noise, _BASIS8, seeds)
+    assert len(runs) == len(seeds)
+    for seed, (state, trace) in zip(seeds, runs):
+        lone_state, lone_trace = run_feedback(
+            DeConfig(max_iterations=60, seed=seed), noise, _BASIS8
+        )
+        assert trace == lone_trace
+        assert np.array_equal(state.population, lone_state.population)
+        assert np.array_equal(state.fitness, lone_state.fitness)
+        assert state.best_index == lone_state.best_index
+
+
+def test_lockstep_prefix_of_seeds_is_unchanged():
+    config = DeConfig(max_iterations=40)
+    four = run_feedback_trials(config, NoiseModel(0.0), _BASIS8, [1, 2, 3, 4])
+    two = run_feedback_trials(config, NoiseModel(0.0), _BASIS8, [1, 2])
+    for (state4, trace4), (state2, trace2) in zip(four[:2], two):
+        assert trace4 == trace2
+        assert np.array_equal(state4.population, state2.population)
+
+
+def test_unchanged_trial_vectors_are_not_evaluated(monkeypatch):
+    rows = []
+    original = unot.evolve.control_stats_batch
+
+    def counting(pop, basis):
+        rows.append(len(pop))
+        return original(pop, basis)
+
+    monkeypatch.setattr(unot.evolve, "control_stats_batch", counting)
+    config = DeConfig(crossover_rate=0.0, max_iterations=30)
+    runs = run_feedback_trials(config, NoiseModel(0.0), _BASIS8, [1, 2, 3])
+    assert rows == [3 * 10]
+    assert all(len(trace) == 31 for _, trace in runs)

@@ -60,13 +60,25 @@ def test_echo_dict_is_complete(tmp_path):
     echo = ExperimentConfig("tradeoff", seed=5).echo_dict()
     assert echo["experiment"] == "tradeoff"
     assert echo["seed"] == 5
-    assert echo["rng_algorithm"] == "numpy-pcg64"
+    assert echo["rng_algorithm"] == "numpy-pcg64/de-v2"
     assert echo["trials"] == 1000
     config = ExperimentConfig(
         "recover", seed=np.int64(5), period=np.int64(7), out=str(tmp_path / "r.csv")
     )
     echo = json.loads(write_config_echo(config).read_text())
     assert (echo["seed"], echo["period"]) == (5, 7)
+
+
+def test_numpy_real_settings_echo_as_plain_numbers(tmp_path):
+    config = ExperimentConfig(
+        "compensate",
+        tol_scale=np.float32(2),
+        cr=np.float32(0.5),
+        out=str(tmp_path / "f.csv"),
+    )
+    echo = json.loads(write_config_echo(config).read_text())
+    assert (echo["tol_scale"], echo["cr"]) == (2.0, 0.5)
+    assert type(config.tol_scale) is float and type(config.cr) is float
 
 
 def test_write_rows_csv_format(tmp_path):

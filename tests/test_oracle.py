@@ -22,7 +22,7 @@ from unot.rotation import OneQubitGate, rotation_from_gate, unit_axis
 
 
 def test_rng_algorithm_label():
-    assert RNG_ALGORITHM == "numpy-pcg64"
+    assert RNG_ALGORITHM == "numpy-pcg64/de-v2"
 
 
 def test_sampler_is_reproducible():
@@ -56,6 +56,28 @@ def test_pick_distinct_values():
         picks = sampler.pick_distinct(9, 3)
         assert len(set(picks.tolist())) == 3
         assert picks.min() >= 0 and picks.max() < 9
+
+
+def test_pick_distinct_consumes_one_key_per_pool_member():
+    sampler = SeededSampler(6)
+    picks = sampler.pick_distinct(9, 3, (10,))
+    assert picks.shape == (10, 3)
+    assert sampler.position == 10 * 9
+    sampler.pick_distinct(9, 3)
+    assert sampler.position == 10 * 9 + 9
+    sampler.pick_distinct(5, 2, (2, 3))
+    assert sampler.position == 10 * 9 + 9 + 2 * 3 * 5
+
+
+def test_pick_distinct_slots_are_uniform():
+    rows = 20_000
+    picks = SeededSampler(7).pick_distinct(9, 3, (rows,))
+    p = 1.0 / 9.0
+    band = 5.0 * np.sqrt(rows * p * (1.0 - p))
+    for slot in range(3):
+        counts = np.bincount(picks[:, slot], minlength=9)
+        assert np.all(np.abs(counts - rows * p) <= band)
+    assert np.all(np.sort(picks, axis=1)[:, 1:] != np.sort(picks, axis=1)[:, :-1])
 
 
 def test_bloch_samples_sit_on_the_sphere():
