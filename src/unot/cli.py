@@ -8,8 +8,9 @@ numeric setting its experiment reads, typed and described by
 the experiment's settings, and no other key.  Settings resolve with flags
 taking precedence over the config file, which takes precedence over
 built-in defaults.  Exit codes: 0 on success, 1 when a verification or
-invariant check fails, 2 for invalid configuration, including a row file or
-config echo path that cannot be written (checked before the run).
+invariant check fails or the run runs out of memory, 2 for invalid
+configuration, including a row file or config echo path that cannot be
+written (checked before the run).
 """
 
 from __future__ import annotations
@@ -95,6 +96,9 @@ def main(argv=None) -> int:
         result = run_experiment(config)
     except RuntimeError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     write_rows(config.output_path(), result.fieldnames, result.rows, config.fmt)
     echo_path = write_config_echo(config)

@@ -69,12 +69,16 @@ __all__ = [
 
 FORMATS = ("csv", "jsonl")
 
+# Fewest Monte Carlo samples per estimate: below this a standard error says
+# too little for the 5-sigma oracle budget of `verify` to mean anything.
+MIN_SAMPLES = 1000
+
 # Type and flag help of each numeric setting; only `eta` and `period` may
 # stay None.  The grids `eta_grid` and `alpha_grid` are config-file keys only.
 SETTING_TYPES = {
     "seed": (int, "master RNG seed"),
     "trials": (int, "number of repetitions"),
-    "samples": (int, "Monte Carlo samples per estimate"),
+    "samples": (int, f"Monte Carlo samples per estimate (at least {MIN_SAMPLES})"),
     "npop": (int, "population size"),
     "dweight": (float, "differential weight"),
     "cr": (float, "crossover rate"),
@@ -157,7 +161,7 @@ class ExperimentConfig:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         for label, value, low in (
             ("trials", self.trials, 1),
-            ("samples", self.samples, 2),
+            ("samples", self.samples, MIN_SAMPLES),
             ("npop", self.npop, 4),
             ("iters", self.iters, 1),
             ("stride", self.stride, 1),

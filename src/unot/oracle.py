@@ -164,8 +164,9 @@ def mc_stats(
     f = 0.5 * (1.0 - np.einsum("ni,ni->n", a, out))
     mean = float(np.mean(f))
     centered = f - mean
-    m2 = float(np.mean(centered**2))
-    m4 = float(np.mean(centered**4))
+    c2 = centered * centered
+    m2 = float(np.mean(c2))
+    m4 = float(np.mean(c2 * c2))
     std = float(np.sqrt(m2))
     se_mean = std / np.sqrt(n)
     se_var = np.sqrt(max(m4 - m2 * m2, 0.0) / n)
@@ -189,32 +190,33 @@ def bloch_map_from_stochastic(smap) -> "callable":
 def bloch_map_from_three_qubit_unitary(u: np.ndarray) -> "callable":
     """Bloch action of an 8x8 unitary on system (x) |00>, by state vectors.
 
-    Independent of any Kraus or affine reduction: each input Bloch vector
-    becomes a pure system state, the joint state is evolved, and the reduced
-    system Bloch vector is read off the 2x2 marginal.
+    Independent of any Kraus or affine reduction: each unit Bloch vector
+    becomes a pure system state, (1 + z, x + iy) / sqrt(2 (1 + z)) for z >= 0
+    and the phase-equivalent (x - iy, 1 - z) / sqrt(2 (1 - z)) for z < 0, the
+    joint state is evolved, and the reduced system Bloch vector is read off
+    the 2x2 marginal.
     """
     u = np.asarray(u, dtype=complex)
     if u.shape != (8, 8):
         raise ValueError(f"expected an 8x8 matrix, got shape {u.shape}")
-    col0 = u[:, 0]
-    col4 = u[:, 4]
+    columns = u[:, [0, 4]].T
 
     def act(a: np.ndarray) -> np.ndarray:
         a = np.atleast_2d(np.asarray(a, dtype=float))
-        theta = np.arccos(np.clip(a[:, 2], -1.0, 1.0))
-        phi = np.arctan2(a[:, 1], a[:, 0])
-        amp0 = np.cos(0.5 * theta)
-        amp1 = np.exp(1.0j * phi) * np.sin(0.5 * theta)
-        psi = amp0[:, None] * col0[None, :] + amp1[:, None] * col4[None, :]
-        blocks = psi.reshape(-1, 2, 4)
-        rho = np.einsum("nsm,ntm->nst", blocks, blocks.conj())
+        x, y, z = a.T
+        zero = np.zeros_like(z)
+        parts = np.where(
+            (z >= 0.0)[:, None],
+            np.stack([1.0 + z, zero, x, y], axis=1),
+            np.stack([x, -y, 1.0 - z, zero], axis=1),
+        )
+        parts /= np.sqrt(2.0 * (1.0 + np.abs(z)))[:, None]
+        psi = parts.view(complex) @ columns
+        rho10 = np.einsum("nm,nm->n", psi[:, 4:], psi[:, :4].conj())
+        halves = psi.view(float).reshape(-1, 2, 8)
+        norms = np.einsum("nsk,nsk->ns", halves, halves)
         return np.stack(
-            [
-                2.0 * rho[:, 1, 0].real,
-                2.0 * rho[:, 1, 0].imag,
-                (rho[:, 0, 0] - rho[:, 1, 1]).real,
-            ],
-            axis=1,
+            [2.0 * rho10.real, 2.0 * rho10.imag, norms[:, 0] - norms[:, 1]], axis=1
         )
 
     return act

@@ -23,7 +23,7 @@ from unot.evolve import (
     control_stats_batch,
     gell_mann_basis,
     optimal_controls,
-    run_feedback,
+    run_feedback_trials,
 )
 from unot.fidelity import (
     DEVIATION_SLOPE,
@@ -142,18 +142,15 @@ def test_07_noise_degradation_band_at_one_tenth():
 
 def test_08_search_converges_near_the_ceiling():
     start = time.perf_counter()
-    finals_f, finals_d = [], []
-    for seed in range(20):
-        config = DeConfig(
-            population_size=10,
-            differential_weight=0.1,
-            crossover_rate=0.03,
-            max_iterations=1000,
-            seed=seed,
-        )
-        _, trace = run_feedback(config, NoiseModel(0.0), _BASIS8)
-        finals_f.append(trace[-1].avg_fidelity)
-        finals_d.append(trace[-1].deviation)
+    config = DeConfig(
+        population_size=10,
+        differential_weight=0.1,
+        crossover_rate=0.03,
+        max_iterations=1000,
+    )
+    runs = run_feedback_trials(config, NoiseModel(0.0), _BASIS8, range(20))
+    finals_f = [trace[-1].avg_fidelity for _, trace in runs]
+    finals_d = [trace[-1].deviation for _, trace in runs]
     assert np.median(finals_f) >= 0.655
     assert np.median(finals_d) <= 0.02
     assert time.perf_counter() - start < 600.0
@@ -161,11 +158,9 @@ def test_08_search_converges_near_the_ceiling():
 
 def test_09_search_recovers_between_injections():
     start = time.perf_counter()
-    traces = []
-    for seed in range(20):
-        config = DeConfig(max_iterations=1000, seed=seed)
-        _, trace = run_feedback(config, NoiseModel(0.5, period=100), _BASIS8)
-        traces.append(trace)
+    config = DeConfig(max_iterations=1000)
+    runs = run_feedback_trials(config, NoiseModel(0.5, period=100), _BASIS8, range(20))
+    traces = [trace for _, trace in runs]
     for k in range(1, 11):
         at_injection = np.median([t[100 * k].avg_fidelity for t in traces])
         assert at_injection < 0.60

@@ -147,6 +147,9 @@ def test_missing_config_file_is_rejected(tmp_path):
         pytest.param(["optimize", "--npop", "2"], "npop", id="small-npop"),
         pytest.param(["recover", "--eta", "1.5"], "eta", id="large-eta"),
         pytest.param(["verify", "--trials", "0"], "trials", id="zero-trials"),
+        pytest.param(
+            ["verify", "--samples", "3", "--trials", "1"], "samples", id="few-samples"
+        ),
         pytest.param(["verify", "--tol-scale", "inf"], "tol_scale", id="inf-tol-scale"),
         pytest.param(["verify", "--tol-scale", "nan"], "tol_scale", id="nan-tol-scale"),
         pytest.param(["compensate", "--seed", "3"], "--seed", id="unread-seed"),
@@ -172,6 +175,19 @@ def test_unwritable_config_echo_exits_two(tmp_path, monkeypatch, capsys):
     assert main(["compensate", "--out", "x.csv"]) == EXIT_BAD_CONFIG
     assert "out" in capsys.readouterr().err
     assert not Path("x.csv").exists()
+
+
+def test_memory_error_exits_one_without_traceback(tmp_path, monkeypatch, capsys):
+    def exhausted(config):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("unot.cli.run_experiment", exhausted)
+    assert main(["optimize", "--out", "x.csv"]) == EXIT_FAILURE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "74.5 GiB" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_usage_errors_exit_two():

@@ -2,9 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unot.circuit import optimal_stochastic_map, optimal_three_qubit_circuit, full_unitary
-from unot.fidelity import AffineBlochChannel, one_qubit_stats, three_qubit_avg_fidelity
+from unot.fidelity import (
+    AffineBlochChannel,
+    affine_channel_stats,
+    one_qubit_stats,
+    three_qubit_avg_fidelity,
+)
 from unot.oracle import (
     RNG_ALGORITHM,
     McEstimate,
@@ -184,3 +191,143 @@ def test_mc_standard_error_shrinks_with_samples():
 def test_seed_must_be_unsigned():
     with pytest.raises(ValueError):
         SeededSampler(-1)
+
+
+def _trig_map(u):
+    """Reference Bloch action of an 8x8 unitary on system (x) |00>: the
+    amplitudes (cos(theta/2), exp(i phi) sin(theta/2)) from the polar angles,
+    and the full 2x2 marginal from a complex contraction."""
+    col0, col4 = u[:, 0], u[:, 4]
+
+    def act(a):
+        a = np.atleast_2d(np.asarray(a, dtype=float))
+        theta = np.arccos(np.clip(a[:, 2], -1.0, 1.0))
+        phi = np.arctan2(a[:, 1], a[:, 0])
+        amp0 = np.cos(0.5 * theta)
+        amp1 = np.exp(1.0j * phi) * np.sin(0.5 * theta)
+        psi = amp0[:, None] * col0[None, :] + amp1[:, None] * col4[None, :]
+        blocks = psi.reshape(-1, 2, 4)
+        rho = np.einsum("nsm,ntm->nst", blocks, blocks.conj())
+        return np.stack(
+            [
+                2.0 * rho[:, 1, 0].real,
+                2.0 * rho[:, 1, 0].imag,
+                (rho[:, 0, 0] - rho[:, 1, 1]).real,
+            ],
+            axis=1,
+        )
+
+    return act
+
+
+def _ring(z, count=16):
+    """Unit vectors at height z; the radius is formed without cancellation."""
+    phi = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
+    radius = np.sqrt((1.0 - z) * (1.0 + z))
+    return np.stack([radius * np.cos(phi), radius * np.sin(phi), np.full(count, z)], axis=1)
+
+
+_MAP_UNITARIES = [
+    full_unitary(optimal_three_qubit_circuit()),
+    *(sample_unitary(child, 8) for child in SeededSampler(31).split(4)),
+]
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        pytest.param(sample_bloch(SeededSampler(32), 5000), id="drawn"),
+        pytest.param(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]), id="poles"),
+        pytest.param(_ring(0.0), id="equator"),
+        pytest.param(
+            np.vstack([_ring(1.0 - 1e-12), _ring(-1.0 + 1e-12)]), id="near-poles"
+        ),
+    ],
+)
+def test_three_qubit_map_matches_the_trig_route(points):
+    for u in _MAP_UNITARIES:
+        direct = bloch_map_from_three_qubit_unitary(u)(points)
+        assert direct.shape == points.shape
+        assert np.max(np.abs(direct - _trig_map(u)(points))) < 1e-13
+
+
+def test_three_qubit_map_takes_a_single_vector():
+    point = np.array([0.36, -0.48, -0.8])
+    for u in _MAP_UNITARIES:
+        direct = bloch_map_from_three_qubit_unitary(u)(point)
+        assert direct.shape == (1, 3)
+        assert np.max(np.abs(direct - _trig_map(u)(point))) < 1e-13
+
+
+def test_three_qubit_map_rejects_other_shapes():
+    with pytest.raises(ValueError):
+        bloch_map_from_three_qubit_unitary(np.eye(4))
+
+
+def test_mc_standard_errors_follow_the_moment_formulas():
+    u = sample_unitary(SeededSampler(33), 8)
+    bloch_map = bloch_map_from_three_qubit_unitary(u)
+    n = 20_000
+    f_est, d_est = mc_stats(bloch_map, SeededSampler(34), n)
+    a = sample_bloch(SeededSampler(34), n)
+    f = 0.5 * (1.0 - np.sum(a * bloch_map(a), axis=1))
+    centered = f - f.mean()
+    m2 = np.mean(centered**2)
+    m4 = np.mean(centered**4)
+    std = np.sqrt(m2)
+    assert f_est.std_error == pytest.approx(std / np.sqrt(n), rel=1e-12)
+    se_std = np.sqrt((m4 - m2 * m2) / n) / (2.0 * std)
+    assert d_est.std_error == pytest.approx(se_std, rel=1e-12)
+
+
+def test_mc_stats_checks_sample_count_and_map_shape():
+    ident = bloch_map_from_affine(AffineBlochChannel(np.eye(3), np.zeros(3)))
+    with pytest.raises(ValueError):
+        mc_stats(ident, SeededSampler(35), 1)
+    # One output row for all inputs would broadcast silently without the check.
+    with pytest.raises(ValueError):
+        mc_stats(lambda a: a[:1], SeededSampler(35), 100)
+
+
+def _stinespring_channel(u, damping):
+    """Affine channel of a 4x4 unitary on system (x) |0>, followed by a
+    depolarizing shrink of the Bloch ball by `damping`."""
+    kraus = [u[[j, 2 + j]][:, [0, 2]] for j in range(2)]
+    paulis = [
+        np.array([[0.0, 1.0], [1.0, 0.0]]),
+        np.array([[0.0, -1.0j], [1.0j, 0.0]]),
+        np.array([[1.0, 0.0], [0.0, -1.0]]),
+    ]
+
+    def image(rho):
+        out = sum(k @ rho @ k.conj().T for k in kraus)
+        return np.array([np.trace(p @ out).real for p in paulis])
+
+    shift = 0.5 * image(np.eye(2))
+    linear = np.stack([0.5 * image(p) for p in paulis], axis=1)
+    return AffineBlochChannel(damping * linear, damping * shift)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    seed=st.integers(0, 2**32),
+    damping=st.floats(0.0, 1.0),
+    samples=st.integers(1000, 20_000),
+)
+def test_affine_closed_form_within_five_sigma_of_the_oracle(seed, damping, samples):
+    u = sample_unitary(SeededSampler(seed), 4)
+    channel = _stinespring_channel(u, damping)
+    exact = affine_channel_stats(channel)
+    f, d = mc_stats(bloch_map_from_affine(channel), SeededSampler(seed + 1), samples)
+    # The floor covers channels with a flat fidelity, whose standard errors are 0.
+    assert abs(f.value - exact.avg_fidelity) <= 5.0 * f.std_error + 1e-12
+    assert abs(d.value - exact.deviation) <= 5.0 * d.std_error + 1e-12
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**32), samples=st.integers(1000, 20_000))
+def test_three_qubit_closed_form_within_five_sigma_of_the_oracle(seed, samples):
+    u = sample_unitary(SeededSampler(seed), 8)
+    bloch_map = bloch_map_from_three_qubit_unitary(u)
+    f, _ = mc_stats(bloch_map, SeededSampler(seed + 1), samples)
+    assert abs(f.value - three_qubit_avg_fidelity(u)) <= 5.0 * f.std_error
