@@ -36,11 +36,12 @@ from .evolve import (
 from .fidelity import (
     DEVIATION_SLOPE,
     MAX_AVG_FIDELITY,
+    FidelityStats,
+    affine_stats_batch,
     one_qubit_stats,
     pair_covariance,
     region_membership,
     region_residual,
-    stochastic_map_stats,
     three_qubit_avg_fidelity,
 )
 from .oracle import (
@@ -72,6 +73,11 @@ FORMATS = ("csv", "jsonl")
 # Fewest Monte Carlo samples per estimate: below this a standard error says
 # too little for the 5-sigma oracle budget of `verify` to mean anything.
 MIN_SAMPLES = 1000
+
+# Largest single array, in bytes, a run may allocate.  Each experiment
+# estimates its largest arrays from its settings before the run starts
+# (`Experiment.array_bytes`), and a config above this is rejected.
+MAX_ARRAY_BYTES = 2**30
 
 # Type and flag help of each numeric setting; only `eta` and `period` may
 # stay None.  The grids `eta_grid` and `alpha_grid` are config-file keys only.
@@ -180,6 +186,13 @@ class ExperimentConfig:
             raise ValueError("period must be nonnegative")
         if not 0.0 < self.tol_scale < np.inf:
             raise ValueError("tol_scale must be positive and finite")
+        for label, size in EXPERIMENTS[self.name].array_bytes(self).items():
+            if size > MAX_ARRAY_BYTES:
+                raise ValueError(
+                    f"{label} too large: an array of the run would take "
+                    f"{size / 2**30:.1f} GiB, above the "
+                    f"{MAX_ARRAY_BYTES / 2**30:g} GiB ceiling"
+                )
 
     def output_path(self) -> Path:
         return Path(self.out or f"{self.name}.{self.fmt}")
@@ -216,13 +229,15 @@ class ExperimentResult:
 @dataclass(frozen=True)
 class Experiment:
     """One subcommand: its driver, help line, the settings it reads besides
-    the output path and format, and its default trials and stride."""
+    the output path and format, its default trials and stride, and the
+    bytes of its largest arrays under the settings that size them."""
 
     run: Callable[[ExperimentConfig], ExperimentResult]
     help: str
     settings: tuple[str, ...]
     trials: int
     stride: int = 1
+    array_bytes: Callable[[ExperimentConfig], dict[str, int]] = lambda config: {}
 
 
 def _sig12(value):
@@ -264,9 +279,16 @@ def write_config_echo(config: ExperimentConfig) -> Path:
     return echo_path
 
 
-def _sample_weights(sampler: SeededSampler, count: int) -> np.ndarray:
+def _sample_mixture(sampler: SeededSampler, count: int) -> StochasticMap:
+    gates = tuple(sample_gate(sampler) for _ in range(count))
     w = sampler.uniform(0.0, 1.0, count)
-    return w / w.sum()
+    return StochasticMap(w / w.sum(), gates)
+
+
+def _mixture_stats(maps) -> tuple[np.ndarray, np.ndarray]:
+    """(F, Delta) arrays of gate mixtures, drawn lazily, in one kernel call."""
+    linear = np.fromiter((smap.bloch_linear() for smap in maps), (float, (3, 3)))
+    return affine_stats_batch(linear, np.zeros((len(linear), 3)))
 
 
 def _verify_families(config: ExperimentConfig):
@@ -291,10 +313,9 @@ def _verify_families(config: ExperimentConfig):
 
     # Single gates sit on the line Delta = F / sqrt(5).
     s = sub[1]
-    worst = 0.0
-    for _ in range(n):
-        st = one_qubit_stats(sample_gate(s))
-        worst = max(worst, abs(st.deviation - st.avg_fidelity * DEVIATION_SLOPE))
+    rotations = (rotation_from_gate(sample_gate(s)) for _ in range(n))
+    f, d = affine_stats_batch(np.fromiter(rotations, (float, (3, 3))), np.zeros((n, 3)))
+    worst = float(np.max(np.abs(d - f * DEVIATION_SLOPE)))
     yield "one-qubit-line", worst, 1e-12 * scale
 
     # Pairwise covariance bounds, including the equality cases.
@@ -323,37 +344,25 @@ def _verify_families(config: ExperimentConfig):
 
     # Mixtures never exceed the one-qubit line.
     s = sub[3]
-    worst = 0.0
-    for i in range(n):
-        count = 2 + i % 4
-        gates = tuple(sample_gate(s) for _ in range(count))
-        smap_stats = stochastic_map_stats(
-            StochasticMap(_sample_weights(s, count), gates)
-        )
-        worst = max(
-            worst, smap_stats.deviation - smap_stats.avg_fidelity * DEVIATION_SLOPE, 0.0
-        )
+    f, d = _mixture_stats(_sample_mixture(s, 2 + i % 4) for i in range(n))
+    worst = max(float(np.max(d - f * DEVIATION_SLOPE)), 0.0)
     yield "mixture-upper-bound", worst, 1e-12 * scale
 
     # Two-gate mixtures cannot fall below half the line.
     s = sub[4]
-    worst = 0.0
-    for _ in range(n):
-        gates = (sample_gate(s), sample_gate(s))
-        st = stochastic_map_stats(StochasticMap(_sample_weights(s, 2), gates))
-        worst = max(worst, 0.5 * st.avg_fidelity * DEVIATION_SLOPE - st.deviation, 0.0)
+    f, d = _mixture_stats(_sample_mixture(s, 2) for _ in range(n))
+    worst = max(float(np.max(0.5 * f * DEVIATION_SLOPE - d)), 0.0)
     yield "two-qubit-lower-bound", worst, 1e-12 * scale
 
     # Random ladder circuits land inside their qubit-count region.
     s = sub[5]
-    worst = 0.0
-    per_count = max(1, n // 3)
-    for qubit_count in (1, 2, 3):
-        for _ in range(per_count):
-            st = stochastic_map_stats(
-                stochastic_map_from_circuit(sample_ladder_circuit(s, qubit_count))
-            )
-            worst = max(worst, region_residual(st, qubit_count))
+    counts = [q for q in (1, 2, 3) for _ in range(max(1, n // 3))]
+    f, d = _mixture_stats(
+        stochastic_map_from_circuit(sample_ladder_circuit(s, q)) for q in counts
+    )
+    worst = max(
+        region_residual(FidelityStats(fi, di), q) for fi, di, q in zip(f, d, counts)
+    )
     yield "region-membership", worst, 1e-9 * scale
 
     # Three-qubit ceiling and oracle agreement for Haar unitaries.
@@ -417,9 +426,11 @@ def run_tradeoff(config: ExperimentConfig) -> ExperimentResult:
     rows = []
     violations = 0
     for qubit_count in (1, 2, 3):
-        for _ in range(config.trials):
-            circuit = sample_ladder_circuit(sampler, qubit_count)
-            st = stochastic_map_stats(stochastic_map_from_circuit(circuit))
+        f, d = _mixture_stats(
+            stochastic_map_from_circuit(sample_ladder_circuit(sampler, qubit_count))
+            for _ in range(config.trials)
+        )
+        for st in map(FidelityStats, f, d):
             inside = region_membership(st, qubit_count)
             violations += 0 if inside else 1
             rows.append(
@@ -546,18 +557,17 @@ def run_recover(config: ExperimentConfig) -> ExperimentResult:
 
 def run_compensate(config: ExperimentConfig) -> ExperimentResult:
     grid = config.alpha_grid or tuple(np.linspace(0.01, 0.25, 25))
-    rows = []
-    for alpha in grid:
-        three = stochastic_map_stats(misaligned_three_gate_map(alpha))
-        four = stochastic_map_stats(compensated_four_gate_map(alpha))
-        rows.append(
-            {
-                "alpha": float(alpha),
-                "deviation_three_gate": three.deviation,
-                "deviation_four_gate": four.deviation,
-                "avg_fidelity": four.avg_fidelity,
-            }
-        )
+    _, three = _mixture_stats(map(misaligned_three_gate_map, grid))
+    four_f, four = _mixture_stats(map(compensated_four_gate_map, grid))
+    rows = [
+        {
+            "alpha": float(alpha),
+            "deviation_three_gate": float(d3),
+            "deviation_four_gate": float(d4),
+            "avg_fidelity": float(f4),
+        }
+        for alpha, d3, d4, f4 in zip(grid, three, four, four_f)
+    ]
     report = [
         f"compensate: {len(rows)} tilt values; worst four-gate deviation "
         f"{max(r['deviation_four_gate'] for r in rows):.3e}"
@@ -567,6 +577,12 @@ def run_compensate(config: ExperimentConfig) -> ExperimentResult:
 
 _DE_SETTINGS = ("seed", "trials", "npop", "dweight", "cr", "iters", "stride")
 
+
+def _de_keys(c: ExperimentConfig) -> dict[str, int]:
+    # Each DE sweep ranks npop - 1 float64 donor keys per member and trial.
+    return {"npop and trials": 8 * c.trials * c.npop * (c.npop - 1)}
+
+
 # The command line offers exactly each experiment's settings as flags and
 # config-file keys, in this order of subcommands.
 EXPERIMENTS = {
@@ -575,18 +591,23 @@ EXPERIMENTS = {
         "check closed forms against oracles",
         ("seed", "trials", "samples", "tol_scale"),
         trials=1000,
+        # The oracle's (samples, 8) complex state; (trials, 3, 3) Bloch maps.
+        array_bytes=lambda c: {"samples": 128 * c.samples, "trials": 72 * c.trials},
     ),
     "tradeoff": Experiment(
         run_tradeoff,
         "sample circuits across the F-Delta region",
         ("seed", "trials"),
         trials=1000,
+        array_bytes=lambda c: {"trials": 72 * c.trials},
     ),
     "noise-sweep": Experiment(
         run_noise_sweep,
         "response of the optimal controls to control noise",
         ("seed", "trials", "eta", "eta_grid"),
         trials=1000,
+        # About 1 KiB per trial row: an 8x8 complex unitary and its eigenvectors.
+        array_bytes=lambda c: {"trials": 1024 * c.trials},
     ),
     "optimize": Experiment(
         run_optimize,
@@ -594,12 +615,14 @@ EXPERIMENTS = {
         _DE_SETTINGS,
         trials=20,
         stride=20,
+        array_bytes=_de_keys,
     ),
     "recover": Experiment(
         run_recover,
         "search under periodically injected control noise",
         _DE_SETTINGS + ("eta", "period"),
         trials=20,
+        array_bytes=_de_keys,
     ),
     "compensate": Experiment(
         run_compensate, "deviation of tilted-axis mixtures", ("alpha_grid",), trials=1

@@ -8,7 +8,8 @@ gates, affine Bloch channels, and three-qubit dilations.
 
 `affine_stats_batch` is the one kernel for affine channels a -> M a + c:
 it maps a batch of (M, c) to arrays of (F, Delta), and the scalar
-`affine_channel_stats` is a one-row call of it.
+`affine_channel_stats` and `stochastic_map_stats` (a mixture acts as
+M = sum_k w_k R_k, c = 0) are one-row calls of it.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ __all__ = [
     "pointwise_fidelity",
     "one_qubit_stats",
     "pair_covariance",
-    "covariance_matrix",
     "stochastic_map_stats",
     "affine_stats_batch",
     "affine_channel_stats",
@@ -44,7 +44,6 @@ MAX_AVG_FIDELITY = 2.0 / 3.0
 # Single gates and their mixtures satisfy Delta <= F * DEVIATION_SLOPE.
 DEVIATION_SLOPE = 1.0 / np.sqrt(5.0)
 
-_VAR_CLIP = 1e-12
 _STATS_TOL = 1e-12
 _BLOCH_NORM_TOL = 1e-9
 _UNITARY_TOL = 1e-8
@@ -92,14 +91,6 @@ class AffineBlochChannel:
         object.__setattr__(self, "shift", shift)
 
 
-def _deviation_from_variance(var: np.ndarray | float) -> np.ndarray:
-    # Exact cancellation can leave tiny negative variances; anything worse
-    # signals a real inconsistency.
-    if np.min(var) < -_VAR_CLIP:
-        raise RuntimeError(f"variance {np.min(var)} below clipping threshold")
-    return np.sqrt(np.clip(var, 0.0, None))
-
-
 def pointwise_fidelity(rotation: np.ndarray, bloch: np.ndarray) -> np.ndarray | float:
     """Flip fidelity f = (1 - a . R a) / 2 for one or many Bloch vectors.
 
@@ -135,7 +126,9 @@ def pair_covariance(gate_k: OneQubitGate, gate_l: OneQubitGate) -> float:
     used instead of the raw trace combination because it keeps full relative
     precision for small angles.  The diagonal case reproduces Delta^2 of a
     single gate; off-diagonal values range between -Delta_k Delta_l / 2
-    (orthogonal axes) and +Delta_k Delta_l (parallel axes).
+    (orthogonal axes) and +Delta_k Delta_l (parallel axes).  For a mixture,
+    w . C . w is the paper's pairwise form of Delta^2, an independent
+    reference for `stochastic_map_stats`.
     """
     overlap_sq = float(np.dot(gate_k.axis, gate_l.axis)) ** 2
     return (
@@ -146,42 +139,28 @@ def pair_covariance(gate_k: OneQubitGate, gate_l: OneQubitGate) -> float:
     )
 
 
-def covariance_matrix(gates: tuple[OneQubitGate, ...]) -> np.ndarray:
-    """Symmetric matrix of pairwise fidelity covariances."""
-    n = len(gates)
-    cov = np.empty((n, n))
-    for k in range(n):
-        for l in range(k, n):
-            cov[k, l] = cov[l, k] = pair_covariance(gates[k], gates[l])
-    return cov
-
-
 def stochastic_map_stats(smap: StochasticMap) -> FidelityStats:
-    """(F, Delta) of a convex mixture of gates.
-
-    F is the weighted mean of the per-gate fidelities; Delta^2 = w @ C @ w
-    with C the pairwise covariance matrix.
-    """
-    f_each = np.array([one_qubit_stats(g).avg_fidelity for g in smap.gates])
-    cov = covariance_matrix(smap.gates)
-    var = float(smap.weights @ cov @ smap.weights)
-    return FidelityStats(float(smap.weights @ f_each), _deviation_from_variance(var))
+    """(F, Delta) of a convex mixture of gates: the channel a -> (sum_k w_k R_k) a."""
+    return affine_channel_stats(AffineBlochChannel(smap.bloch_linear(), np.zeros(3)))
 
 
 def affine_stats_batch(linear: np.ndarray, shift: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(F, Delta) arrays of a batch of affine Bloch channels a -> M a + c.
 
-    `linear` has shape (n, 3, 3) and `shift` shape (n, 3).  F = 1/2 - Tr M / 6.
-    The variance combines the isotropic second and fourth sphere moments:
-    Delta^2 = [ (Tr(M)^2 + Tr(M M^T) + Tr(M M)) / 15 + |c|^2 / 3 - Tr(M)^2 / 9 ] / 4.
-    Raises RuntimeError when any row leaves F in [0, 1] or Delta <= 1/2.
+    `linear` has shape (n, 3, 3) and `shift` shape (n, 3).  F = 1/2 - Tr M / 6,
+    and the sphere variance of the pointwise fidelity is the sum of squares
+    Delta^2 = |S - (Tr M / 3) I|_F^2 / 30 + |c|^2 / 12 with S = (M + M^T) / 2,
+    which cannot go negative and keeps its relative precision near Delta = 0.
+    Raises RuntimeError when any row leaves F in [0, 1] or Delta <= 1/2,
+    NaN rows included.
     """
     tr = np.trace(linear, axis1=1, axis2=2)
-    frob = np.einsum("nij,nij->n", linear, linear)
-    sym = np.einsum("nij,nji->n", linear, linear)
-    second = (tr * tr + frob + sym) / 15.0
-    var = 0.25 * (second + np.einsum("ni,ni->n", shift, shift) / 3.0 - tr * tr / 9.0)
-    dev = _deviation_from_variance(var)
+    traceless = 0.5 * (linear + linear.transpose(0, 2, 1))
+    traceless -= (tr / 3.0)[:, None, None] * np.eye(3)
+    dev = np.sqrt(
+        np.einsum("nij,nij->n", traceless, traceless) / 30.0
+        + np.einsum("ni,ni->n", shift, shift) / 12.0
+    )
     avg_f = 0.5 - tr / 6.0
     tol = _STATS_TOL
     if not np.all((avg_f >= -tol) & (avg_f <= 1.0 + tol) & (dev <= 0.5 + tol)):

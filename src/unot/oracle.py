@@ -26,7 +26,6 @@ __all__ = [
     "sample_ladder_circuit",
     "mc_stats",
     "bloch_map_from_affine",
-    "bloch_map_from_stochastic",
     "bloch_map_from_three_qubit_unitary",
 ]
 
@@ -179,12 +178,6 @@ def bloch_map_from_affine(channel) -> "callable":
     linear = np.asarray(channel.linear, dtype=float)
     shift = np.asarray(channel.shift, dtype=float)
     return lambda a: a @ linear.T + shift
-
-
-def bloch_map_from_stochastic(smap) -> "callable":
-    """Bloch action of a stochastic gate mixture."""
-    linear = smap.bloch_linear()
-    return lambda a: a @ linear.T
 
 
 def bloch_map_from_three_qubit_unitary(u: np.ndarray) -> "callable":

@@ -80,7 +80,10 @@ class OneQubitGate:
 
 def skew_from_axis(axis: np.ndarray) -> np.ndarray:
     """Skew-symmetric S with S_ij = sum_k eps_ijk n_k, so S @ v = v x n."""
-    n = _check_axis(axis)
+    return _skew(_check_axis(axis))
+
+
+def _skew(n: np.ndarray) -> np.ndarray:
     return np.array(
         [
             [0.0, n[2], -n[1]],
@@ -96,7 +99,8 @@ def rotation_from_gate(gate: OneQubitGate) -> np.ndarray:
     R = I - sin(angle) S + (1 - cos(angle)) S^2 with S = skew_from_axis(axis).
     Equals the conjugation formula Tr(sigma_i U sigma_j U^dag)/2 exactly.
     """
-    s = skew_from_axis(gate.axis)
+    # OneQubitGate checked its axis when it was built.
+    s = _skew(gate.axis)
     return np.eye(3) - np.sin(gate.angle) * s + (1.0 - np.cos(gate.angle)) * (s @ s)
 
 

@@ -27,6 +27,7 @@ from unot.evolve import (
 )
 from unot.fidelity import (
     DEVIATION_SLOPE,
+    AffineBlochChannel,
     one_qubit_stats,
     pair_covariance,
     region_membership,
@@ -35,7 +36,7 @@ from unot.fidelity import (
 )
 from unot.oracle import (
     SeededSampler,
-    bloch_map_from_stochastic,
+    bloch_map_from_affine,
     bloch_map_from_three_qubit_unitary,
     mc_stats,
     sample_bloch,
@@ -65,7 +66,8 @@ def test_02_optimal_mixture_analytic_and_oracle():
     stats = stochastic_map_stats(smap)
     assert abs(stats.avg_fidelity - 2.0 / 3.0) < 1e-12
     assert stats.deviation < 1e-12
-    f, d = mc_stats(bloch_map_from_stochastic(smap), SeededSampler(102), 100_000)
+    channel = AffineBlochChannel(smap.bloch_linear(), np.zeros(3))
+    f, d = mc_stats(bloch_map_from_affine(channel), SeededSampler(102), 100_000)
     assert abs(f.value - 0.667) <= 0.005
     assert d.value < 0.005
     assert time.perf_counter() - start < 5.0

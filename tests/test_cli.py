@@ -160,10 +160,21 @@ def test_missing_config_file_is_rejected(tmp_path):
             ["compensate", "--out", "/nonexistent/x.csv"], "out", id="missing-folder"
         ),
         pytest.param(["verify", "--out", "./"], "out", id="directory-out"),
+        pytest.param(
+            ["optimize", "--npop", "100000", "--iters", "1", "--trials", "1"],
+            "npop",
+            id="huge-npop",
+        ),
+        pytest.param(["noise-sweep", "--trials", str(10**9)], "trials", id="huge-trials"),
+        pytest.param(["verify", "--samples", str(10**10)], "samples", id="huge-samples"),
     ],
 )
 def test_semantic_validation_exits_two(tmp_path, monkeypatch, capsys, argv, name):
+    def never(config):
+        raise AssertionError("the run started")
+
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("unot.cli.run_experiment", never)
     assert main(argv) == EXIT_BAD_CONFIG
     assert name in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
@@ -203,7 +214,7 @@ def test_noise_sweep_eta_zero_row(tmp_path):
     assert code == EXIT_OK
     rows = _read_csv(out)
     assert float(rows[0]["mean_f"]) == pytest.approx(2.0 / 3.0, abs=1e-11)
-    assert float(rows[0]["std_delta"]) == 0.0
+    assert float(rows[0]["std_delta"]) < 1e-13
 
 
 def test_optimize_writes_stride_rows(tmp_path):

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from unot.experiments import (
+    EXPERIMENTS,
+    MAX_ARRAY_BYTES,
     ExperimentConfig,
     run_experiment,
     write_config_echo,
@@ -137,10 +139,26 @@ def test_noise_sweep_zero_eta_row_is_exact():
     rows = run_experiment(config).rows
     assert len(rows) == 2
     assert abs(rows[0]["mean_f"] - 2.0 / 3.0) < 1e-12
-    assert rows[0]["mean_delta"] == 0.0
+    assert rows[0]["mean_delta"] < 1e-13
     assert rows[0]["std_f"] < 1e-12
     assert rows[1]["mean_f"] < rows[0]["mean_f"]
     assert rows[1]["mean_delta"] > 0.01
+
+
+def test_largest_array_estimate_meets_the_ceiling_exactly():
+    # Configs only: nothing is run, so nothing of this size is allocated.
+    for name, setting, per_unit, extra in (
+        ("verify", "samples", 128, {}),
+        ("noise-sweep", "trials", 1024, {}),
+        ("tradeoff", "trials", 72, {}),
+        ("optimize", "trials", 8 * 10 * 9, {"npop": 10}),
+    ):
+        largest = MAX_ARRAY_BYTES // per_unit
+        ExperimentConfig(name, **{setting: largest}, **extra)
+        with pytest.raises(ValueError, match="GiB ceiling"):
+            ExperimentConfig(name, **{setting: largest + 1}, **extra)
+    for name in EXPERIMENTS:
+        ExperimentConfig(name)
 
 
 def test_noise_sweep_single_eta_flag():
@@ -201,6 +219,17 @@ def test_compensate_default_grid_and_columns():
         assert abs(row["avg_fidelity"] - 2.0 / 3.0) < 1e-12
         expected = 2.0 * row["alpha"] / (3.0 * np.sqrt(15.0))
         assert abs(row["deviation_three_gate"] - expected) < 1e-12
+
+
+@pytest.mark.parametrize("grid", [None, (1e-3, 1e-4, 1e-5)], ids=["default", "tiny"])
+def test_compensate_rows_match_the_closed_forms(grid):
+    # Delta of the three-gate map is 2 alpha / (3 sqrt 15), of the four-gate
+    # map 2 alpha^2 / (3 sqrt 15); the four-gate value is 1.7e-11 at 1e-5.
+    scale = 2.0 / (3.0 * np.sqrt(15.0))
+    for row in run_experiment(ExperimentConfig("compensate", alpha_grid=grid)).rows:
+        alpha = row["alpha"]
+        assert abs(row["deviation_three_gate"] - scale * alpha) < 1e-16
+        assert abs(row["deviation_four_gate"] - scale * alpha * alpha) < 1e-16
 
 
 def test_rows_respect_trace_ranges():

@@ -17,7 +17,6 @@ from unot.fidelity import (
     FidelityStats,
     affine_channel_stats,
     affine_stats_batch,
-    covariance_matrix,
     one_qubit_stats,
     pair_covariance,
     pointwise_fidelity,
@@ -94,13 +93,6 @@ def test_covariance_diagonal_is_squared_deviation():
         assert abs(pair_covariance(gate, gate) - dev * dev) < 1e-14
 
 
-def test_covariance_matrix_is_symmetric():
-    gates = (_FLIP_X, _FLIP_Y, OneQubitGate(0.7, _Z))
-    c = covariance_matrix(gates)
-    assert c.shape == (3, 3)
-    assert np.max(np.abs(c - c.T)) < 1e-15
-
-
 def test_two_flip_mixture_frozen_stats():
     smap = StochasticMap(np.array([0.5, 0.5]), (_FLIP_X, _FLIP_Y))
     stats = stochastic_map_stats(smap)
@@ -114,6 +106,14 @@ def test_optimal_mixture_is_exactly_universal():
     assert stats.deviation == 0.0
 
 
+def _pairwise_stats(smap: StochasticMap) -> tuple[float, float]:
+    """The paper's pairwise route: F = sum_k w_k F_k and Delta^2 = w . C . w."""
+    w = smap.weights
+    cov = np.array([[pair_covariance(g, h) for h in smap.gates] for g in smap.gates])
+    f_each = np.array([one_qubit_stats(g).avg_fidelity for g in smap.gates])
+    return float(w @ f_each), float(w @ cov @ w)
+
+
 def test_affine_route_agrees_with_mixture_route():
     rng = np.random.default_rng(19)
     for _ in range(30):
@@ -125,10 +125,10 @@ def test_affine_route_agrees_with_mixture_route():
         w = rng.uniform(0.2, 1.0, 3)
         smap = StochasticMap(w / w.sum(), gates)
         channel = AffineBlochChannel(smap.bloch_linear(), np.zeros(3))
-        a = stochastic_map_stats(smap)
+        avg_f, var = _pairwise_stats(smap)
         b = affine_channel_stats(channel)
-        assert abs(a.avg_fidelity - b.avg_fidelity) < 1e-12
-        assert abs(a.deviation - b.deviation) < 1e-12
+        assert abs(avg_f - b.avg_fidelity) < 1e-12
+        assert abs(np.sqrt(var) - b.deviation) < 1e-12
 
 
 def test_affine_stats_with_shift_term():
@@ -138,15 +138,11 @@ def test_affine_stats_with_shift_term():
     assert abs(stats.deviation - np.sqrt(0.25 / 12.0)) < 1e-15
 
 
-def test_negative_variance_clip_and_guard():
-    from unot.fidelity import _deviation_from_variance
-
-    assert _deviation_from_variance(-1e-13) == 0.0
-    assert abs(_deviation_from_variance(0.04) - 0.2) < 1e-15
-    with pytest.raises(RuntimeError):
-        _deviation_from_variance(-1e-6)
+def test_nan_channel_is_rejected():
     with pytest.raises(ValueError):
         AffineBlochChannel(np.eye(3) * np.nan, np.zeros(3))
+    with pytest.raises(RuntimeError):
+        affine_stats_batch(np.full((1, 3, 3), np.nan), np.zeros((1, 3)))
 
 
 def test_affine_batch_rejects_rows_outside_the_stats_range():
@@ -230,9 +226,9 @@ def test_region_membership_by_qubit_count():
 @given(circuit=ladder_circuits())
 def test_covariance_and_moment_routes_agree(circuit):
     smap = stochastic_map_from_circuit(circuit)
-    by_covariance = stochastic_map_stats(smap)
+    avg_f, var = _pairwise_stats(smap)
     channel = AffineBlochChannel(smap.bloch_linear(), np.zeros(3))
     by_moments = affine_channel_stats(channel)
-    assert abs(by_covariance.avg_fidelity - by_moments.avg_fidelity) < 1e-12
+    assert abs(avg_f - by_moments.avg_fidelity) < 1e-12
     # Delta^2, not Delta: the square root amplifies rounding near Delta = 0.
-    assert abs(by_covariance.deviation**2 - by_moments.deviation**2) < 1e-12
+    assert abs(var - by_moments.deviation**2) < 1e-12

@@ -1,8 +1,9 @@
 """Import hygiene of the package sources, checked on their syntax trees.
 
 No import inside a function or class, no private name imported from a
-sibling module, and every imported name used in its module or exported
-through that module's `__all__`.
+sibling module, every imported name used in its module or exported
+through that module's `__all__`, and every `__all__` entry bound at module
+level.
 """
 
 import ast
@@ -65,3 +66,24 @@ def test_imported_names_are_used_or_exported(path):
     }
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert sorted(bound - used - _exported(tree)) == []
+
+
+def _module_level_names(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(
+                n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)
+            )
+    return names
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_exported_names_are_bound_at_module_level(path):
+    tree = _tree(path)
+    assert sorted(_exported(tree) - _module_level_names(tree)) == []

@@ -17,7 +17,6 @@ from unot.oracle import (
     McEstimate,
     SeededSampler,
     bloch_map_from_affine,
-    bloch_map_from_stochastic,
     bloch_map_from_three_qubit_unitary,
     mc_stats,
     sample_bloch,
@@ -156,7 +155,8 @@ def test_mc_agrees_with_closed_form_for_a_gate():
 
 
 def test_optimal_map_oracle_is_flat():
-    bloch_map = bloch_map_from_stochastic(optimal_stochastic_map())
+    linear = optimal_stochastic_map().bloch_linear()
+    bloch_map = bloch_map_from_affine(AffineBlochChannel(linear, np.zeros(3)))
     f, d = mc_stats(bloch_map, SeededSampler(23), 20000)
     assert abs(f.value - 2.0 / 3.0) < 1e-12
     assert d.value < 1e-12
