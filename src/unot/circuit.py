@@ -20,7 +20,7 @@ import numpy as np
 from .rotation import (
     OneQubitGate,
     gate_from_unitary,
-    rotation_from_gate,
+    rotation_batch,
     unit_axis,
     unitary_from_gate,
 )
@@ -29,6 +29,8 @@ __all__ = [
     "StochasticMap",
     "LadderCircuit",
     "weights_from_preps",
+    "mixture_linear",
+    "ladder_linear",
     "stochastic_map_from_circuit",
     "full_unitary",
     "simulate_full",
@@ -69,14 +71,14 @@ class StochasticMap:
 
     def bloch_linear(self) -> np.ndarray:
         """Linear Bloch action sum_k w_k R_k of the mixture."""
-        return sum(
-            w * rotation_from_gate(g) for w, g in zip(self.weights, self.gates)
-        )
+        angles = np.array([g.angle for g in self.gates])
+        axes = np.array([g.axis for g in self.gates])
+        return mixture_linear(self.weights[None], rotation_batch(angles, axes)[None])[0]
 
     def apply_density(self, rho: np.ndarray) -> np.ndarray:
-        """Apply the mixture to a density matrix."""
+        """Apply the mixture to a density matrix or a stack (..., 2, 2) of them."""
         rho = check_density(rho)
-        out = np.zeros((2, 2), dtype=complex)
+        out = np.zeros_like(rho)
         for w, gate in zip(self.weights, self.gates):
             u = unitary_from_gate(gate)
             out += w * (u @ rho @ u.conj().T)
@@ -108,17 +110,48 @@ class LadderCircuit:
 
 
 def weights_from_preps(prep_params) -> np.ndarray:
-    """Branch weights of a ladder with the given preparation parameters."""
-    preps = [float(v) for v in prep_params]
-    if any(not (0.0 <= v <= 1.0) for v in preps):
+    """Branch weights (..., n) of ladders with preparation parameters (..., n - 1)."""
+    preps = np.asarray(prep_params, dtype=float)
+    if not ((preps >= 0.0) & (preps <= 1.0)).all():
         raise ValueError("preparation parameters must lie in [0, 1]")
-    weights = []
-    carried = 1.0
-    for v in preps:
-        weights.append(carried * v)
-        carried *= 1.0 - v
-    weights.append(carried)
-    return np.array(weights)
+    # Branch k keeps (1 - v_1) ... (1 - v_k) v_{k+1}; the last branch the product.
+    ones = np.ones(preps.shape[:-1] + (1,))
+    weights = np.cumprod(np.concatenate([ones, 1.0 - preps], axis=-1), axis=-1)
+    weights[..., :-1] *= preps
+    return weights
+
+
+def mixture_linear(weights: np.ndarray, rotations: np.ndarray) -> np.ndarray:
+    """Linear Bloch actions sum_k w_k R_k of a batch of gate mixtures.
+
+    `weights` has shape (n, k) and `rotations` shape (n, k, 3, 3); the sum
+    runs in gate order.  A zero weight adds nothing, so mixtures of fewer
+    gates may be padded.
+    """
+    out = weights[:, 0, None, None] * rotations[:, 0]
+    for k in range(1, weights.shape[1]):
+        out += weights[:, k, None, None] * rotations[:, k]
+    return out
+
+
+def ladder_linear(
+    preps: np.ndarray, angles: np.ndarray, axes: np.ndarray
+) -> np.ndarray:
+    """Linear Bloch actions (n, 3, 3) of n ladders given as arrays.
+
+    `preps` (n, q - 1), `angles` (n, q) and `axes` (n, q, 3) are laid out as
+    `oracle.sample_ladders` returns them.  Branch k acts as W_k = U_k ... U_0,
+    and since the Bloch rotation of a product is the product of rotations,
+    its rotation is R_k ... R_0: no 2x2 unitary is formed.  Raises
+    ValueError for a preparation outside [0, 1] or an invalid gate.
+    """
+    weights = weights_from_preps(preps)
+    composed = rotation_batch(angles, axes)
+    if weights.shape != composed.shape[:2]:
+        raise ValueError("need one preparation per ancilla in every ladder")
+    for k in range(1, composed.shape[1]):
+        composed[:, k] = composed[:, k] @ composed[:, k - 1]
+    return mixture_linear(weights, composed)
 
 
 def stochastic_map_from_circuit(circuit: LadderCircuit) -> StochasticMap:
@@ -170,7 +203,11 @@ def full_unitary(circuit: LadderCircuit) -> np.ndarray:
 
 
 def simulate_full(circuit: LadderCircuit, rho_in: np.ndarray) -> np.ndarray:
-    """Run the full ladder on `rho_in` (x) |0...0><0...0| and trace out ancillas."""
+    """Run the full ladder on `rho_in` (x) |0...0><0...0| and trace out ancillas.
+
+    `rho_in` may be one density matrix or a stack (..., 2, 2); the ladder
+    unitary is built once for the whole stack.
+    """
     rho_in = check_density(rho_in)
     n = circuit.qubit_count
     anc_dim = 2 ** (n - 1)
@@ -179,17 +216,20 @@ def simulate_full(circuit: LadderCircuit, rho_in: np.ndarray) -> np.ndarray:
     rho = np.kron(rho_in, anc)
     u = full_unitary(circuit)
     rho = u @ rho @ u.conj().T
-    return np.einsum("imjm->ij", rho.reshape(2, anc_dim, 2, anc_dim))
+    blocks = rho.reshape(rho_in.shape[:-2] + (2, anc_dim, 2, anc_dim))
+    return np.einsum("...imjm->...ij", blocks)
 
 
 def check_density(rho: np.ndarray) -> np.ndarray:
-    """Validate a qubit density matrix and return it as a complex array."""
+    """Validate a qubit density matrix, or a stack (..., 2, 2) of them, and
+    return it as a complex array."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2):
+    if rho.shape[-2:] != (2, 2):
         raise ValueError(f"density matrix must be 2x2, got {rho.shape}")
-    if np.max(np.abs(rho - rho.conj().T)) > _DENSITY_TOL:
+    if np.max(np.abs(rho - rho.conj().swapaxes(-1, -2))) > _DENSITY_TOL:
         raise ValueError("density matrix must be Hermitian within 1e-10")
-    if abs(np.trace(rho).real - 1.0) > _DENSITY_TOL:
+    trace = np.trace(rho, axis1=-2, axis2=-1).real
+    if np.max(np.abs(trace - 1.0)) > _DENSITY_TOL:
         raise ValueError("density matrix must have unit trace within 1e-10")
     if np.min(np.linalg.eigvalsh(rho)) < -_EIGVAL_TOL:
         raise ValueError("density matrix must be positive semidefinite")
@@ -210,14 +250,15 @@ def density_from_bloch(bloch: np.ndarray) -> np.ndarray:
 
 
 def bloch_from_density(rho: np.ndarray) -> np.ndarray:
-    """Bloch vector of a qubit density matrix."""
+    """Bloch vector of a qubit density matrix, or vectors (..., 3) of a stack."""
     rho = check_density(rho)
-    return np.array(
+    return np.stack(
         [
-            2.0 * rho[1, 0].real,
-            2.0 * rho[1, 0].imag,
-            (rho[0, 0] - rho[1, 1]).real,
-        ]
+            2.0 * rho[..., 1, 0].real,
+            2.0 * rho[..., 1, 0].imag,
+            (rho[..., 0, 0] - rho[..., 1, 1]).real,
+        ],
+        axis=-1,
     )
 
 

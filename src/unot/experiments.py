@@ -17,10 +17,11 @@ from pathlib import Path
 import numpy as np
 
 from .circuit import (
-    StochasticMap,
     compensated_four_gate_map,
     density_from_bloch,
+    ladder_linear,
     misaligned_three_gate_map,
+    mixture_linear,
     simulate_full,
     stochastic_map_from_circuit,
 )
@@ -38,8 +39,8 @@ from .fidelity import (
     MAX_AVG_FIDELITY,
     FidelityStats,
     affine_stats_batch,
-    one_qubit_stats,
-    pair_covariance,
+    one_qubit_stats_batch,
+    pair_covariance_batch,
     region_membership,
     region_residual,
     three_qubit_avg_fidelity,
@@ -50,11 +51,12 @@ from .oracle import (
     bloch_map_from_three_qubit_unitary,
     mc_stats,
     sample_bloch,
-    sample_gate,
+    sample_gates,
     sample_ladder_circuit,
+    sample_ladders,
     sample_unitary,
 )
-from .rotation import OneQubitGate, rotation_from_gate, rotation_trace
+from .rotation import rotation_batch, rotation_trace
 
 __all__ = [
     "EXPERIMENTS",
@@ -279,16 +281,28 @@ def write_config_echo(config: ExperimentConfig) -> Path:
     return echo_path
 
 
-def _sample_mixture(sampler: SeededSampler, count: int) -> StochasticMap:
-    gates = tuple(sample_gate(sampler) for _ in range(count))
-    w = sampler.uniform(0.0, 1.0, count)
-    return StochasticMap(w / w.sum(), gates)
-
-
-def _mixture_stats(maps) -> tuple[np.ndarray, np.ndarray]:
-    """(F, Delta) arrays of gate mixtures, drawn lazily, in one kernel call."""
-    linear = np.fromiter((smap.bloch_linear() for smap in maps), (float, (3, 3)))
+def _linear_stats(linear: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(F, Delta) arrays of unital channels a -> M a, in one kernel call."""
     return affine_stats_batch(linear, np.zeros((len(linear), 3)))
+
+
+def _sample_mixtures(sampler: SeededSampler, counts) -> np.ndarray:
+    """Bloch maps (n, 3, 3) of random mixtures of counts[i] gates.
+
+    Mixture by mixture, the gates are drawn first and then uniform weights,
+    normalized to sum 1.  Shorter mixtures are padded with zero-weight
+    identity gates, which add nothing to the gate-order sum.
+    """
+    width = max(counts)
+    angles = np.zeros((len(counts), width))
+    axes = np.zeros((len(counts), width, 3))
+    axes[..., 2] = 1.0
+    weights = np.zeros((len(counts), width))
+    for row, count in enumerate(counts):
+        angles[row, :count], axes[row, :count] = sample_gates(sampler, count)
+        w = sampler.uniform(0.0, 1.0, count)
+        weights[row, :count] = w / w.sum()
+    return mixture_linear(weights, rotation_batch(angles, axes))
 
 
 def _verify_families(config: ExperimentConfig):
@@ -297,69 +311,62 @@ def _verify_families(config: ExperimentConfig):
     sub = SeededSampler(config.seed).split(8)
 
     # Trace identities of the rotation representation.
-    s = sub[0]
-    worst = 0.0
-    for _ in range(n):
-        g = sample_gate(s)
-        r = rotation_from_gate(g)
-        tr = float(np.trace(r))
-        tr_sq = float(np.trace(r @ r))
-        worst = max(
-            worst,
-            abs(tr - rotation_trace(g)),
-            abs(tr * tr - tr_sq - 2.0 * tr),
-        )
+    angles, axes = sample_gates(sub[0], n)
+    r = rotation_batch(angles, axes)
+    tr = np.trace(r, axis1=1, axis2=2)
+    tr_sq = np.trace(r @ r, axis1=1, axis2=2)
+    worst = max(
+        float(np.max(np.abs(tr - rotation_trace(angles)))),
+        float(np.max(np.abs(tr * tr - tr_sq - 2.0 * tr))),
+    )
     yield "rotation-trace-identities", worst, 1e-12 * scale
 
     # Single gates sit on the line Delta = F / sqrt(5).
-    s = sub[1]
-    rotations = (rotation_from_gate(sample_gate(s)) for _ in range(n))
-    f, d = affine_stats_batch(np.fromiter(rotations, (float, (3, 3))), np.zeros((n, 3)))
+    f, d = _linear_stats(rotation_batch(*sample_gates(sub[1], n)))
     worst = float(np.max(np.abs(d - f * DEVIATION_SLOPE)))
     yield "one-qubit-line", worst, 1e-12 * scale
 
     # Pairwise covariance bounds, including the equality cases.
     s = sub[2]
-    worst = 0.0
-    for _ in range(n):
-        g_k, g_l = sample_gate(s), sample_gate(s)
-        c = pair_covariance(g_k, g_l)
-        d_k = one_qubit_stats(g_k).deviation
-        d_l = one_qubit_stats(g_l).deviation
-        worst = max(worst, c - d_k * d_l, -0.5 * d_k * d_l - c, 0.0)
-    for _ in range(50):
-        g_k = sample_gate(s)
-        d_k = one_qubit_stats(g_k).deviation
-        parallel = OneQubitGate(g_k.angle, g_k.axis)
-        ortho_axis = np.cross(g_k.axis, [1.0, 0.0, 0.0])
-        if np.linalg.norm(ortho_axis) < 0.5:
-            ortho_axis = np.cross(g_k.axis, [0.0, 1.0, 0.0])
-        ortho = OneQubitGate(g_k.angle, ortho_axis / np.linalg.norm(ortho_axis))
-        worst = max(
-            worst,
-            abs(pair_covariance(g_k, parallel) - d_k * d_k),
-            abs(pair_covariance(g_k, ortho) + 0.5 * d_k * one_qubit_stats(ortho).deviation),
-        )
+    angles, axes = sample_gates(s, 2 * n)
+    c = pair_covariance_batch((angles[0::2], axes[0::2]), (angles[1::2], axes[1::2]))
+    _, d = one_qubit_stats_batch(angles)
+    d_k, d_l = d[0::2], d[1::2]
+    worst = max(float(np.max(c - d_k * d_l)), float(np.max(-0.5 * d_k * d_l - c)), 0.0)
+    angles, axes = sample_gates(s, 50)
+    _, d = one_qubit_stats_batch(angles)
+    ortho = np.cross(axes, [1.0, 0.0, 0.0])
+    short = np.linalg.norm(ortho, axis=1) < 0.5
+    ortho[short] = np.cross(axes[short], [0.0, 1.0, 0.0])
+    ortho /= np.linalg.norm(ortho, axis=1, keepdims=True)
+    parallel = pair_covariance_batch((angles, axes), (angles, axes))
+    orthogonal = pair_covariance_batch((angles, axes), (angles, ortho))
+    worst = max(
+        worst,
+        float(np.max(np.abs(parallel - d * d))),
+        float(np.max(np.abs(orthogonal + 0.5 * d * d))),
+    )
     yield "covariance-bounds", worst, 1e-12 * scale
 
     # Mixtures never exceed the one-qubit line.
-    s = sub[3]
-    f, d = _mixture_stats(_sample_mixture(s, 2 + i % 4) for i in range(n))
+    f, d = _linear_stats(_sample_mixtures(sub[3], [2 + i % 4 for i in range(n)]))
     worst = max(float(np.max(d - f * DEVIATION_SLOPE)), 0.0)
     yield "mixture-upper-bound", worst, 1e-12 * scale
 
     # Two-gate mixtures cannot fall below half the line.
-    s = sub[4]
-    f, d = _mixture_stats(_sample_mixture(s, 2) for _ in range(n))
+    f, d = _linear_stats(_sample_mixtures(sub[4], [2] * n))
     worst = max(float(np.max(0.5 * f * DEVIATION_SLOPE - d)), 0.0)
     yield "two-qubit-lower-bound", worst, 1e-12 * scale
 
     # Random ladder circuits land inside their qubit-count region.
     s = sub[5]
-    counts = [q for q in (1, 2, 3) for _ in range(max(1, n // 3))]
-    f, d = _mixture_stats(
-        stochastic_map_from_circuit(sample_ladder_circuit(s, q)) for q in counts
+    per_count = max(1, n // 3)
+    f, d = _linear_stats(
+        np.concatenate(
+            [ladder_linear(*sample_ladders(s, q, per_count)) for q in (1, 2, 3)]
+        )
     )
+    counts = np.repeat([1, 2, 3], per_count)
     worst = max(
         region_residual(FidelityStats(fi, di), q) for fi, di, q in zip(f, d, counts)
     )
@@ -388,12 +395,12 @@ def _verify_families(config: ExperimentConfig):
     worst = 0.0
     for i in range(50):
         circuit = sample_ladder_circuit(s, 1 + i % 4)
-        smap = stochastic_map_from_circuit(circuit)
-        for _ in range(10):
+        rho = np.empty((10, 2, 2), dtype=complex)
+        for k in range(10):
             radius = float(s.uniform(0.0, 1.0, 1)[0]) ** (1.0 / 3.0)
-            rho = density_from_bloch(radius * sample_bloch(s))
-            diff = simulate_full(circuit, rho) - smap.apply_density(rho)
-            worst = max(worst, float(np.max(np.abs(diff))))
+            rho[k] = density_from_bloch(radius * sample_bloch(s))
+        reduced = stochastic_map_from_circuit(circuit).apply_density(rho)
+        worst = max(worst, float(np.max(np.abs(simulate_full(circuit, rho) - reduced))))
     yield "circuit-map-equivalence", worst, 1e-10 * scale
 
 
@@ -426,10 +433,8 @@ def run_tradeoff(config: ExperimentConfig) -> ExperimentResult:
     rows = []
     violations = 0
     for qubit_count in (1, 2, 3):
-        f, d = _mixture_stats(
-            stochastic_map_from_circuit(sample_ladder_circuit(sampler, qubit_count))
-            for _ in range(config.trials)
-        )
+        ladders = sample_ladders(sampler, qubit_count, config.trials)
+        f, d = _linear_stats(ladder_linear(*ladders))
         for st in map(FidelityStats, f, d):
             inside = region_membership(st, qubit_count)
             violations += 0 if inside else 1
@@ -557,8 +562,12 @@ def run_recover(config: ExperimentConfig) -> ExperimentResult:
 
 def run_compensate(config: ExperimentConfig) -> ExperimentResult:
     grid = config.alpha_grid or tuple(np.linspace(0.01, 0.25, 25))
-    _, three = _mixture_stats(map(misaligned_three_gate_map, grid))
-    four_f, four = _mixture_stats(map(compensated_four_gate_map, grid))
+    _, three = _linear_stats(
+        np.array([misaligned_three_gate_map(a).bloch_linear() for a in grid])
+    )
+    four_f, four = _linear_stats(
+        np.array([compensated_four_gate_map(a).bloch_linear() for a in grid])
+    )
     rows = [
         {
             "alpha": float(alpha),
@@ -591,15 +600,17 @@ EXPERIMENTS = {
         "check closed forms against oracles",
         ("seed", "trials", "samples", "tol_scale"),
         trials=1000,
-        # The oracle's (samples, 8) complex state; (trials, 3, 3) Bloch maps.
-        array_bytes=lambda c: {"samples": 128 * c.samples, "trials": 72 * c.trials},
+        # The oracle's (samples, 8) complex state; the (trials, 5, 3, 3)
+        # rotations of the padded gate mixtures.
+        array_bytes=lambda c: {"samples": 128 * c.samples, "trials": 360 * c.trials},
     ),
     "tradeoff": Experiment(
         run_tradeoff,
         "sample circuits across the F-Delta region",
         ("seed", "trials"),
         trials=1000,
-        array_bytes=lambda c: {"trials": 72 * c.trials},
+        # The (trials, 3, 3, 3) rotations of the three-qubit ladders.
+        array_bytes=lambda c: {"trials": 216 * c.trials},
     ),
     "noise-sweep": Experiment(
         run_noise_sweep,

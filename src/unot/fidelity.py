@@ -19,14 +19,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import StochasticMap
-from .rotation import OneQubitGate, rotation_trace
+from .rotation import OneQubitGate
 
 __all__ = [
     "FidelityStats",
     "AffineBlochChannel",
     "pointwise_fidelity",
     "one_qubit_stats",
+    "one_qubit_stats_batch",
     "pair_covariance",
+    "pair_covariance_batch",
     "stochastic_map_stats",
     "affine_stats_batch",
     "affine_channel_stats",
@@ -110,32 +112,53 @@ def pointwise_fidelity(rotation: np.ndarray, bloch: np.ndarray) -> np.ndarray | 
     return float(f) if f.ndim == 0 else f
 
 
-def one_qubit_stats(gate: OneQubitGate) -> FidelityStats:
-    """Closed-form (F, Delta) of a single gate.
+def _versine(angle):
+    # 1 - cos(angle) as 2 sin^2(angle / 2): no cancellation near angle = 0.
+    half = np.sin(0.5 * angle)
+    return 2.0 * half * half
 
-    F = (3 - Tr R) / 6 and Delta = F / sqrt(5); both depend on the angle only.
+
+def one_qubit_stats_batch(angles) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form (F, Delta) arrays of single gates with the given angles.
+
+    F = (3 - Tr R) / 6 = (1 - cos t) / 3 and Delta = F / sqrt(5).  F is
+    evaluated as 2 sin^2(t/2) / 3, which keeps full relative precision for
+    small angles, where 3 - Tr R cancels.
     """
-    f = (3.0 - rotation_trace(gate)) / 6.0
-    return FidelityStats(f, f * DEVIATION_SLOPE)
+    f = _versine(np.asarray(angles, dtype=float)) / 3.0
+    return f, f * DEVIATION_SLOPE
 
 
-def pair_covariance(gate_k: OneQubitGate, gate_l: OneQubitGate) -> float:
-    """Covariance of the pointwise fidelities of two gates over the sphere.
+def one_qubit_stats(gate: OneQubitGate) -> FidelityStats:
+    """(F, Delta) of one gate; see `one_qubit_stats_batch`."""
+    f, d = one_qubit_stats_batch(gate.angle)
+    return FidelityStats(f, d)
 
-    Reduces to (1 - cos t_k)(1 - cos t_l)(3 (n_k . n_l)^2 - 1) / 90, which is
-    used instead of the raw trace combination because it keeps full relative
+
+def pair_covariance_batch(gates_k, gates_l) -> np.ndarray:
+    """Covariances of the pointwise fidelities of gate pairs over the sphere.
+
+    `gates_k` and `gates_l` are (angles, axes) pairs of arrays of shapes
+    (...) and (..., 3), as `oracle.sample_gates` returns them.  The
+    covariance is (1 - cos t_k)(1 - cos t_l)(3 (n_k . n_l)^2 - 1) / 90, with
+    1 - cos t evaluated as 2 sin^2(t/2) so that it keeps full relative
     precision for small angles.  The diagonal case reproduces Delta^2 of a
     single gate; off-diagonal values range between -Delta_k Delta_l / 2
     (orthogonal axes) and +Delta_k Delta_l (parallel axes).  For a mixture,
     w . C . w is the paper's pairwise form of Delta^2, an independent
-    reference for `stochastic_map_stats`.
+    reference for `affine_stats_batch`.
     """
-    overlap_sq = float(np.dot(gate_k.axis, gate_l.axis)) ** 2
+    (angles_k, axes_k), (angles_l, axes_l) = gates_k, gates_l
+    overlap = np.einsum("...i,...i->...", axes_k, axes_l)
     return (
-        (1.0 - np.cos(gate_k.angle))
-        * (1.0 - np.cos(gate_l.angle))
-        * (3.0 * overlap_sq - 1.0)
-        / 90.0
+        _versine(angles_k) * _versine(angles_l) * (3.0 * overlap * overlap - 1.0) / 90.0
+    )
+
+
+def pair_covariance(gate_k: OneQubitGate, gate_l: OneQubitGate) -> float:
+    """Covariance of two gates; see `pair_covariance_batch`."""
+    return float(
+        pair_covariance_batch((gate_k.angle, gate_k.axis), (gate_l.angle, gate_l.axis))
     )
 
 

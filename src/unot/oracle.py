@@ -23,13 +23,17 @@ __all__ = [
     "sample_bloch",
     "sample_unitary",
     "sample_gate",
+    "sample_gates",
     "sample_ladder_circuit",
+    "sample_ladders",
     "mc_stats",
     "bloch_map_from_affine",
     "bloch_map_from_three_qubit_unitary",
 ]
 
 RNG_ALGORITHM = "numpy-pcg64/de-v2"
+
+_TWO_PI = 2.0 * np.pi
 
 
 @dataclass
@@ -106,9 +110,14 @@ def sample_bloch(sampler: SeededSampler, count: int | None = None) -> np.ndarray
     n = 1 if count is None else int(count)
     if n < 1:
         raise ValueError("count must be positive")
-    v = sampler.standard_normal((n, 3))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    v = _unit_rows(sampler.standard_normal((n, 3)))
     return v[0] if count is None else v
+
+
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    # Normalize the trailing 3-vectors of `v` in place.
+    v /= np.linalg.norm(v, axis=-1, keepdims=True)
+    return v
 
 
 def sample_unitary(sampler: SeededSampler, dim: int) -> np.ndarray:
@@ -128,19 +137,53 @@ def sample_unitary(sampler: SeededSampler, dim: int) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
+def sample_gates(sampler: SeededSampler, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """`count` random gates as arrays: angles (count,) uniform in [0, 2*pi)
+    and axes (count, 3) uniform on the sphere, drawn as `count` one-qubit
+    ladders (which have no preparations), so exactly as `count` calls of
+    `sample_gate` draw them."""
+    _, angles, axes = sample_ladders(sampler, 1, count)
+    return angles[:, 0], axes[:, 0]
+
+
 def sample_gate(sampler: SeededSampler) -> OneQubitGate:
-    """Random gate: angle uniform in [0, 2*pi), axis uniform on the sphere."""
-    angle = float(sampler.uniform(0.0, 2.0 * np.pi, 1)[0])
-    return OneQubitGate(angle, sample_bloch(sampler))
+    """Random gate: the one-row call of `sample_gates`."""
+    angles, axes = sample_gates(sampler, 1)
+    return OneQubitGate(angles[0], axes[0])
+
+
+def sample_ladders(
+    sampler: SeededSampler, qubit_count: int, count: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`count` random ladders as arrays: preparations (count, qubit_count - 1)
+    uniform in [0, 1], gate angles (count, qubit_count) uniform in [0, 2*pi)
+    and axes (count, qubit_count, 3) uniform on the sphere.
+
+    Circuit by circuit, the preparations are drawn first and then the gates
+    one at a time, each its angle and then its axis's Gaussian triple: a
+    batch consumes the stream exactly as `count` calls of
+    `sample_ladder_circuit`.  Only the axis normalization runs once.
+    """
+    if qubit_count < 1:
+        raise ValueError("qubit_count must be at least 1")
+    if count < 1:
+        raise ValueError("count must be positive")
+    preps = np.empty((count, qubit_count - 1))
+    angles = np.empty((count, qubit_count))
+    axes = np.empty((count, qubit_count, 3))
+    for i in range(count):
+        if qubit_count > 1:  # an empty draw consumes no numbers, only time
+            preps[i] = sampler.uniform(0.0, 1.0, qubit_count - 1)
+        for k in range(qubit_count):
+            angles[i, k] = sampler.uniform(0.0, _TWO_PI, 1)[0]
+            axes[i, k] = sampler.standard_normal((1, 3))[0]
+    return preps, angles, _unit_rows(axes)
 
 
 def sample_ladder_circuit(sampler: SeededSampler, qubit_count: int) -> LadderCircuit:
-    """Random ladder: uniform preparation parameters and random gates."""
-    if qubit_count < 1:
-        raise ValueError("qubit_count must be at least 1")
-    preps = tuple(float(v) for v in sampler.uniform(0.0, 1.0, qubit_count - 1))
-    gates = tuple(sample_gate(sampler) for _ in range(qubit_count))
-    return LadderCircuit(preps, gates)
+    """Random ladder: the one-row call of `sample_ladders`."""
+    preps, angles, axes = sample_ladders(sampler, qubit_count, 1)
+    return LadderCircuit(tuple(preps[0]), tuple(map(OneQubitGate, angles[0], axes[0])))
 
 
 def mc_stats(

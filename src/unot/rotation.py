@@ -20,6 +20,7 @@ __all__ = [
     "OneQubitGate",
     "unit_axis",
     "skew_from_axis",
+    "rotation_batch",
     "rotation_from_gate",
     "rotation_from_unitary",
     "unitary_from_gate",
@@ -34,6 +35,7 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULI = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 _AXIS_NORM_TOL = 1e-12
+_IDENTITY = np.eye(3)
 _UNITARY_TOL = 1e-9
 _TWO_PI = 2.0 * np.pi
 
@@ -47,15 +49,22 @@ def unit_axis(x: float, y: float, z: float) -> np.ndarray:
     return v / norm
 
 
+def _check_axes(axes: np.ndarray) -> np.ndarray:
+    """Axes of shape (..., 3), each row finite and of unit norm within 1e-12."""
+    axes = np.asarray(axes, dtype=float)
+    if axes.shape[-1:] != (3,):
+        raise ValueError(f"axes must have trailing dimension 3, got {axes.shape}")
+    # A non-finite component makes the norm inf or NaN, which fails too.
+    if not (np.abs(np.sqrt((axes * axes).sum(axis=-1)) - 1.0) <= _AXIS_NORM_TOL).all():
+        raise ValueError("axis must be a finite unit vector within 1e-12")
+    return axes
+
+
 def _check_axis(axis: np.ndarray) -> np.ndarray:
     axis = np.asarray(axis, dtype=float)
     if axis.shape != (3,):
         raise ValueError(f"axis must have shape (3,), got {axis.shape}")
-    if not np.all(np.isfinite(axis)):
-        raise ValueError("axis components must be finite")
-    if abs(np.linalg.norm(axis) - 1.0) > _AXIS_NORM_TOL:
-        raise ValueError("axis must be a unit vector within 1e-12")
-    return axis
+    return _check_axes(axis)
 
 
 @dataclass(frozen=True)
@@ -83,25 +92,44 @@ def skew_from_axis(axis: np.ndarray) -> np.ndarray:
     return _skew(_check_axis(axis))
 
 
+# Flat slots of the off-diagonal entries of S, the axis component each holds
+# and its sign.
+_SKEW_SLOTS = [1, 2, 3, 5, 6, 7]
+_SKEW_SOURCE = [2, 1, 2, 0, 1, 0]
+_SKEW_SIGN = np.array([1.0, -1.0, -1.0, 1.0, 1.0, -1.0])
+
+
 def _skew(n: np.ndarray) -> np.ndarray:
-    return np.array(
-        [
-            [0.0, n[2], -n[1]],
-            [-n[2], 0.0, n[0]],
-            [n[1], -n[0], 0.0],
-        ]
-    )
+    # Skew matrices of axes (..., 3), shape (..., 3, 3).
+    s = np.zeros(n.shape[:-1] + (9,))
+    s[..., _SKEW_SLOTS] = n[..., _SKEW_SOURCE] * _SKEW_SIGN
+    return s.reshape(n.shape[:-1] + (3, 3))
+
+
+def rotation_batch(angles: np.ndarray, axes: np.ndarray) -> np.ndarray:
+    """3x3 Bloch rotations of gates given as angles (...) and unit axes (..., 3).
+
+    Rodrigues form R = I - sin(angle) S + (1 - cos(angle)) S^2 with
+    S = skew_from_axis(axis), which equals the conjugation formula
+    Tr(sigma_i U sigma_j U^dag)/2 exactly; the result has shape (..., 3, 3).
+    Raises ValueError, as `OneQubitGate` does, for a non-finite angle or an
+    axis row that is not a finite unit vector.
+    """
+    angles = np.asarray(angles, dtype=float)
+    axes = _check_axes(axes)
+    if axes.shape[:-1] != angles.shape:
+        raise ValueError(f"axes {axes.shape} do not match angles {angles.shape}")
+    if not np.isfinite(angles).all():
+        raise ValueError("angle must be finite")
+    s = _skew(axes)
+    sin = np.sin(angles)[..., None, None]
+    versine = (1.0 - np.cos(angles))[..., None, None]
+    return _IDENTITY - sin * s + versine * (s @ s)
 
 
 def rotation_from_gate(gate: OneQubitGate) -> np.ndarray:
-    """3x3 Bloch rotation of a gate, in Rodrigues form.
-
-    R = I - sin(angle) S + (1 - cos(angle)) S^2 with S = skew_from_axis(axis).
-    Equals the conjugation formula Tr(sigma_i U sigma_j U^dag)/2 exactly.
-    """
-    # OneQubitGate checked its axis when it was built.
-    s = _skew(gate.axis)
-    return np.eye(3) - np.sin(gate.angle) * s + (1.0 - np.cos(gate.angle)) * (s @ s)
+    """3x3 Bloch rotation of one gate: the one-row call of `rotation_batch`."""
+    return rotation_batch(np.array([gate.angle]), gate.axis[None])[0]
 
 
 def unitary_from_gate(gate: OneQubitGate) -> np.ndarray:
@@ -153,18 +181,19 @@ def gate_from_unitary(u: np.ndarray) -> OneQubitGate:
         ]
     )
     sin_half = np.linalg.norm(sin_n)
-    if sin_half < 1e-12:
-        # Identity up to phase: angle 0 or 2*pi, axis immaterial.
+    if sin_half < 1e-15:
+        # Identity up to phase, to the resolution of the entries of `u`: the
+        # rotation this drops moves R by less than 2e-15.
         return OneQubitGate(0.0, np.array([0.0, 0.0, 1.0]))
     return OneQubitGate(2.0 * np.arctan2(sin_half, cos_half), sin_n / sin_half)
 
 
-def rotation_trace(gate: OneQubitGate) -> float:
-    """Tr R = 2 cos(angle) + 1."""
-    return 2.0 * np.cos(gate.angle) + 1.0
+def rotation_trace(angle):
+    """Tr R = 2 cos(angle) + 1, for one rotation angle or an array of them."""
+    return 2.0 * np.cos(angle) + 1.0
 
 
-def rotation_squared_trace(gate: OneQubitGate) -> float:
-    """Tr R^2 = 4 cos(angle)^2 - 1."""
-    c = np.cos(gate.angle)
+def rotation_squared_trace(angle):
+    """Tr R^2 = 4 cos(angle)^2 - 1, for one rotation angle or an array of them."""
+    c = np.cos(angle)
     return 4.0 * c * c - 1.0

@@ -191,6 +191,6 @@ def test_11_rotation_trace_identities():
         r = rotation_from_gate(gate)
         tr = np.trace(r)
         assert abs(tr - (2.0 * np.cos(gate.angle) + 1.0)) < 1e-12
-        assert abs(tr - rotation_trace(gate)) < 1e-12
+        assert abs(tr - rotation_trace(gate.angle)) < 1e-12
         assert abs(tr * tr - np.trace(r @ r) - 2.0 * tr) < 1e-12
     assert time.perf_counter() - start < 1.0

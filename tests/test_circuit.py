@@ -13,7 +13,9 @@ from unot.circuit import (
     compensated_four_gate_map,
     density_from_bloch,
     full_unitary,
+    ladder_linear,
     misaligned_three_gate_map,
+    mixture_linear,
     optimal_stochastic_map,
     optimal_three_qubit_circuit,
     simulate_full,
@@ -21,8 +23,14 @@ from unot.circuit import (
     weights_from_preps,
 )
 from unot.fidelity import stochastic_map_stats, three_qubit_avg_fidelity
-from unot.oracle import SeededSampler, sample_bloch, sample_ladder_circuit
-from unot.rotation import OneQubitGate, unit_axis
+from unot.oracle import (
+    SeededSampler,
+    sample_bloch,
+    sample_gates,
+    sample_ladder_circuit,
+    sample_ladders,
+)
+from unot.rotation import OneQubitGate, rotation_from_gate, unit_axis
 
 _X = unit_axis(1.0, 0.0, 0.0)
 _Y = unit_axis(0.0, 1.0, 0.0)
@@ -171,3 +179,104 @@ def test_full_simulation_matches_reduced_map(circuit, bloch):
     rho = density_from_bloch(bloch)
     reduced = stochastic_map_from_circuit(circuit).apply_density(rho)
     assert np.max(np.abs(simulate_full(circuit, rho) - reduced)) < 1e-10
+
+
+def _ladder_arrays(circuit):
+    angles = np.array([[g.angle for g in circuit.gates]])
+    axes = np.array([[g.axis for g in circuit.gates]])
+    return np.array([circuit.prep_params]).reshape(1, -1), angles, axes
+
+
+@settings(deadline=None)
+@given(circuit=ladder_circuits())
+def test_ladder_linear_matches_the_unitary_route(circuit):
+    linear = ladder_linear(*_ladder_arrays(circuit))[0]
+    reference = stochastic_map_from_circuit(circuit).bloch_linear()
+    assert np.max(np.abs(linear - reference)) < 1e-14
+
+
+def test_optimal_circuit_ladder_is_minus_identity_over_three():
+    linear = ladder_linear(*_ladder_arrays(optimal_three_qubit_circuit()))[0]
+    assert np.max(np.abs(linear + np.eye(3) / 3.0)) < 1e-15
+
+
+def test_ladder_linear_rows_are_independent():
+    preps, angles, axes = sample_ladders(SeededSampler(6), 3, 30)
+    batch = ladder_linear(preps, angles, axes)
+    for i in range(30):
+        one = ladder_linear(preps[i : i + 1], angles[i : i + 1], axes[i : i + 1])
+        assert np.array_equal(batch[i], one[0])
+
+
+@pytest.mark.parametrize("bad", [1.5, -0.25, np.nan])
+def test_ladder_linear_rejects_preparations_outside_the_unit_interval(bad):
+    preps, angles, axes = sample_ladders(SeededSampler(2), 3, 4)
+    preps[2, 1] = bad
+    with pytest.raises(ValueError):
+        ladder_linear(preps, angles, axes)
+    with pytest.raises(ValueError):
+        weights_from_preps(preps)
+
+
+def test_ladder_linear_rejects_bad_gates_and_shapes():
+    preps, angles, axes = sample_ladders(SeededSampler(2), 3, 4)
+    with pytest.raises(ValueError):
+        ladder_linear(preps[:, :1], angles, axes)
+    axes[1, 2] *= 1.001
+    with pytest.raises(ValueError):
+        ladder_linear(preps, angles, axes)
+
+
+def test_weights_from_preps_rows_match_single_calls():
+    preps = SeededSampler(3).uniform(0.0, 1.0, (20, 3))
+    batch = weights_from_preps(preps)
+    assert np.array_equal(batch, np.array([weights_from_preps(p) for p in preps]))
+    assert np.array_equal(weights_from_preps(()), [1.0])
+
+
+def test_mixture_linear_is_the_gate_order_sum():
+    angles, axes = sample_gates(SeededSampler(4), 5)
+    weights = np.array([0.1, 0.3, 0.2, 0.25, 0.15])
+    gates = [OneQubitGate(a, x) for a, x in zip(angles, axes)]
+    expected = sum(w * rotation_from_gate(g) for w, g in zip(weights, gates))
+    rotations = np.array([rotation_from_gate(g) for g in gates])
+    assert np.array_equal(mixture_linear(weights[None], rotations[None])[0], expected)
+    assert np.array_equal(StochasticMap(weights, tuple(gates)).bloch_linear(), expected)
+
+
+def _density_stack(sampler, count):
+    radii = sampler.uniform(0.0, 1.0, count)
+    return np.array([density_from_bloch(r * sample_bloch(sampler)) for r in radii])
+
+
+@pytest.mark.parametrize("qubit_count", [1, 2, 3, 4])
+def test_simulate_full_on_a_stack_equals_single_calls(qubit_count):
+    sampler = SeededSampler(40 + qubit_count)
+    circuit = sample_ladder_circuit(sampler, qubit_count)
+    rho = _density_stack(sampler, 10)
+    single = np.array([simulate_full(circuit, r) for r in rho])
+    assert np.array_equal(simulate_full(circuit, rho), single)
+    smap = stochastic_map_from_circuit(circuit)
+    assert np.array_equal(
+        smap.apply_density(rho), np.array([smap.apply_density(r) for r in rho])
+    )
+    assert np.array_equal(bloch_from_density(rho), [bloch_from_density(r) for r in rho])
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        pytest.param([[0.5, 0.2], [0.0, 0.5]], id="non-hermitian"),
+        pytest.param([[1.5, 0.0], [0.0, -0.5]], id="non-psd"),
+        pytest.param([[0.9, 0.0], [0.0, 0.0]], id="trace"),
+    ],
+)
+def test_simulate_full_rejects_a_bad_density_in_a_stack(bad):
+    sampler = SeededSampler(9)
+    circuit = sample_ladder_circuit(sampler, 3)
+    rho = _density_stack(sampler, 5)
+    rho[3] = np.array(bad, dtype=complex)
+    with pytest.raises(ValueError):
+        simulate_full(circuit, rho)
+    with pytest.raises(ValueError):
+        check_density(rho)

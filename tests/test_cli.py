@@ -1,12 +1,18 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
 import csv
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from unot.cli import EXIT_BAD_CONFIG, EXIT_FAILURE, EXIT_OK, main
+from unot.experiments import EXPERIMENTS, SETTING_TYPES
 
 
 def _read_csv(path):
@@ -248,3 +254,111 @@ def test_recover_emits_both_schedules(tmp_path):
     assert code == EXIT_OK
     rows = _read_csv(out)
     assert {row["schedule"] for row in rows} == {"50", "100"}
+
+
+# Exit-code contract under fuzzed settings.  Every run stays tiny: trials <= 3,
+# iters <= 5, npop <= 12 and samples <= 2000 whenever a run can start.
+_NAN, _INF = float("nan"), float("inf")
+
+# Values that pass validation (within the budget above), per setting.
+_VALID = {
+    "seed": [0, 7, 2**64 - 1],
+    "trials": [1, 3],
+    "samples": [1000, 2000],
+    "npop": [4, 12],
+    "dweight": [1e-6, 0.1, 2.0],
+    "cr": [0.0, 0.5, 1.0],
+    "iters": [1, 5],
+    "stride": [1, 2, 7],
+    "eta": [0.0, 0.25, 1.0],
+    "period": [0, 2],
+    "tol_scale": [1e-300, 1.0, 1e300],
+    "eta_grid": [[0.0], [0.0, 1.0]],
+    "alpha_grid": [[1e-9], [0.01, 0.299]],
+}
+# Values just outside each setting's range.
+_BOUNDARY = {
+    "seed": [-1, 2**64],
+    "trials": [0, -3],
+    "samples": [999],
+    "npop": [3],
+    "dweight": [0.0, 2.0000001, _NAN],
+    "cr": [-1e-9, 1.5],
+    "iters": [0],
+    "stride": [0],
+    "eta": [-0.01, 1.01, _NAN],
+    "period": [-1],
+    "tol_scale": [0.0, _INF, _NAN],
+    "eta_grid": [[], [1.5], [0.1, True]],
+    "alpha_grid": [[0.0], [0.3], [_NAN]],
+}
+_WRONG_TYPE = ["ten", True, [1], {"a": 1}]
+# Settings that keep a run small; each is pinned to a valid value first.
+_BUDGET_KEYS = ("trials", "samples", "npop", "iters")
+_CONFIG_ONLY = ("eta_grid", "alpha_grid")
+
+
+@st.composite
+def _cli_cases(draw):
+    """A subcommand with its argv flags and config-file object."""
+    command = draw(st.sampled_from(sorted(EXPERIMENTS)))
+    own = EXPERIMENTS[command].settings
+    values = {k: draw(st.sampled_from(_VALID[k])) for k in own if k in _BUDGET_KEYS}
+    foreign = sorted(set(_VALID) - set(own)) + ["bogus"]
+    for _ in range(draw(st.integers(0, 3))):
+        # Mostly the subcommand's own settings, mostly with valid values.
+        key = draw(st.sampled_from(foreign if draw(st.integers(0, 5)) == 0 else own))
+        kind = draw(st.sampled_from(["valid", "valid", "boundary", "wrong-type"]))
+        if key not in own or kind == "valid":
+            pool = _VALID.get(key, [1])
+        elif kind == "boundary":
+            pool = _BOUNDARY[key]
+        else:
+            is_int = SETTING_TYPES.get(key, (float,))[0] is int
+            pool = _WRONG_TYPE + ([1.5] if is_int else [])
+        values[key] = draw(st.sampled_from(pool))
+    fmt = draw(st.sampled_from([None, None, "csv", "jsonl", "xml"]))
+    if fmt is not None:
+        values["format"] = fmt
+    flags, config = [], {}
+    for key, value in values.items():
+        if key in _CONFIG_ONLY or draw(st.booleans()):
+            config[key] = value
+        else:
+            flags += ["--" + key.replace("_", "-"), str(value)]
+    return command, flags, config
+
+
+def _run_cli(argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _files(folder: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(folder.iterdir())}
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(case=_cli_cases())
+@example(case=("verify", ["--tol-scale", "1e-300", "--trials", "1"], {"samples": 1000}))
+@example(case=("compensate", [], {"alpha_grid": [0.1], "format": "jsonl"}))
+def test_fuzzed_settings_keep_the_exit_code_contract(case):
+    command, flags, config = case
+    with tempfile.TemporaryDirectory() as tmp:
+        folder = Path(tmp)
+        argv = [command, *flags, "--out", str(folder / "rows.out")]
+        if config:
+            (folder / "cfg.json").write_text(json.dumps(config))
+            argv += ["--config", str(folder / "cfg.json")]
+        before = _files(folder)
+        code, err = _run_cli(argv)
+        assert code in (EXIT_OK, EXIT_FAILURE, EXIT_BAD_CONFIG)
+        assert "Traceback" not in err
+        if code == EXIT_BAD_CONFIG:
+            assert _files(folder) == before
+        if code == EXIT_OK:
+            first = _files(folder)
+            assert _run_cli(argv)[0] == EXIT_OK
+            assert _files(folder) == first

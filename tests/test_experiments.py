@@ -149,8 +149,9 @@ def test_largest_array_estimate_meets_the_ceiling_exactly():
     # Configs only: nothing is run, so nothing of this size is allocated.
     for name, setting, per_unit, extra in (
         ("verify", "samples", 128, {}),
+        ("verify", "trials", 360, {}),
         ("noise-sweep", "trials", 1024, {}),
-        ("tradeoff", "trials", 72, {}),
+        ("tradeoff", "trials", 216, {}),
         ("optimize", "trials", 8 * 10 * 9, {"npop": 10}),
     ):
         largest = MAX_ARRAY_BYTES // per_unit

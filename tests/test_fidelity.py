@@ -18,14 +18,16 @@ from unot.fidelity import (
     affine_channel_stats,
     affine_stats_batch,
     one_qubit_stats,
+    one_qubit_stats_batch,
     pair_covariance,
+    pair_covariance_batch,
     pointwise_fidelity,
     region_membership,
     region_residual,
     stochastic_map_stats,
     three_qubit_avg_fidelity,
 )
-from unot.oracle import SeededSampler, sample_bloch, sample_unitary
+from unot.oracle import SeededSampler, sample_bloch, sample_gates, sample_unitary
 from unot.rotation import OneQubitGate, rotation_from_gate, unit_axis
 
 _X = unit_axis(1.0, 0.0, 0.0)
@@ -91,6 +93,28 @@ def test_covariance_diagonal_is_squared_deviation():
         gate = OneQubitGate(rng.uniform(0, 2 * np.pi), axis / np.linalg.norm(axis))
         dev = one_qubit_stats(gate).deviation
         assert abs(pair_covariance(gate, gate) - dev * dev) < 1e-14
+
+
+@pytest.mark.parametrize("angle", [1.89e-3, 1e-4, 1e-6])
+def test_near_identity_gates_keep_full_relative_precision(angle):
+    # 1 - cos t by its Taylor series; the next term, t^8 / 40320, is below
+    # 1e-16 relative at these angles.
+    versine = angle**2 / 2.0 - angle**4 / 24.0 + angle**6 / 720.0
+    gate = OneQubitGate(angle, _Z)
+    assert abs(one_qubit_stats(gate).avg_fidelity / (versine / 3.0) - 1.0) < 1e-15
+    assert abs(pair_covariance(gate, gate) / (versine * versine / 45.0) - 1.0) < 1e-15
+
+
+def test_batch_closed_forms_equal_single_gate_calls():
+    angles, axes = sample_gates(SeededSampler(27), 400)
+    gates = [OneQubitGate(a, x) for a, x in zip(angles, axes)]
+    f, d = one_qubit_stats_batch(angles)
+    single = [one_qubit_stats(g) for g in gates]
+    assert np.array_equal(f, [st.avg_fidelity for st in single])
+    assert np.array_equal(d, [st.deviation for st in single])
+    cov = pair_covariance_batch((angles[::2], axes[::2]), (angles[1::2], axes[1::2]))
+    pairs = zip(gates[::2], gates[1::2])
+    assert np.array_equal(cov, [pair_covariance(g, h) for g, h in pairs])
 
 
 def test_two_flip_mixture_frozen_stats():

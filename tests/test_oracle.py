@@ -21,7 +21,9 @@ from unot.oracle import (
     mc_stats,
     sample_bloch,
     sample_gate,
+    sample_gates,
     sample_ladder_circuit,
+    sample_ladders,
     sample_unitary,
 )
 from unot.rotation import OneQubitGate, rotation_from_gate, unit_axis
@@ -124,6 +126,54 @@ def test_sample_ladder_circuit_shapes():
     assert len(circuit.gates) == 4
     preps = np.asarray(circuit.prep_params)
     assert np.all((preps >= 0.0) & (preps <= 1.0))
+
+
+def test_sample_gates_draw_one_gate_at_a_time():
+    # The stream of one gate: its angle, then the Gaussian triple of its axis.
+    reference = SeededSampler(21)
+    expected = []
+    for _ in range(50):
+        angle = reference.uniform(0.0, 2.0 * np.pi, 1)[0]
+        triple = reference.standard_normal((1, 3))
+        expected.append((angle, triple[0] / np.linalg.norm(triple, axis=1)[0]))
+    sampler = SeededSampler(21)
+    angles, axes = sample_gates(sampler, 50)
+    assert np.array_equal(angles, [a for a, _ in expected])
+    assert np.array_equal(axes, np.array([x for _, x in expected]))
+    assert sampler.position == reference.position == 200
+
+
+def test_sample_gates_equal_single_gate_draws():
+    batch, single = SeededSampler(8), SeededSampler(8)
+    angles, axes = sample_gates(batch, 300)
+    gates = [sample_gate(single) for _ in range(300)]
+    assert np.array_equal(angles, [g.angle for g in gates])
+    assert np.array_equal(axes, np.array([g.axis for g in gates]))
+    assert batch.position == single.position
+    assert np.array_equal(batch.random(4), single.random(4))
+
+
+@pytest.mark.parametrize("qubit_count", [1, 2, 3, 4])
+def test_sample_ladders_equal_single_circuit_draws(qubit_count):
+    batch, single = SeededSampler(13), SeededSampler(13)
+    preps, angles, axes = sample_ladders(batch, qubit_count, 40)
+    circuits = [sample_ladder_circuit(single, qubit_count) for _ in range(40)]
+    assert preps.shape == (40, qubit_count - 1)
+    assert np.array_equal(preps.reshape(40, -1), [c.prep_params for c in circuits])
+    assert np.array_equal(angles, [[g.angle for g in c.gates] for c in circuits])
+    assert np.array_equal(axes, np.array([[g.axis for g in c.gates] for c in circuits]))
+    assert batch.position == single.position
+
+
+def test_batch_draws_reject_bad_counts():
+    sampler = SeededSampler(0)
+    with pytest.raises(ValueError):
+        sample_gates(sampler, 0)
+    with pytest.raises(ValueError):
+        sample_ladders(sampler, 0, 3)
+    with pytest.raises(ValueError):
+        sample_ladders(sampler, 2, 0)
+    assert sampler.position == 0
 
 
 def test_mc_estimate_fields():

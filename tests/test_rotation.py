@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unot.oracle import SeededSampler, sample_gates
 from unot.rotation import (
     OneQubitGate,
     gate_from_unitary,
+    rotation_batch,
     rotation_from_gate,
     rotation_from_unitary,
     rotation_squared_trace,
@@ -72,6 +74,13 @@ def test_gate_from_unitary_identity_special_case():
     assert np.array_equal(gate.axis, _Z)
 
 
+def test_gate_from_unitary_keeps_tiny_rotations():
+    # A 1e-12 rotation moves R by 2e-12; it must not be rounded to the identity.
+    gate = OneQubitGate(1e-12, np.array([0.6, 0.0, 0.8]))
+    back = gate_from_unitary(unitary_from_gate(gate))
+    assert np.max(np.abs(rotation_from_gate(back) - rotation_from_gate(gate))) < 1e-15
+
+
 def test_gate_from_unitary_rejects_nonunitary():
     with pytest.raises(ValueError):
         gate_from_unitary(np.array([[1.0, 0.0], [0.0, 2.0]], dtype=complex))
@@ -122,12 +131,38 @@ def test_trace_closed_forms():
         gate = _random_gate(rng)
         r = rotation_from_gate(gate)
         tr = np.trace(r)
-        assert abs(tr - rotation_trace(gate)) < 1e-12
-        assert abs(np.trace(r @ r) - rotation_squared_trace(gate)) < 1e-12
+        assert abs(tr - rotation_trace(gate.angle)) < 1e-12
+        assert abs(np.trace(r @ r) - rotation_squared_trace(gate.angle)) < 1e-12
         assert abs(tr * tr - np.trace(r @ r) - 2.0 * tr) < 1e-12
 
 
 def test_trace_values_at_marker_angles():
-    assert abs(rotation_trace(OneQubitGate(np.pi, _Z)) + 1.0) < 1e-15
-    assert abs(rotation_trace(OneQubitGate(0.0, _Z)) - 3.0) < 1e-15
-    assert abs(rotation_squared_trace(OneQubitGate(np.pi, _Z)) - 3.0) < 1e-15
+    assert abs(rotation_trace(np.pi) + 1.0) < 1e-15
+    assert abs(rotation_trace(0.0) - 3.0) < 1e-15
+    assert abs(rotation_squared_trace(np.pi) - 3.0) < 1e-15
+
+
+def test_rotation_batch_equals_single_gates_bitwise():
+    angles, axes = sample_gates(SeededSampler(19), 2000)
+    single = [rotation_from_gate(OneQubitGate(a, x)) for a, x in zip(angles, axes)]
+    assert np.array_equal(rotation_batch(angles, axes), np.array(single))
+    # Leading dimensions are kept.
+    stacked = rotation_batch(angles.reshape(40, 50), axes.reshape(40, 50, 3))
+    assert np.array_equal(stacked.reshape(2000, 3, 3), np.array(single))
+
+
+@pytest.mark.parametrize(
+    "angles, axes",
+    [
+        pytest.param([0.5, 1.0], [[0.0, 0.0, 1.0], [1.0, 1.0, 0.0]], id="long-axis"),
+        pytest.param([0.5, 1.0], [[0.0, 0.0, 1.0], [np.nan, 0.0, 1.0]], id="nan-axis"),
+        pytest.param([0.5, 1.0], [[0.0, 0.0, 1.0], [np.inf, 0.0, 0.0]], id="inf-axis"),
+        pytest.param([0.5, np.nan], [[0.0, 0.0, 1.0]] * 2, id="nan-angle"),
+        pytest.param([0.5, np.inf], [[0.0, 0.0, 1.0]] * 2, id="inf-angle"),
+        pytest.param([0.5], [[0.0, 0.0, 1.0]] * 2, id="shape-mismatch"),
+        pytest.param([0.5], [[0.0, 1.0]], id="two-component-axis"),
+    ],
+)
+def test_rotation_batch_rejects_what_a_gate_rejects(angles, axes):
+    with pytest.raises(ValueError):
+        rotation_batch(np.array(angles), np.array(axes))
