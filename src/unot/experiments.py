@@ -37,11 +37,10 @@ from .evolve import (
 from .fidelity import (
     DEVIATION_SLOPE,
     MAX_AVG_FIDELITY,
-    FidelityStats,
+    REGION_TOL,
     affine_stats_batch,
     one_qubit_stats_batch,
     pair_covariance_batch,
-    region_membership,
     region_residual,
     three_qubit_avg_fidelity,
 )
@@ -366,11 +365,8 @@ def _verify_families(config: ExperimentConfig):
             [ladder_linear(*sample_ladders(s, q, per_count)) for q in (1, 2, 3)]
         )
     )
-    counts = np.repeat([1, 2, 3], per_count)
-    worst = max(
-        region_residual(FidelityStats(fi, di), q) for fi, di, q in zip(f, d, counts)
-    )
-    yield "region-membership", worst, 1e-9 * scale
+    worst = float(np.max(region_residual(f, d, np.repeat([1, 2, 3], per_count))))
+    yield "region-membership", worst, REGION_TOL * scale
 
     # Three-qubit ceiling and oracle agreement for Haar unitaries.
     s = sub[6]
@@ -435,18 +431,18 @@ def run_tradeoff(config: ExperimentConfig) -> ExperimentResult:
     for qubit_count in (1, 2, 3):
         ladders = sample_ladders(sampler, qubit_count, config.trials)
         f, d = _linear_stats(ladder_linear(*ladders))
-        for st in map(FidelityStats, f, d):
-            inside = region_membership(st, qubit_count)
-            violations += 0 if inside else 1
-            rows.append(
-                {
-                    "qubit_count": qubit_count,
-                    "avg_fidelity": st.avg_fidelity,
-                    "deviation": st.deviation,
-                    "in_region": inside,
-                    "seed": int(config.seed),
-                }
-            )
+        inside = region_residual(f, d, qubit_count) <= REGION_TOL
+        violations += int(np.count_nonzero(~inside))
+        rows.extend(
+            {
+                "qubit_count": qubit_count,
+                "avg_fidelity": float(fi),
+                "deviation": float(di),
+                "in_region": bool(ok),
+                "seed": int(config.seed),
+            }
+            for fi, di, ok in zip(f, d, inside)
+        )
     report = [
         f"tradeoff: {len(rows)} circuits, {violations} region violations"
     ]
@@ -488,7 +484,13 @@ def _summary(f: np.ndarray, d: np.ndarray) -> dict:
     }
 
 
-def _feedback_traces(config: ExperimentConfig, noise: NoiseModel):
+def _search(config: ExperimentConfig, noises):
+    """One lockstep feedback run of `config.trials` trials per noise model.
+
+    Every model reuses the same trial seeds.  Yields, per model, the rows at
+    every `config.stride`-th iteration and the last, and the final F and
+    Delta arrays of the trials.
+    """
     de_config = DeConfig(
         population_size=config.npop,
         differential_weight=config.dweight,
@@ -496,44 +498,33 @@ def _feedback_traces(config: ExperimentConfig, noise: NoiseModel):
         max_iterations=config.iters,
     )
     seeds = [child.seed for child in SeededSampler(config.seed).split(config.trials)]
-    runs = run_feedback_trials(de_config, noise, gell_mann_basis(8), seeds)
-    return [trace for _, trace in runs]
-
-
-def _trace_rows(traces, iterations, extra: dict | None = None):
-    rows = []
-    for it in iterations:
-        f = np.array([t[it].avg_fidelity for t in traces])
-        d = np.array([t[it].deviation for t in traces])
-        xi = np.array([t[it].fitness for t in traces])
-        rows.append(
-            {
-                **(extra or {}),
-                "iteration": int(it),
-                **_summary(f, d),
-                "mean_fitness": float(xi.mean()),
-                "noise_injected": bool(traces[0][it].noise_injected),
-                "trials": len(traces),
-            }
-        )
-    return rows
-
-
-def _strided(last: int, stride: int) -> list[int]:
-    its = list(range(0, last + 1, stride))
-    if its[-1] != last:
-        its.append(last)
-    return its
+    basis = gell_mann_basis(8)
+    iterations = [*range(0, config.iters, config.stride), config.iters]
+    for noise in noises:
+        runs = run_feedback_trials(de_config, noise, basis, seeds)
+        rows = []
+        for it in iterations:
+            best = [trace[it] for _, trace in runs]
+            f = np.array([r.avg_fidelity for r in best])
+            d = np.array([r.deviation for r in best])
+            rows.append(
+                {
+                    "iteration": it,
+                    **_summary(f, d),
+                    "mean_fitness": float(np.mean([r.fitness for r in best])),
+                    "noise_injected": bool(best[0].noise_injected),
+                    "trials": len(best),
+                }
+            )
+        yield rows, f, d
 
 
 def run_optimize(config: ExperimentConfig) -> ExperimentResult:
-    traces = _feedback_traces(config, NoiseModel(0.0, period=None))
-    rows = _trace_rows(traces, _strided(config.iters, config.stride))
-    final_f = np.median([t[-1].avg_fidelity for t in traces])
-    final_d = np.median([t[-1].deviation for t in traces])
+    [(rows, final_f, final_d)] = _search(config, [NoiseModel(0.0, period=None)])
     report = [
         f"optimize: {config.trials} runs x {config.iters} iterations; "
-        f"final median F={final_f:.4f}, median Delta={final_d:.4f}"
+        f"final median F={np.median(final_f):.4f}, "
+        f"median Delta={np.median(final_d):.4f}"
     ]
     return ExperimentResult(rows, report)
 
@@ -541,21 +532,13 @@ def run_optimize(config: ExperimentConfig) -> ExperimentResult:
 def run_recover(config: ExperimentConfig) -> ExperimentResult:
     eta = 0.5 if config.eta is None else config.eta
     schedules = (config.period,) if config.period is not None else (50, 100)
+    runs = _search(config, [NoiseModel(eta, period=s) for s in schedules])
     rows, report = [], []
-    for schedule in schedules:
-        noise = NoiseModel(eta, period=schedule)
-        traces = _feedback_traces(config, noise)
-        rows.extend(
-            _trace_rows(
-                traces,
-                _strided(config.iters, config.stride),
-                extra={"schedule": int(schedule)},
-            )
-        )
-        med_final = np.median([t[-1].avg_fidelity for t in traces])
+    for schedule, (run_rows, final_f, _) in zip(schedules, runs):
+        rows.extend({"schedule": int(schedule), **row} for row in run_rows)
         report.append(
             f"recover: eta={eta} every {schedule} iterations over "
-            f"{config.trials} runs; final median F={med_final:.4f}"
+            f"{config.trials} runs; final median F={np.median(final_f):.4f}"
         )
     return ExperimentResult(rows, report)
 
@@ -587,9 +570,10 @@ def run_compensate(config: ExperimentConfig) -> ExperimentResult:
 _DE_SETTINGS = ("seed", "trials", "npop", "dweight", "cr", "iters", "stride")
 
 
-def _de_keys(c: ExperimentConfig) -> dict[str, int]:
-    # Each DE sweep ranks npop - 1 float64 donor keys per member and trial.
-    return {"npop and trials": 8 * c.trials * c.npop * (c.npop - 1)}
+def _de_arrays(c: ExperimentConfig) -> dict[str, int]:
+    # Per member and trial, an evaluation builds about 1 KiB (an 8x8 complex
+    # unitary and its eigenvectors) and a sweep ranks npop - 1 float64 donor keys.
+    return {"npop and trials": c.trials * c.npop * max(1024, 8 * (c.npop - 1))}
 
 
 # The command line offers exactly each experiment's settings as flags and
@@ -626,14 +610,14 @@ EXPERIMENTS = {
         _DE_SETTINGS,
         trials=20,
         stride=20,
-        array_bytes=_de_keys,
+        array_bytes=_de_arrays,
     ),
     "recover": Experiment(
         run_recover,
         "search under periodically injected control noise",
         _DE_SETTINGS + ("eta", "period"),
         trials=20,
-        array_bytes=_de_keys,
+        array_bytes=_de_arrays,
     ),
     "compensate": Experiment(
         run_compensate, "deviation of tilted-axis mixtures", ("alpha_grid",), trials=1

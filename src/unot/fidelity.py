@@ -36,6 +36,7 @@ __all__ = [
     "region_residual",
     "region_membership",
     "MAX_AVG_FIDELITY",
+    "REGION_TOL",
     "DEVIATION_SLOPE",
 ]
 
@@ -46,10 +47,12 @@ MAX_AVG_FIDELITY = 2.0 / 3.0
 # Single gates and their mixtures satisfy Delta <= F * DEVIATION_SLOPE.
 DEVIATION_SLOPE = 1.0 / np.sqrt(5.0)
 
+# A point whose region residual is at most this counts as inside the region.
+REGION_TOL = 1e-9
+
 _STATS_TOL = 1e-12
 _BLOCH_NORM_TOL = 1e-9
 _UNITARY_TOL = 1e-8
-_REGION_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -213,25 +216,28 @@ def three_qubit_avg_fidelity(u: np.ndarray) -> float:
     return MAX_AVG_FIDELITY - float(np.sum(np.abs(overlap) ** 2)) / 6.0
 
 
-def region_residual(stats: FidelityStats, qubit_count: int) -> float:
+def region_residual(avg_fidelity, deviation, qubit_count):
     """Distance of (F, Delta) outside the attainable region (0 when inside).
 
+    Elementwise over arrays; `qubit_count` may be one number or an array.
     One qubit: the line Delta = F / sqrt(5).  Two qubits: the band
     F / (2 sqrt(5)) <= Delta <= F / sqrt(5).  Three or more: the full wedge
     0 <= Delta <= F / sqrt(5).  All regions require 0 <= F <= 2/3.
     """
-    if qubit_count < 1:
+    q = np.asarray(qubit_count)
+    if np.any(q < 1):
         raise ValueError("qubit_count must be at least 1")
-    f, d = stats.avg_fidelity, stats.deviation
+    f, d = np.asarray(avg_fidelity, dtype=float), np.asarray(deviation, dtype=float)
     upper = f * DEVIATION_SLOPE
-    out = max(0.0, -f, f - MAX_AVG_FIDELITY)
-    if qubit_count == 1:
-        return max(out, abs(d - upper))
-    if qubit_count == 2:
-        return max(out, 0.5 * upper - d, d - upper)
-    return max(out, -d, d - upper)
+    lower = np.where(q == 1, upper, np.where(q == 2, 0.5 * upper, 0.0))
+    out = np.maximum(-f, f - MAX_AVG_FIDELITY)
+    residual = np.maximum(np.maximum(out, lower - d), d - upper)
+    # Inside, every term is at most 0; adding 0.0 reports that as +0.0, never -0.0.
+    residual = np.maximum(residual, 0.0) + 0.0
+    return float(residual) if residual.ndim == 0 else residual
 
 
 def region_membership(stats: FidelityStats, qubit_count: int) -> bool:
-    """Whether (F, Delta) lies within 1e-9 of the region for `qubit_count` qubits."""
-    return bool(region_residual(stats, qubit_count) <= _REGION_TOL)
+    """Whether (F, Delta) lies within `REGION_TOL` of its qubit-count region."""
+    residual = region_residual(stats.avg_fidelity, stats.deviation, qubit_count)
+    return bool(residual <= REGION_TOL)

@@ -175,7 +175,7 @@ def sample_ladders(
         if qubit_count > 1:  # an empty draw consumes no numbers, only time
             preps[i] = sampler.uniform(0.0, 1.0, qubit_count - 1)
         for k in range(qubit_count):
-            angles[i, k] = sampler.uniform(0.0, _TWO_PI, 1)[0]
+            angles[i, k] = sampler.random(1)[0] * _TWO_PI  # = uniform(0, 2 pi) bitwise
             axes[i, k] = sampler.standard_normal((1, 3))[0]
     return preps, angles, _unit_rows(axes)
 

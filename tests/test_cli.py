@@ -171,6 +171,9 @@ def test_missing_config_file_is_rejected(tmp_path):
             "npop",
             id="huge-npop",
         ),
+        pytest.param(
+            ["optimize", "--trials", "200000", "--iters", "1"], "trials", id="eval-batch"
+        ),
         pytest.param(["noise-sweep", "--trials", str(10**9)], "trials", id="huge-trials"),
         pytest.param(["verify", "--samples", str(10**10)], "samples", id="huge-samples"),
     ],

@@ -152,7 +152,11 @@ def test_largest_array_estimate_meets_the_ceiling_exactly():
         ("verify", "trials", 360, {}),
         ("noise-sweep", "trials", 1024, {}),
         ("tradeoff", "trials", 216, {}),
-        ("optimize", "trials", 8 * 10 * 9, {"npop": 10}),
+        # Below npop 130 the first evaluation's 1 KiB per member is largest,
+        ("optimize", "trials", 1024 * 10, {"npop": 10}),
+        ("recover", "trials", 1024 * 10, {"npop": 10}),
+        # above it the donor keys: npop - 1 float64 per member.
+        ("optimize", "trials", 8 * 200 * 199, {"npop": 200}),
     ):
         largest = MAX_ARRAY_BYTES // per_unit
         ExperimentConfig(name, **{setting: largest}, **extra)

@@ -233,17 +233,71 @@ def test_region_membership_by_qubit_count():
     assert region_membership(FidelityStats(0.4, 0.0), 3)
     assert not region_membership(FidelityStats(0.8, 0.1), 3)
     for qubit_count, inside in (
-        (1, line_point),
-        (2, FidelityStats(0.4, 0.3 * DEVIATION_SLOPE)),
-        (3, FidelityStats(0.4, 0.0)),
-        (4, FidelityStats(0.4, 0.2 * DEVIATION_SLOPE)),
+        (1, (0.4, 0.4 * DEVIATION_SLOPE)),
+        (2, (0.4, 0.3 * DEVIATION_SLOPE)),
+        (3, (0.4, 0.0)),
+        (4, (0.4, 0.2 * DEVIATION_SLOPE)),
     ):
-        assert region_residual(inside, qubit_count) == 0.0
-    assert abs(region_residual(off_line, 1) - (0.4 * DEVIATION_SLOPE - 0.1)) < 1e-15
-    assert abs(region_residual(FidelityStats(0.4, 0.0), 2) - 0.2 * DEVIATION_SLOPE) < 1e-15
-    assert abs(region_residual(FidelityStats(0.8, 0.1), 3) - (0.8 - 2.0 / 3.0)) < 1e-15
+        assert region_residual(*inside, qubit_count) == 0.0
+    assert abs(region_residual(0.4, 0.1, 1) - (0.4 * DEVIATION_SLOPE - 0.1)) < 1e-15
+    assert abs(region_residual(0.4, 0.0, 2) - 0.2 * DEVIATION_SLOPE) < 1e-15
+    assert abs(region_residual(0.8, 0.1, 3) - (0.8 - 2.0 / 3.0)) < 1e-15
     with pytest.raises(ValueError):
-        region_residual(line_point, 0)
+        region_residual(0.4, 0.4 * DEVIATION_SLOPE, 0)
+
+
+def _row_region_residual(f: float, d: float, qubit_count: int) -> float:
+    # The per-row rule the array form replaced, kept as its reference.
+    upper = f * DEVIATION_SLOPE
+    out = max(0.0, -f, f - MAX_AVG_FIDELITY)
+    if qubit_count == 1:
+        return max(out, abs(d - upper))
+    if qubit_count == 2:
+        return max(out, 0.5 * upper - d, d - upper)
+    return max(out, -d, d - upper)
+
+
+def _assert_bitwise_row_rule(f, d, counts):
+    got = region_residual(f, d, counts)
+    rows = zip(f.tolist(), d.tolist(), np.broadcast_to(counts, f.shape).tolist())
+    want = np.array([_row_region_residual(*row) for row in rows])
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_array_region_rule_is_bitwise_the_row_rule():
+    rng = np.random.default_rng(11)
+    n = 20_000
+    f = rng.uniform(-0.1, 0.8, n)
+    # Half the points anywhere, half scattered around the band F/(2 sqrt 5)..F/sqrt 5.
+    d = np.where(
+        rng.random(n) < 0.5,
+        rng.uniform(-0.1, 0.6, n),
+        f * DEVIATION_SLOPE * rng.uniform(0.3, 1.2, n),
+    )
+    f[:4], d[:4] = [0.0, -0.0, 0.0, MAX_AVG_FIDELITY], [0.0, -0.0, -0.0, 0.0]
+    for qubit_count in (1, 2, 3, 4):
+        _assert_bitwise_row_rule(f, d, qubit_count)
+    _assert_bitwise_row_rule(f, d, rng.integers(1, 5, n))
+    # The boundary points of test_region_membership_by_qubit_count.
+    s = DEVIATION_SLOPE
+    f, d, counts = np.array(
+        [
+            (0.4, 0.4 * s, 1),
+            (0.4, 0.1, 1),
+            (0.4, 0.3 * s, 2),
+            (0.4, 0.0, 2),
+            (0.4, 0.0, 3),
+            (0.8, 0.1, 3),
+            (0.4, 0.2 * s, 4),
+        ]
+    ).T
+    _assert_bitwise_row_rule(f, d, counts.astype(int))
+
+
+def test_array_region_rule_rejects_any_count_below_one():
+    with pytest.raises(ValueError):
+        region_residual(np.full(3, 0.4), np.zeros(3), np.array([1, 0, 3]))
 
 
 @settings(deadline=None)
