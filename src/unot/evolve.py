@@ -18,7 +18,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import schur
 
 from .circuit import full_unitary, optimal_three_qubit_circuit
 from .fidelity import AffineBlochChannel, FidelityStats, affine_stats_batch
@@ -188,9 +187,15 @@ def optimal_controls(basis: GeneratorBasis) -> np.ndarray:
     """Controls whose unitary realizes the optimal universal flip.
 
     Takes the full unitary of the optimal three-qubit ladder, extracts a
-    traceless Hermitian logarithm through a Schur decomposition, and
-    projects it onto the generator basis.  fitness() at the result is 2/3
-    up to roundoff.
+    traceless Hermitian logarithm from its eigendecomposition, and projects
+    it onto the generator basis.  fitness() at the result is 2/3 up to
+    roundoff.
+
+    The ladder unitary has 8 distinct eigenphases (the closest two lie
+    about 0.62 rad apart), so each eigenvector is fixed up to a phase, the
+    QR-orthonormalized eigenvectors are a unitary basis, and the logarithm
+    does not depend on which eigenvectors `eig` returns.  A unitary with a
+    repeated eigenphase would need a Schur basis instead.
 
     The eigenphase branches are lifted alternately by +-2*pi in sorted
     order, which leaves the unitary bit-for-bit unchanged but spreads the
@@ -202,8 +207,9 @@ def optimal_controls(basis: GeneratorBasis) -> np.ndarray:
     if basis.dim != 8:
         raise ValueError("optimal controls require an su(8) basis")
     u = full_unitary(optimal_three_qubit_circuit())
-    t, z = schur(u, output="complex")
-    angles = np.angle(np.diagonal(t))
+    w, v = np.linalg.eig(u)
+    z = np.linalg.qr(v)[0]
+    angles = np.angle(w)
     lift = np.empty_like(angles)
     lift[np.argsort(angles)] = 2.0 * np.pi * (-1.0) ** np.arange(angles.size)
     h = -(z * (angles + lift)) @ z.conj().T

@@ -299,7 +299,7 @@ def _sample_mixtures(sampler: SeededSampler, counts) -> np.ndarray:
     weights = np.zeros((len(counts), width))
     for row, count in enumerate(counts):
         angles[row, :count], axes[row, :count] = sample_gates(sampler, count)
-        w = sampler.uniform(0.0, 1.0, count)
+        w = sampler.random(count)  # = uniform(0, 1) bitwise
         weights[row, :count] = w / w.sum()
     return mixture_linear(weights, rotation_batch(angles, axes))
 
@@ -393,7 +393,7 @@ def _verify_families(config: ExperimentConfig):
         circuit = sample_ladder_circuit(s, 1 + i % 4)
         rho = np.empty((10, 2, 2), dtype=complex)
         for k in range(10):
-            radius = float(s.uniform(0.0, 1.0, 1)[0]) ** (1.0 / 3.0)
+            radius = float(s.random(1)[0]) ** (1.0 / 3.0)  # = uniform(0, 1) bitwise
             rho[k] = density_from_bloch(radius * sample_bloch(s))
         reduced = stochastic_map_from_circuit(circuit).apply_density(rho)
         worst = max(worst, float(np.max(np.abs(simulate_full(circuit, rho) - reduced))))

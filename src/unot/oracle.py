@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import qr
 
 from .circuit import LadderCircuit
 from .rotation import OneQubitGate
@@ -132,7 +131,7 @@ def sample_unitary(sampler: SeededSampler, dim: int) -> np.ndarray:
         sampler.standard_normal((dim, dim))
         + 1.0j * sampler.standard_normal((dim, dim))
     ) / np.sqrt(2.0)
-    q, r = qr(z)
+    q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     return q * (d / np.abs(d))
 
@@ -173,7 +172,7 @@ def sample_ladders(
     axes = np.empty((count, qubit_count, 3))
     for i in range(count):
         if qubit_count > 1:  # an empty draw consumes no numbers, only time
-            preps[i] = sampler.uniform(0.0, 1.0, qubit_count - 1)
+            preps[i] = sampler.random(qubit_count - 1)  # = uniform(0, 1) bitwise
         for k in range(qubit_count):
             angles[i, k] = sampler.random(1)[0] * _TWO_PI  # = uniform(0, 2 pi) bitwise
             axes[i, k] = sampler.standard_normal((1, 3))[0]

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import expm, schur
 
 import unot.evolve
 from unot.circuit import full_unitary, optimal_three_qubit_circuit
@@ -134,6 +134,22 @@ def test_optimal_controls_reproduce_the_ladder_unitary():
     phase = u[idx] / target[idx]
     assert abs(abs(phase) - 1.0) < 1e-9
     assert np.max(np.abs(u - phase * target)) < 1e-9
+
+
+def test_optimal_controls_match_the_schur_logarithm():
+    u = full_unitary(optimal_three_qubit_circuit())
+    # The eigenvector route is basis-independent only for distinct eigenphases.
+    phases = np.angle(np.linalg.eigvals(u))
+    gaps = np.abs(np.angle(np.exp(1j * (phases[:, None] - phases[None, :]))))
+    assert np.min(gaps[~np.eye(8, dtype=bool)]) >= 0.1
+    t, z = schur(u, output="complex")
+    angles = np.angle(np.diagonal(t))
+    lift = np.empty_like(angles)
+    lift[np.argsort(angles)] = 2.0 * np.pi * (-1.0) ** np.arange(8)
+    h = -(z * (angles + lift)) @ z.conj().T
+    h -= np.trace(h) / 8 * np.eye(8)
+    reference = 0.5 * np.einsum("ij,aji->a", h, _BASIS8.matrices).real
+    assert np.max(np.abs(optimal_controls(_BASIS8) - reference)) < 1e-13
 
 
 def test_optimal_control_stats_agree_with_oracle():

@@ -2,16 +2,22 @@
 
 No import inside a function or class, no private name imported from a
 sibling module, every imported name used in its module or exported
-through that module's `__all__`, and every `__all__` entry bound at module
-level.
+through that module's `__all__`, every `__all__` entry bound at module
+level, and numpy as the only third-party import.  A subprocess checks that
+running the command line loads no SciPy module.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).parent.parent / "src" / "unot").glob("*.py"))
+PACKAGE_DIR = Path(__file__).parent.parent / "src" / "unot"
+SOURCES = sorted(PACKAGE_DIR.glob("*.py"))
 
 
 def _tree(path: Path) -> ast.Module:
@@ -87,3 +93,49 @@ def _module_level_names(tree: ast.Module) -> set[str]:
 def test_exported_names_are_bound_at_module_level(path):
     tree = _tree(path)
     assert sorted(_exported(tree) - _module_level_names(tree)) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_numpy_is_the_only_third_party_import(path):
+    roots = set()
+    for node in _imports(_tree(path)):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+        elif node.level == 0:
+            roots.add(node.module.split(".")[0])
+    assert sorted(roots - sys.stdlib_module_names - {"numpy"}) == []
+
+
+# Every subcommand at tiny settings, in one process that then lists the
+# scipy modules it holds.
+_CLI_RUNS = """
+import json, sys
+import unot.cli
+runs = [
+    ["optimize", "--trials", "1", "--iters", "5"],
+    ["recover", "--trials", "1", "--iters", "6", "--period", "3"],
+    ["noise-sweep", "--trials", "10"],
+    ["verify", "--trials", "2", "--samples", "1000"],
+    ["tradeoff", "--trials", "5"],
+    ["compensate"],
+]
+codes = [unot.cli.main(argv + ["--out", f"rows{i}.csv"]) for i, argv in enumerate(runs)]
+scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps({"codes": codes, "scipy": scipy}))
+"""
+
+
+def test_command_line_runs_load_no_scipy(tmp_path):
+    path = os.pathsep.join(
+        p for p in (str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", _CLI_RUNS],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result == {"codes": [0] * 6, "scipy": []}
