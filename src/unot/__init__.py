@@ -19,7 +19,7 @@ from .circuit import (
 )
 from .evolve import (
     DeConfig,
-    DeState,
+    FeedbackRun,
     GeneratorBasis,
     NoiseModel,
     channel_from_unitary,
@@ -28,7 +28,6 @@ from .evolve import (
     gell_mann_basis,
     optimal_controls,
     run_feedback,
-    run_feedback_trials,
     unitary_from_controls,
 )
 from .fidelity import (
@@ -57,7 +56,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AffineBlochChannel",
     "DeConfig",
-    "DeState",
+    "FeedbackRun",
     "FidelityStats",
     "GeneratorBasis",
     "LadderCircuit",
@@ -85,7 +84,6 @@ __all__ = [
     "rotation_from_gate",
     "rotation_from_unitary",
     "run_feedback",
-    "run_feedback_trials",
     "sample_bloch",
     "sample_unitary",
     "simulate_full",

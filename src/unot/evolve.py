@@ -10,10 +10,13 @@ and discarding the ancillas yields a qubit channel whose figure of merit
 is maximal (xi = 2/3) exactly at the optimal universal flip.  The feedback
 loop is DE/rand/1 with binomial crossover and strict greedy selection,
 optionally disturbed by periodic control noise to probe stability.
+`run_feedback` runs one loop per seed in lockstep and returns their history
+as (iterations + 1, trials) arrays in a `FeedbackRun`.
 """
 
 from __future__ import annotations
 
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -28,8 +31,7 @@ __all__ = [
     "GeneratorBasis",
     "NoiseModel",
     "DeConfig",
-    "DeState",
-    "IterationRecord",
+    "FeedbackRun",
     "gell_mann_basis",
     "unitary_from_controls",
     "channel_from_unitary",
@@ -41,7 +43,6 @@ __all__ = [
     "de_mutate",
     "de_crossover",
     "run_feedback",
-    "run_feedback_trials",
 ]
 
 _BASIS_TOL = 1e-12
@@ -117,6 +118,15 @@ def gell_mann_basis(dim: int) -> GeneratorBasis:
     return GeneratorBasis(np.array(mats))
 
 
+def _integer(value, label: str, low: int) -> int:
+    """`value` as an `int` of at least `low`; bools and non-integers raise."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{label} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{label} must be at least {low}")
+    return int(value)
+
+
 def _check_controls(p: np.ndarray, basis: GeneratorBasis) -> np.ndarray:
     """Finite controls of shape (count,), or (n, count) with a leading batch axis."""
     p = np.asarray(p, dtype=float)
@@ -165,6 +175,8 @@ def channel_from_unitary(u: np.ndarray) -> AffineBlochChannel:
 
 def control_stats_batch(pop: np.ndarray, basis: GeneratorBasis) -> tuple[np.ndarray, np.ndarray]:
     """(F, Delta) arrays of the channels realized by each row of `pop`."""
+    if basis.dim != 8:
+        raise ValueError(f"control statistics require an su(8) basis, got su({basis.dim})")
     pop = _check_controls(pop, basis).reshape(-1, basis.count)
     us = _unitaries_from_control_batch(pop, basis)
     return affine_stats_batch(*_channel_parts_from_unitaries(us))
@@ -232,8 +244,8 @@ class NoiseModel:
     def __post_init__(self):
         if not np.isfinite(self.strength) or not 0.0 <= self.strength <= 1.0:
             raise ValueError("noise strength must lie in [0, 1]")
-        if self.period is not None and self.period < 0:
-            raise ValueError("period must be a nonnegative integer or None")
+        if self.period is not None:
+            object.__setattr__(self, "period", _integer(self.period, "period", 0))
 
     def hits(self, iteration: int) -> bool:
         if self.period is None or self.strength == 0.0:
@@ -264,40 +276,32 @@ class DeConfig:
     differential_weight: float = 0.1
     crossover_rate: float = 0.03
     max_iterations: int = 1000
-    seed: int = 0
 
     def __post_init__(self):
-        if self.population_size < 4:
-            raise ValueError("population_size must be at least 4")
+        for label, low in (("population_size", 4), ("max_iterations", 0)):
+            object.__setattr__(self, label, _integer(getattr(self, label), label, low))
         if not 0.0 < self.differential_weight <= 2.0:
             raise ValueError("differential_weight must lie in (0, 2]")
         if not 0.0 <= self.crossover_rate <= 1.0:
             raise ValueError("crossover_rate must lie in [0, 1]")
-        if self.max_iterations < 0:
-            raise ValueError("max_iterations must be nonnegative")
-
-
-@dataclass
-class DeState:
-    """Population snapshot after an iteration."""
-
-    population: np.ndarray
-    avg_fidelity: np.ndarray
-    deviation: np.ndarray
-    fitness: np.ndarray
-    best_index: int
-    iteration: int
 
 
 @dataclass(frozen=True)
-class IterationRecord:
-    """Best-member trace row: (F, Delta, xi) plus the noise flag."""
+class FeedbackRun:
+    """History of a lockstep feedback run, one column per trial.
 
-    iteration: int
-    avg_fidelity: float
-    deviation: float
-    fitness: float
-    noise_injected: bool
+    `avg_fidelity`, `deviation` and `fitness` hold the best member's
+    (F, Delta, xi) after each iteration, shape (iterations + 1, trials);
+    `noise_injected` flags the iterations that ended with an injection,
+    shape (iterations + 1,); `population` is the final (trials, n, d)
+    population.
+    """
+
+    avg_fidelity: np.ndarray
+    deviation: np.ndarray
+    fitness: np.ndarray
+    noise_injected: np.ndarray
+    population: np.ndarray
 
 
 def de_mutate(population: np.ndarray, weight: float, picks: np.ndarray) -> np.ndarray:
@@ -323,29 +327,29 @@ def de_crossover(
     return np.where(draws <= rate, mutant, target)
 
 
-def run_feedback_trials(
+def run_feedback(
     config: DeConfig,
     noise: NoiseModel,
     basis: GeneratorBasis,
     seeds: Sequence[int],
     initial_population: np.ndarray | None = None,
-) -> list[tuple[DeState, list[IterationRecord]]]:
+) -> FeedbackRun:
     """Run one feedback loop per seed, all trials advancing in lockstep.
 
-    Returns the final state and the trace of each trial, in seed order;
-    `config.seed` is not read.  Trial k draws only from its own sampler,
-    seeded with `seeds[k]`, so it is bitwise the lone run of that seed.  An
-    `initial_population` replaces the first draw and has shape (trials, n, d).
+    Column k of the returned history is trial k, which draws only from its
+    own sampler, seeded with `seeds[k]`, so it is bitwise the lone run of
+    that seed.  An `initial_population` replaces the first draw and has
+    shape (trials, n, d).
 
-    Iteration 0 records the initial population; each later iteration runs
-    one DE sweep and then applies any noise scheduled for it, so an
-    injection row shows the raw disturbed values before the loop starts
-    healing them.  A sweep draws, per trial, `pick_distinct(n - 1, 3, (n,))`
-    for the donors and `random((n, d))` for the crossover mask.  Trial moves
-    are built from the pre-sweep population and committed together, so the
-    trace does not depend on evaluation order.  Selection is strict: a
-    trial vector replaces its target only when its fitness improves, so one
-    that took no mutant component is not evaluated.
+    Row 0 records the initial population; each later iteration runs one DE
+    sweep and then applies any noise scheduled for it, so an injection row
+    shows the raw disturbed values before the loop starts healing them.  A
+    sweep draws, per trial, `pick_distinct(n - 1, 3, (n,))` for the donors
+    and `random((n, d))` for the crossover mask.  Trial moves are built from
+    the pre-sweep population and committed together, so the history does
+    not depend on evaluation order.  Selection is strict: a trial vector
+    replaces its target only when its fitness improves, so one that took no
+    mutant component is not evaluated.
     """
     samplers = [SeededSampler(seed) for seed in seeds]
     t, n, d = len(samplers), config.population_size, basis.count
@@ -365,20 +369,20 @@ def run_feedback_trials(
         avg_f, dev = control_stats_batch(population.reshape(t * n, d), basis)
         return avg_f.reshape(t, n), dev.reshape(t, n)
 
-    if noise.hits(0):
+    rows = config.max_iterations + 1
+    injected = np.array([noise.hits(it) for it in range(rows)], dtype=bool)
+    best_f, best_dev, best_fit = (np.empty((rows, t)) for _ in range(3))
+
+    def record(it: int) -> None:
+        best = np.arange(t), np.argmax(fit, axis=1)
+        best_f[it], best_dev[it], best_fit[it] = avg_f[best], dev[best], fit[best]
+
+    if injected[0]:
         population = disturb(population)
     avg_f, dev = evaluate(population)
     fit = avg_f - dev
-
-    # Per iteration: (F, Delta, xi) of each trial's best member, and the noise flag.
-    history = []
-
-    def record(injected: bool) -> None:
-        best = np.arange(t), np.argmax(fit, axis=1)
-        history.append((avg_f[best], dev[best], fit[best], injected))
-
-    record(noise.hits(0))
-    for iteration in range(1, config.max_iterations + 1):
+    record(0)
+    for iteration in range(1, rows):
         picks = np.stack([s.pick_distinct(n - 1, 3, (n,)) for s in samplers])
         draws = np.stack([s.random((n, d)) for s in samplers])
         mutant = de_mutate(population, config.differential_weight, picks)
@@ -394,39 +398,9 @@ def run_feedback_trials(
             avg_f[better] = t_avg_f[won]
             dev[better] = t_dev[won]
             fit[better] = t_fit[won]
-        injected = noise.hits(iteration)
-        if injected:
+        if injected[iteration]:
             population = disturb(population)
             avg_f, dev = evaluate(population)
             fit = avg_f - dev
-        record(injected)
-
-    results = []
-    for k in range(t):
-        trace = [
-            IterationRecord(it, float(f[k]), float(dv[k]), float(xi[k]), injected)
-            for it, (f, dv, xi, injected) in enumerate(history)
-        ]
-        state = DeState(
-            population=population[k],
-            avg_fidelity=avg_f[k],
-            deviation=dev[k],
-            fitness=fit[k],
-            best_index=int(np.argmax(fit[k])),
-            iteration=config.max_iterations,
-        )
-        results.append((state, trace))
-    return results
-
-
-def run_feedback(
-    config: DeConfig,
-    noise: NoiseModel,
-    basis: GeneratorBasis,
-    initial_population: np.ndarray | None = None,
-) -> tuple[DeState, list[IterationRecord]]:
-    """Run the feedback loop of seed `config.seed` and return the final
-    state plus its trace: the one-trial call of `run_feedback_trials`."""
-    if initial_population is not None:
-        initial_population = np.asarray(initial_population, dtype=float)[None]
-    return run_feedback_trials(config, noise, basis, [config.seed], initial_population)[0]
+        record(iteration)
+    return FeedbackRun(best_f, best_dev, best_fit, injected, population)

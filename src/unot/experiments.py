@@ -32,7 +32,7 @@ from .evolve import (
     control_stats_batch,
     gell_mann_basis,
     optimal_controls,
-    run_feedback_trials,
+    run_feedback,
 )
 from .fidelity import (
     DEVIATION_SLOPE,
@@ -491,32 +491,23 @@ def _search(config: ExperimentConfig, noises):
     every `config.stride`-th iteration and the last, and the final F and
     Delta arrays of the trials.
     """
-    de_config = DeConfig(
-        population_size=config.npop,
-        differential_weight=config.dweight,
-        crossover_rate=config.cr,
-        max_iterations=config.iters,
-    )
+    de_config = DeConfig(config.npop, config.dweight, config.cr, config.iters)
     seeds = [child.seed for child in SeededSampler(config.seed).split(config.trials)]
     basis = gell_mann_basis(8)
     iterations = [*range(0, config.iters, config.stride), config.iters]
     for noise in noises:
-        runs = run_feedback_trials(de_config, noise, basis, seeds)
-        rows = []
-        for it in iterations:
-            best = [trace[it] for _, trace in runs]
-            f = np.array([r.avg_fidelity for r in best])
-            d = np.array([r.deviation for r in best])
-            rows.append(
-                {
-                    "iteration": it,
-                    **_summary(f, d),
-                    "mean_fitness": float(np.mean([r.fitness for r in best])),
-                    "noise_injected": bool(best[0].noise_injected),
-                    "trials": len(best),
-                }
-            )
-        yield rows, f, d
+        run = run_feedback(de_config, noise, basis, seeds)
+        rows = [
+            {
+                "iteration": it,
+                **_summary(run.avg_fidelity[it], run.deviation[it]),
+                "mean_fitness": float(run.fitness[it].mean()),
+                "noise_injected": bool(run.noise_injected[it]),
+                "trials": config.trials,
+            }
+            for it in iterations
+        ]
+        yield rows, run.avg_fidelity[-1], run.deviation[-1]
 
 
 def run_optimize(config: ExperimentConfig) -> ExperimentResult:
@@ -572,8 +563,12 @@ _DE_SETTINGS = ("seed", "trials", "npop", "dweight", "cr", "iters", "stride")
 
 def _de_arrays(c: ExperimentConfig) -> dict[str, int]:
     # Per member and trial, an evaluation builds about 1 KiB (an 8x8 complex
-    # unitary and its eigenvectors) and a sweep ranks npop - 1 float64 donor keys.
-    return {"npop and trials": c.trials * c.npop * max(1024, 8 * (c.npop - 1))}
+    # unitary and its eigenvectors) and a sweep ranks npop - 1 float64 donor
+    # keys.  The history keeps one float64 per iteration row and trial.
+    return {
+        "npop and trials": c.trials * c.npop * max(1024, 8 * (c.npop - 1)),
+        "iters and trials": 8 * (c.iters + 1) * c.trials,
+    }
 
 
 # The command line offers exactly each experiment's settings as flags and

@@ -23,7 +23,7 @@ from unot.evolve import (
     control_stats_batch,
     gell_mann_basis,
     optimal_controls,
-    run_feedback_trials,
+    run_feedback,
 )
 from unot.fidelity import (
     DEVIATION_SLOPE,
@@ -150,25 +150,20 @@ def test_08_search_converges_near_the_ceiling():
         crossover_rate=0.03,
         max_iterations=1000,
     )
-    runs = run_feedback_trials(config, NoiseModel(0.0), _BASIS8, range(20))
-    finals_f = [trace[-1].avg_fidelity for _, trace in runs]
-    finals_d = [trace[-1].deviation for _, trace in runs]
-    assert np.median(finals_f) >= 0.655
-    assert np.median(finals_d) <= 0.02
+    run = run_feedback(config, NoiseModel(0.0), _BASIS8, range(20))
+    assert np.median(run.avg_fidelity[-1]) >= 0.655
+    assert np.median(run.deviation[-1]) <= 0.02
     assert time.perf_counter() - start < 600.0
 
 
 def test_09_search_recovers_between_injections():
     start = time.perf_counter()
     config = DeConfig(max_iterations=1000)
-    runs = run_feedback_trials(config, NoiseModel(0.5, period=100), _BASIS8, range(20))
-    traces = [trace for _, trace in runs]
+    run = run_feedback(config, NoiseModel(0.5, period=100), _BASIS8, range(20))
     for k in range(1, 11):
-        at_injection = np.median([t[100 * k].avg_fidelity for t in traces])
-        assert at_injection < 0.60
+        assert np.median(run.avg_fidelity[100 * k]) < 0.60
     for k in range(2, 11):
-        before_next = np.median([t[100 * k - 1].avg_fidelity for t in traces])
-        assert before_next >= 0.64
+        assert np.median(run.avg_fidelity[100 * k - 1]) >= 0.64
     assert time.perf_counter() - start < 600.0
 
 

@@ -174,6 +174,8 @@ def test_missing_config_file_is_rejected(tmp_path):
         pytest.param(
             ["optimize", "--trials", "200000", "--iters", "1"], "trials", id="eval-batch"
         ),
+        pytest.param(["optimize", "--iters", str(10**9)], "iters", id="huge-iters"),
+        pytest.param(["recover", "--iters", str(10**9)], "iters", id="huge-recover-iters"),
         pytest.param(["noise-sweep", "--trials", str(10**9)], "trials", id="huge-trials"),
         pytest.param(["verify", "--samples", str(10**10)], "samples", id="huge-samples"),
     ],

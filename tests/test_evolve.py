@@ -1,11 +1,15 @@
 """Tests for control parametrization, noise, and the feedback loop."""
 
+import functools
+import json
+
 import numpy as np
 import pytest
 from scipy.linalg import expm, schur
 
 import unot.evolve
 from unot.circuit import full_unitary, optimal_three_qubit_circuit
+from unot.cli import main
 from unot.evolve import (
     DeConfig,
     GeneratorBasis,
@@ -20,7 +24,6 @@ from unot.evolve import (
     gell_mann_basis,
     optimal_controls,
     run_feedback,
-    run_feedback_trials,
     unitary_from_controls,
 )
 from unot.fidelity import affine_channel_stats
@@ -262,65 +265,121 @@ def test_de_config_validation():
         DeConfig(crossover_rate=1.5)
 
 
+@pytest.mark.parametrize(
+    "make, label",
+    [
+        (DeConfig, "population_size"),
+        (DeConfig, "max_iterations"),
+        (functools.partial(NoiseModel, 0.5), "period"),
+    ],
+    ids=["population_size", "max_iterations", "period"],
+)
+def test_integer_de_settings_reject_bools_and_fractions(make, label):
+    for bad in (10.5, 2.5, np.float64(10.0), True, np.bool_(True), "10"):
+        with pytest.raises(ValueError, match=f"{label} must be an integer"):
+            make(**{label: bad})
+    value = getattr(make(**{label: np.int64(10)}), label)
+    assert type(value) is int and value == 10
+
+
 def test_run_feedback_trace_shape_and_determinism():
-    config = DeConfig(max_iterations=40, seed=7)
-    state_a, trace_a = run_feedback(config, NoiseModel(0.0), _BASIS8)
-    state_b, trace_b = run_feedback(config, NoiseModel(0.0), _BASIS8)
-    assert len(trace_a) == 41
-    assert trace_a == trace_b
-    assert np.array_equal(state_a.population, state_b.population)
-    assert state_a.population.shape == (10, 63)
+    config = DeConfig(max_iterations=40)
+    run_a = run_feedback(config, NoiseModel(0.0), _BASIS8, [7])
+    run_b = run_feedback(config, NoiseModel(0.0), _BASIS8, [7])
+    assert run_a.avg_fidelity.shape == (41, 1)
+    for name in ("avg_fidelity", "deviation", "fitness", "noise_injected", "population"):
+        assert np.array_equal(getattr(run_a, name), getattr(run_b, name))
+    assert run_a.population.shape == (1, 10, 63)
 
 
 def test_run_feedback_fitness_is_monotone_without_noise():
-    config = DeConfig(max_iterations=120, seed=8)
-    _, trace = run_feedback(config, NoiseModel(0.0), _BASIS8)
-    values = [row.fitness for row in trace]
-    assert all(b >= a for a, b in zip(values, values[1:]))
-    assert all(row.fitness <= 2.0 / 3.0 + 1e-9 for row in trace)
-    assert not any(row.noise_injected for row in trace)
+    run = run_feedback(DeConfig(max_iterations=120), NoiseModel(0.0), _BASIS8, [8])
+    values = run.fitness[:, 0]
+    assert np.all(values[1:] >= values[:-1])
+    assert np.all(values <= 2.0 / 3.0 + 1e-9)
+    assert not run.noise_injected.any()
 
 
 def test_run_feedback_improves_on_the_initial_population():
-    config = DeConfig(max_iterations=150, seed=9)
-    _, trace = run_feedback(config, NoiseModel(0.0), _BASIS8)
-    assert trace[-1].fitness > trace[0].fitness + 0.05
+    run = run_feedback(DeConfig(max_iterations=150), NoiseModel(0.0), _BASIS8, [9])
+    assert run.fitness[-1, 0] > run.fitness[0, 0] + 0.05
 
 
 def test_run_feedback_marks_injections():
-    config = DeConfig(max_iterations=60, seed=10)
-    _, trace = run_feedback(config, NoiseModel(0.4, period=25), _BASIS8)
-    flags = [row.iteration for row in trace if row.noise_injected]
-    assert flags == [25, 50]
-    for prev, row in zip(trace, trace[1:]):
-        if not row.noise_injected:
-            assert row.fitness >= prev.fitness
+    noise = NoiseModel(0.4, period=25)
+    run = run_feedback(DeConfig(max_iterations=60), noise, _BASIS8, [10])
+    assert np.flatnonzero(run.noise_injected).tolist() == [25, 50]
+    for it in range(1, 61):
+        if not run.noise_injected[it]:
+            assert run.fitness[it, 0] >= run.fitness[it - 1, 0]
 
 
 def test_run_feedback_single_injection_at_start():
-    config = DeConfig(max_iterations=30, seed=11)
-    _, trace = run_feedback(config, NoiseModel(0.4, period=0), _BASIS8)
-    assert trace[0].noise_injected
-    assert not any(row.noise_injected for row in trace[1:])
+    noise = NoiseModel(0.4, period=0)
+    run = run_feedback(DeConfig(max_iterations=30), noise, _BASIS8, [11])
+    assert run.noise_injected[0]
+    assert not run.noise_injected[1:].any()
 
 
 def test_run_feedback_accepts_initial_population():
-    config = DeConfig(max_iterations=5, seed=12)
-    start = np.tile(optimal_controls(_BASIS8), (10, 1))
-    state, trace = run_feedback(config, NoiseModel(0.0), _BASIS8, start)
-    assert abs(trace[0].fitness - 2.0 / 3.0) < 1e-12
-    assert all(abs(row.fitness - 2.0 / 3.0) < 1e-12 for row in trace)
+    config = DeConfig(max_iterations=5)
+    start = np.tile(optimal_controls(_BASIS8), (1, 10, 1))
+    run = run_feedback(config, NoiseModel(0.0), _BASIS8, [12], start)
+    assert abs(run.fitness[0, 0] - 2.0 / 3.0) < 1e-12
+    assert np.all(np.abs(run.fitness - 2.0 / 3.0) < 1e-12)
     with pytest.raises(ValueError):
-        run_feedback(config, NoiseModel(0.0), _BASIS8, np.zeros((3, 63)))
+        run_feedback(config, NoiseModel(0.0), _BASIS8, [12], np.zeros((1, 3, 63)))
 
 
 def test_run_feedback_rejects_nonfinite_initial_population():
-    config = DeConfig(max_iterations=1, seed=13)
-    start = np.tile(optimal_controls(_BASIS8), (10, 1))
-    start[3, 5] = np.nan
+    config = DeConfig(max_iterations=1)
+    start = np.tile(optimal_controls(_BASIS8), (1, 10, 1))
+    start[0, 3, 5] = np.nan
     with pytest.raises(ValueError, match="finite") as info:
-        run_feedback(config, NoiseModel(0.0), _BASIS8, start)
+        run_feedback(config, NoiseModel(0.0), _BASIS8, [13], start)
     assert not isinstance(info.value, np.linalg.LinAlgError)
+
+
+def test_control_stats_reject_a_basis_that_is_not_su8():
+    basis4 = gell_mann_basis(4)
+    with pytest.raises(ValueError, match=r"su\(8\)"):
+        control_stats_batch(np.zeros((2, 15)), basis4)
+    with pytest.raises(ValueError, match=r"su\(8\)"):
+        run_feedback(DeConfig(max_iterations=1), NoiseModel(0.0), basis4, [1])
+
+
+def test_feedback_run_contract(tmp_path, monkeypatch):
+    """Layout of the history, and the rows `optimize` writes from it."""
+    seeds = [child.seed for child in SeededSampler(5).split(3)]
+    noise = NoiseModel(0.3, period=7)
+    run = run_feedback(DeConfig(max_iterations=20), noise, _BASIS8, seeds)
+    for name in ("avg_fidelity", "deviation", "fitness"):
+        assert getattr(run, name).shape == (21, 3)
+        assert getattr(run, name).dtype == np.float64
+    assert run.noise_injected.shape == (21,) and run.noise_injected.dtype == bool
+    assert run.population.shape == (3, 10, 63) and run.population.dtype == np.float64
+    assert all(run.noise_injected[i] == noise.hits(i) for i in range(21))
+    for k, seed in enumerate(seeds):
+        lone = run_feedback(DeConfig(max_iterations=20), noise, _BASIS8, [seed])
+        for name in ("avg_fidelity", "deviation", "fitness"):
+            assert np.array_equal(getattr(run, name)[:, k], getattr(lone, name)[:, 0])
+        assert np.array_equal(run.population[k], lone.population[0])
+
+    monkeypatch.chdir(tmp_path)
+    argv = ["optimize", "--seed", "5", "--trials", "3", "--iters", "20", "--stride", "6"]
+    assert main(argv + ["--format", "jsonl", "--out", "o.jsonl"]) == 0
+    rows = [json.loads(line) for line in (tmp_path / "o.jsonl").read_text().splitlines()]
+    run = run_feedback(DeConfig(max_iterations=20), NoiseModel(0.0), _BASIS8, seeds)
+    assert [row["iteration"] for row in rows] == [0, 6, 12, 18, 20]
+    for row in rows:
+        it = row["iteration"]
+        for key, history in (
+            ("mean_f", run.avg_fidelity),
+            ("mean_delta", run.deviation),
+            ("mean_fitness", run.fitness),
+        ):
+            assert row[key] == float(f"{history[it].mean():.12g}")
+        assert row["noise_injected"] is bool(run.noise_injected[it])
 
 
 def test_batch_control_stats_check_their_controls():
@@ -345,25 +404,25 @@ def test_batch_control_stats_check_their_controls():
 @pytest.mark.parametrize("noise", [NoiseModel(0.0), NoiseModel(0.4, period=25)])
 def test_lockstep_trials_equal_their_lone_runs(noise):
     seeds = [3, 17, 2**63 + 5]
-    runs = run_feedback_trials(DeConfig(max_iterations=60), noise, _BASIS8, seeds)
-    assert len(runs) == len(seeds)
-    for seed, (state, trace) in zip(seeds, runs):
-        lone_state, lone_trace = run_feedback(
-            DeConfig(max_iterations=60, seed=seed), noise, _BASIS8
-        )
-        assert trace == lone_trace
-        assert np.array_equal(state.population, lone_state.population)
-        assert np.array_equal(state.fitness, lone_state.fitness)
-        assert state.best_index == lone_state.best_index
+    config = DeConfig(max_iterations=60)
+    run = run_feedback(config, noise, _BASIS8, seeds)
+    assert run.fitness.shape == (61, len(seeds))
+    for k, seed in enumerate(seeds):
+        lone = run_feedback(config, noise, _BASIS8, [seed])
+        for name in ("avg_fidelity", "deviation", "fitness"):
+            assert np.array_equal(getattr(run, name)[:, k], getattr(lone, name)[:, 0])
+        assert np.array_equal(run.noise_injected, lone.noise_injected)
+        assert np.array_equal(run.population[k], lone.population[0])
 
 
 def test_lockstep_prefix_of_seeds_is_unchanged():
     config = DeConfig(max_iterations=40)
-    four = run_feedback_trials(config, NoiseModel(0.0), _BASIS8, [1, 2, 3, 4])
-    two = run_feedback_trials(config, NoiseModel(0.0), _BASIS8, [1, 2])
-    for (state4, trace4), (state2, trace2) in zip(four[:2], two):
-        assert trace4 == trace2
-        assert np.array_equal(state4.population, state2.population)
+    four = run_feedback(config, NoiseModel(0.0), _BASIS8, [1, 2, 3, 4])
+    two = run_feedback(config, NoiseModel(0.0), _BASIS8, [1, 2])
+    for name in ("avg_fidelity", "deviation", "fitness"):
+        assert np.array_equal(getattr(four, name)[:, :2], getattr(two, name))
+    assert np.array_equal(four.noise_injected, two.noise_injected)
+    assert np.array_equal(four.population[:2], two.population)
 
 
 def test_unchanged_trial_vectors_are_not_evaluated(monkeypatch):
@@ -376,6 +435,6 @@ def test_unchanged_trial_vectors_are_not_evaluated(monkeypatch):
 
     monkeypatch.setattr(unot.evolve, "control_stats_batch", counting)
     config = DeConfig(crossover_rate=0.0, max_iterations=30)
-    runs = run_feedback_trials(config, NoiseModel(0.0), _BASIS8, [1, 2, 3])
+    run = run_feedback(config, NoiseModel(0.0), _BASIS8, [1, 2, 3])
     assert rows == [3 * 10]
-    assert all(len(trace) == 31 for _, trace in runs)
+    assert run.avg_fidelity.shape == (31, 3)

@@ -162,6 +162,12 @@ def test_largest_array_estimate_meets_the_ceiling_exactly():
         ExperimentConfig(name, **{setting: largest}, **extra)
         with pytest.raises(ValueError, match="GiB ceiling"):
             ExperimentConfig(name, **{setting: largest + 1}, **extra)
+    # The search history: one float64 per trial in each of iters + 1 rows.
+    for name in ("optimize", "recover"):
+        largest = MAX_ARRAY_BYTES // (8 * 20) - 1
+        ExperimentConfig(name, iters=largest, trials=20)
+        with pytest.raises(ValueError, match="iters and trials too large"):
+            ExperimentConfig(name, iters=largest + 1, trials=20)
     for name in EXPERIMENTS:
         ExperimentConfig(name)
 
