@@ -14,7 +14,6 @@ from .circuit import (
     optimal_stochastic_map,
     optimal_three_qubit_circuit,
     simulate_full,
-    stochastic_map_from_circuit,
     weights_from_preps,
 )
 from .evolve import (
@@ -23,8 +22,6 @@ from .evolve import (
     GeneratorBasis,
     NoiseModel,
     channel_from_unitary,
-    control_stats,
-    fitness,
     gell_mann_basis,
     optimal_controls,
     run_feedback,
@@ -35,21 +32,11 @@ from .fidelity import (
     FidelityStats,
     affine_channel_stats,
     one_qubit_stats,
-    pair_covariance,
-    pointwise_fidelity,
-    region_membership,
     stochastic_map_stats,
     three_qubit_avg_fidelity,
 )
 from .oracle import McEstimate, SeededSampler, mc_stats, sample_bloch, sample_unitary
-from .rotation import (
-    OneQubitGate,
-    gate_from_unitary,
-    rotation_from_gate,
-    rotation_from_unitary,
-    unit_axis,
-    unitary_from_gate,
-)
+from .rotation import OneQubitGate, unit_axis, unitary_from_gate
 
 __version__ = "0.1.0"
 
@@ -68,9 +55,6 @@ __all__ = [
     "affine_channel_stats",
     "channel_from_unitary",
     "compensated_four_gate_map",
-    "control_stats",
-    "fitness",
-    "gate_from_unitary",
     "gell_mann_basis",
     "mc_stats",
     "misaligned_three_gate_map",
@@ -78,16 +62,10 @@ __all__ = [
     "optimal_controls",
     "optimal_stochastic_map",
     "optimal_three_qubit_circuit",
-    "pair_covariance",
-    "pointwise_fidelity",
-    "region_membership",
-    "rotation_from_gate",
-    "rotation_from_unitary",
     "run_feedback",
     "sample_bloch",
     "sample_unitary",
     "simulate_full",
-    "stochastic_map_from_circuit",
     "stochastic_map_stats",
     "three_qubit_avg_fidelity",
     "unit_axis",

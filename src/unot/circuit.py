@@ -17,13 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rotation import (
-    OneQubitGate,
-    gate_from_unitary,
-    rotation_batch,
-    unit_axis,
-    unitary_from_gate,
-)
+from .rotation import OneQubitGate, rotation_batch, unit_axis, unitary_from_gate
 
 __all__ = [
     "StochasticMap",
@@ -31,7 +25,6 @@ __all__ = [
     "weights_from_preps",
     "mixture_linear",
     "ladder_linear",
-    "stochastic_map_from_circuit",
     "full_unitary",
     "simulate_full",
     "density_from_bloch",
@@ -60,9 +53,10 @@ class StochasticMap:
         gates = tuple(self.gates)
         if weights.ndim != 1 or len(weights) != len(gates) or len(gates) == 0:
             raise ValueError("need one weight per gate, at least one gate")
-        if np.any(weights < -_WEIGHT_TOL):
+        # Each check is written so that a NaN fails it.
+        if not np.all(weights >= -_WEIGHT_TOL):
             raise ValueError("weights must be nonnegative")
-        if abs(weights.sum() - 1.0) > _WEIGHT_TOL:
+        if not abs(weights.sum() - 1.0) <= _WEIGHT_TOL:
             raise ValueError("weights must sum to 1 within 1e-12")
         weights = weights.copy()
         weights.setflags(write=False)
@@ -74,15 +68,6 @@ class StochasticMap:
         angles = np.array([g.angle for g in self.gates])
         axes = np.array([g.axis for g in self.gates])
         return mixture_linear(self.weights[None], rotation_batch(angles, axes)[None])[0]
-
-    def apply_density(self, rho: np.ndarray) -> np.ndarray:
-        """Apply the mixture to a density matrix or a stack (..., 2, 2) of them."""
-        rho = check_density(rho)
-        out = np.zeros_like(rho)
-        for w, gate in zip(self.weights, self.gates):
-            u = unitary_from_gate(gate)
-            out += w * (u @ rho @ u.conj().T)
-        return out
 
 
 @dataclass(frozen=True)
@@ -154,21 +139,6 @@ def ladder_linear(
     return mixture_linear(weights, composed)
 
 
-def stochastic_map_from_circuit(circuit: LadderCircuit) -> StochasticMap:
-    """Reduce a ladder circuit to its stochastic map on the system qubit.
-
-    Branch gates are recovered from the composed 2x2 unitaries W_k, not by
-    combining axis-angle parameters of the factors.
-    """
-    weights = weights_from_preps(circuit.prep_params)
-    composed = []
-    w = np.eye(2, dtype=complex)
-    for gate in circuit.gates:
-        w = unitary_from_gate(gate) @ w
-        composed.append(gate_from_unitary(w))
-    return StochasticMap(weights, tuple(composed))
-
-
 def _prep_unitary(v: float) -> np.ndarray:
     a = np.sqrt(1.0 - v)
     b = np.sqrt(v)
@@ -226,12 +196,13 @@ def check_density(rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (2, 2):
         raise ValueError(f"density matrix must be 2x2, got {rho.shape}")
-    if np.max(np.abs(rho - rho.conj().swapaxes(-1, -2))) > _DENSITY_TOL:
+    # Each check is written so that a NaN fails it, before `eigvalsh` sees one.
+    if not np.max(np.abs(rho - rho.conj().swapaxes(-1, -2))) <= _DENSITY_TOL:
         raise ValueError("density matrix must be Hermitian within 1e-10")
     trace = np.trace(rho, axis1=-2, axis2=-1).real
-    if np.max(np.abs(trace - 1.0)) > _DENSITY_TOL:
+    if not np.max(np.abs(trace - 1.0)) <= _DENSITY_TOL:
         raise ValueError("density matrix must have unit trace within 1e-10")
-    if np.min(np.linalg.eigvalsh(rho)) < -_EIGVAL_TOL:
+    if not np.min(np.linalg.eigvalsh(rho)) >= -_EIGVAL_TOL:
         raise ValueError("density matrix must be positive semidefinite")
     return rho
 
@@ -241,7 +212,7 @@ def density_from_bloch(bloch: np.ndarray) -> np.ndarray:
     a = np.asarray(bloch, dtype=float)
     if a.shape != (3,):
         raise ValueError(f"bloch vector must have shape (3,), got {a.shape}")
-    if np.linalg.norm(a) > 1.0 + _DENSITY_TOL:
+    if not np.linalg.norm(a) <= 1.0 + _DENSITY_TOL:  # NaN fails too
         raise ValueError("bloch vector must have norm at most 1")
     return 0.5 * np.array(
         [[1.0 + a[2], a[0] - 1.0j * a[1]], [a[0] + 1.0j * a[1], 1.0 - a[2]]],

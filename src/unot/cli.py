@@ -59,7 +59,10 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     keys = ("out", "format", *EXPERIMENTS[args.command].settings)
     merged: dict = {}
     if args.config:
-        data = json.loads(Path(args.config).read_text())
+        try:
+            data = json.loads(Path(args.config).read_text())
+        except RecursionError:
+            raise ValueError("config file nests too deeply to read") from None
         if not isinstance(data, dict):
             raise ValueError("config file must hold a JSON object")
         for key, value in data.items():

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import full_unitary, optimal_three_qubit_circuit
-from .fidelity import AffineBlochChannel, FidelityStats, affine_stats_batch
+from .fidelity import AffineBlochChannel, affine_stats_batch
 from .oracle import SeededSampler
 from .rotation import PAULI
 
@@ -36,8 +36,6 @@ __all__ = [
     "unitary_from_controls",
     "channel_from_unitary",
     "control_stats_batch",
-    "control_stats",
-    "fitness",
     "optimal_controls",
     "apply_noise",
     "de_mutate",
@@ -182,26 +180,13 @@ def control_stats_batch(pop: np.ndarray, basis: GeneratorBasis) -> tuple[np.ndar
     return affine_stats_batch(*_channel_parts_from_unitaries(us))
 
 
-def control_stats(p: np.ndarray, basis: GeneratorBasis) -> FidelityStats:
-    """(F, Delta) of the channel realized by control vector p."""
-    p = _check_controls(p, basis).reshape(1, basis.count)
-    avg_f, dev = control_stats_batch(p, basis)
-    return FidelityStats(avg_f[0], dev[0])
-
-
-def fitness(p: np.ndarray, basis: GeneratorBasis) -> float:
-    """xi = F - Delta, at most 2/3."""
-    stats = control_stats(p, basis)
-    return stats.avg_fidelity - stats.deviation
-
-
 def optimal_controls(basis: GeneratorBasis) -> np.ndarray:
     """Controls whose unitary realizes the optimal universal flip.
 
     Takes the full unitary of the optimal three-qubit ladder, extracts a
     traceless Hermitian logarithm from its eigendecomposition, and projects
-    it onto the generator basis.  fitness() at the result is 2/3 up to
-    roundoff.
+    it onto the generator basis.  The fitness xi = F - Delta of the result
+    (`control_stats_batch`) is 2/3 up to roundoff.
 
     The ladder unitary has 8 distinct eigenphases (the closest two lie
     about 0.62 rad apart), so each eigenvector is fixed up to a phase, the

@@ -17,13 +17,14 @@ from pathlib import Path
 import numpy as np
 
 from .circuit import (
+    LadderCircuit,
+    bloch_from_density,
     compensated_four_gate_map,
     density_from_bloch,
     ladder_linear,
     misaligned_three_gate_map,
     mixture_linear,
     simulate_full,
-    stochastic_map_from_circuit,
 )
 from .evolve import (
     DeConfig,
@@ -51,11 +52,10 @@ from .oracle import (
     mc_stats,
     sample_bloch,
     sample_gates,
-    sample_ladder_circuit,
     sample_ladders,
     sample_unitary,
 )
-from .rotation import rotation_batch, rotation_trace
+from .rotation import OneQubitGate, rotation_batch, rotation_trace
 
 __all__ = [
     "EXPERIMENTS",
@@ -386,17 +386,20 @@ def _verify_families(config: ExperimentConfig):
     yield "three-qubit-ceiling", worst_excess, 1e-10 * scale
     yield "three-qubit-oracle-agreement", worst_sigma, 5.0 * scale
 
-    # Full-space simulation agrees with the reduced stochastic map.
+    # Full-space simulation agrees with the reduced Bloch map the drivers use.
     s = sub[7]
     worst = 0.0
     for i in range(50):
-        circuit = sample_ladder_circuit(s, 1 + i % 4)
-        rho = np.empty((10, 2, 2), dtype=complex)
+        preps, angles, axes = sample_ladders(s, 1 + i % 4, 1)
+        circuit = LadderCircuit(preps[0], tuple(map(OneQubitGate, angles[0], axes[0])))
+        bloch = np.empty((10, 3))
         for k in range(10):
             radius = float(s.random(1)[0]) ** (1.0 / 3.0)  # = uniform(0, 1) bitwise
-            rho[k] = density_from_bloch(radius * sample_bloch(s))
-        reduced = stochastic_map_from_circuit(circuit).apply_density(rho)
-        worst = max(worst, float(np.max(np.abs(simulate_full(circuit, rho) - reduced))))
+            bloch[k] = radius * sample_bloch(s)
+        rho = np.array([density_from_bloch(a) for a in bloch])
+        full = bloch_from_density(simulate_full(circuit, rho))
+        reduced = bloch @ ladder_linear(preps, angles, axes)[0].T
+        worst = max(worst, float(np.max(np.abs(full - reduced))))
     yield "circuit-map-equivalence", worst, 1e-10 * scale
 
 

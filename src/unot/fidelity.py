@@ -24,17 +24,14 @@ from .rotation import OneQubitGate
 __all__ = [
     "FidelityStats",
     "AffineBlochChannel",
-    "pointwise_fidelity",
     "one_qubit_stats",
     "one_qubit_stats_batch",
-    "pair_covariance",
     "pair_covariance_batch",
     "stochastic_map_stats",
     "affine_stats_batch",
     "affine_channel_stats",
     "three_qubit_avg_fidelity",
     "region_residual",
-    "region_membership",
     "MAX_AVG_FIDELITY",
     "REGION_TOL",
     "DEVIATION_SLOPE",
@@ -51,7 +48,6 @@ DEVIATION_SLOPE = 1.0 / np.sqrt(5.0)
 REGION_TOL = 1e-9
 
 _STATS_TOL = 1e-12
-_BLOCH_NORM_TOL = 1e-9
 _UNITARY_TOL = 1e-8
 
 
@@ -96,25 +92,6 @@ class AffineBlochChannel:
         object.__setattr__(self, "shift", shift)
 
 
-def pointwise_fidelity(rotation: np.ndarray, bloch: np.ndarray) -> np.ndarray | float:
-    """Flip fidelity f = (1 - a . R a) / 2 for one or many Bloch vectors.
-
-    `bloch` may have shape (3,) or (..., 3); unit norm is required within 1e-9.
-    """
-    rotation = np.asarray(rotation, dtype=float)
-    bloch = np.asarray(bloch, dtype=float)
-    if rotation.shape != (3, 3):
-        raise ValueError(f"rotation must be 3x3, got {rotation.shape}")
-    if bloch.shape[-1:] != (3,):
-        raise ValueError("bloch vectors must have trailing dimension 3")
-    norms = np.linalg.norm(bloch, axis=-1)
-    if np.max(np.abs(norms - 1.0)) > _BLOCH_NORM_TOL:
-        raise ValueError("bloch vectors must be unit length within 1e-9")
-    quad = np.einsum("...i,ij,...j->...", bloch, rotation, bloch)
-    f = 0.5 * (1.0 - quad)
-    return float(f) if f.ndim == 0 else f
-
-
 def _versine(angle):
     # 1 - cos(angle) as 2 sin^2(angle / 2): no cancellation near angle = 0.
     half = np.sin(0.5 * angle)
@@ -155,13 +132,6 @@ def pair_covariance_batch(gates_k, gates_l) -> np.ndarray:
     overlap = np.einsum("...i,...i->...", axes_k, axes_l)
     return (
         _versine(angles_k) * _versine(angles_l) * (3.0 * overlap * overlap - 1.0) / 90.0
-    )
-
-
-def pair_covariance(gate_k: OneQubitGate, gate_l: OneQubitGate) -> float:
-    """Covariance of two gates; see `pair_covariance_batch`."""
-    return float(
-        pair_covariance_batch((gate_k.angle, gate_k.axis), (gate_l.angle, gate_l.axis))
     )
 
 
@@ -236,8 +206,3 @@ def region_residual(avg_fidelity, deviation, qubit_count):
     residual = np.maximum(residual, 0.0) + 0.0
     return float(residual) if residual.ndim == 0 else residual
 
-
-def region_membership(stats: FidelityStats, qubit_count: int) -> bool:
-    """Whether (F, Delta) lies within `REGION_TOL` of its qubit-count region."""
-    residual = region_residual(stats.avg_fidelity, stats.deviation, qubit_count)
-    return bool(residual <= REGION_TOL)

@@ -13,20 +13,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import LadderCircuit
-from .rotation import OneQubitGate
-
 __all__ = [
     "SeededSampler",
     "McEstimate",
     "sample_bloch",
     "sample_unitary",
-    "sample_gate",
     "sample_gates",
-    "sample_ladder_circuit",
     "sample_ladders",
     "mc_stats",
-    "bloch_map_from_affine",
     "bloch_map_from_three_qubit_unitary",
 ]
 
@@ -140,15 +134,9 @@ def sample_gates(sampler: SeededSampler, count: int) -> tuple[np.ndarray, np.nda
     """`count` random gates as arrays: angles (count,) uniform in [0, 2*pi)
     and axes (count, 3) uniform on the sphere, drawn as `count` one-qubit
     ladders (which have no preparations), so exactly as `count` calls of
-    `sample_gate` draw them."""
+    `sample_gates(sampler, 1)` draw them."""
     _, angles, axes = sample_ladders(sampler, 1, count)
     return angles[:, 0], axes[:, 0]
-
-
-def sample_gate(sampler: SeededSampler) -> OneQubitGate:
-    """Random gate: the one-row call of `sample_gates`."""
-    angles, axes = sample_gates(sampler, 1)
-    return OneQubitGate(angles[0], axes[0])
 
 
 def sample_ladders(
@@ -161,7 +149,8 @@ def sample_ladders(
     Circuit by circuit, the preparations are drawn first and then the gates
     one at a time, each its angle and then its axis's Gaussian triple: a
     batch consumes the stream exactly as `count` calls of
-    `sample_ladder_circuit`.  Only the axis normalization runs once.
+    `sample_ladders(sampler, qubit_count, 1)`.  Only the axis normalization
+    runs once.
     """
     if qubit_count < 1:
         raise ValueError("qubit_count must be at least 1")
@@ -177,12 +166,6 @@ def sample_ladders(
             angles[i, k] = sampler.random(1)[0] * _TWO_PI  # = uniform(0, 2 pi) bitwise
             axes[i, k] = sampler.standard_normal((1, 3))[0]
     return preps, angles, _unit_rows(axes)
-
-
-def sample_ladder_circuit(sampler: SeededSampler, qubit_count: int) -> LadderCircuit:
-    """Random ladder: the one-row call of `sample_ladders`."""
-    preps, angles, axes = sample_ladders(sampler, qubit_count, 1)
-    return LadderCircuit(tuple(preps[0]), tuple(map(OneQubitGate, angles[0], axes[0])))
 
 
 def mc_stats(
@@ -213,13 +196,6 @@ def mc_stats(
     se_var = np.sqrt(max(m4 - m2 * m2, 0.0) / n)
     se_std = se_var / (2.0 * std) if std > 0.0 else 0.0
     return McEstimate(mean, se_mean, n), McEstimate(std, se_std, n)
-
-
-def bloch_map_from_affine(channel) -> "callable":
-    """Bloch action of an affine channel (duck-typed: .linear and .shift)."""
-    linear = np.asarray(channel.linear, dtype=float)
-    shift = np.asarray(channel.shift, dtype=float)
-    return lambda a: a @ linear.T + shift
 
 
 def bloch_map_from_three_qubit_unitary(u: np.ndarray) -> "callable":

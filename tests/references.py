@@ -1,0 +1,98 @@
+"""Reference routes the tests hold the package against.
+
+The drivers reduce a ladder to its Bloch map as a product of rotations
+(`circuit.ladder_linear`).  The unitary route here composes the ladder's
+2x2 unitaries instead and recovers each branch gate from their product, so
+the two agree only if composing rotations and composing unitaries agree.
+"""
+
+import numpy as np
+
+from unot.circuit import LadderCircuit, StochasticMap, check_density, weights_from_preps
+from unot.rotation import PAULI, OneQubitGate, unitary_from_gate
+
+_UNITARY_TOL = 1e-9
+
+
+def _check_unitary(u) -> np.ndarray:
+    u = np.asarray(u, dtype=complex)
+    if u.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 matrix, got shape {u.shape}")
+    if np.max(np.abs(u @ u.conj().T - np.eye(2))) > _UNITARY_TOL:
+        raise ValueError("matrix is not unitary within tolerance")
+    return u
+
+
+def rotation_from_unitary(u) -> np.ndarray:
+    """Bloch rotation R_ij = Tr(sigma_i u sigma_j u^dag) / 2 of any 2x2 unitary.
+
+    Insensitive to the global phase of `u`.
+    """
+    u = _check_unitary(u)
+    r = np.empty((3, 3))
+    for i in range(3):
+        left = PAULI[i] @ u
+        for j in range(3):
+            r[i, j] = 0.5 * np.trace(left @ PAULI[j] @ u.conj().T).real
+    return r
+
+
+def gate_from_unitary(u) -> OneQubitGate:
+    """Recover axis-angle parameters from a 2x2 unitary, ignoring global phase.
+
+    The unitary is first rescaled to determinant one; the remaining sign
+    ambiguity (+/- V give the same rotation) is resolved toward a
+    nonnegative sine of the half angle.
+    """
+    u = _check_unitary(u)
+    v = u / np.sqrt(np.linalg.det(u))
+    cos_half = 0.5 * (v[0, 0] + v[1, 1]).real
+    sin_n = 0.5 * np.array(
+        [
+            -(v[0, 1] + v[1, 0]).imag,
+            (v[1, 0] - v[0, 1]).real,
+            -(v[0, 0] - v[1, 1]).imag,
+        ]
+    )
+    sin_half = np.linalg.norm(sin_n)
+    if sin_half < 1e-15:
+        # Identity up to phase, to the resolution of the entries of `u`: the
+        # rotation this drops moves R by less than 2e-15.
+        return OneQubitGate(0.0, np.array([0.0, 0.0, 1.0]))
+    return OneQubitGate(2.0 * np.arctan2(sin_half, cos_half), sin_n / sin_half)
+
+
+def stochastic_map_from_circuit(circuit: LadderCircuit) -> StochasticMap:
+    """Reduce a ladder circuit to its stochastic map on the system qubit.
+
+    Branch gates are recovered from the composed 2x2 unitaries W_k, not by
+    combining axis-angle parameters of the factors.
+    """
+    composed = []
+    w = np.eye(2, dtype=complex)
+    for gate in circuit.gates:
+        w = unitary_from_gate(gate) @ w
+        composed.append(gate_from_unitary(w))
+    return StochasticMap(weights_from_preps(circuit.prep_params), tuple(composed))
+
+
+def apply_density(smap: StochasticMap, rho) -> np.ndarray:
+    """Apply a gate mixture to a density matrix or a stack (..., 2, 2) of them."""
+    rho = check_density(rho)
+    out = np.zeros_like(rho)
+    for w, gate in zip(smap.weights, smap.gates):
+        u = unitary_from_gate(gate)
+        out += w * (u @ rho @ u.conj().T)
+    return out
+
+
+def bloch_map_from_affine(channel):
+    """Bloch action a -> linear a + shift of an affine channel, for `mc_stats`."""
+    linear = np.asarray(channel.linear, dtype=float)
+    shift = np.asarray(channel.shift, dtype=float)
+    return lambda a: a @ linear.T + shift
+
+
+def ladder_circuit(preps, angles, axes) -> LadderCircuit:
+    """The `LadderCircuit` of the first row of `oracle.sample_ladders` arrays."""
+    return LadderCircuit(preps[0], tuple(map(OneQubitGate, angles[0], axes[0])))

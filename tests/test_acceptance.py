@@ -7,14 +7,16 @@ Seeds are fixed so every number below is reproducible bit for bit.
 import time
 
 import numpy as np
+from references import bloch_map_from_affine, ladder_circuit
 
 from unot.circuit import (
+    bloch_from_density,
     compensated_four_gate_map,
     density_from_bloch,
+    ladder_linear,
     misaligned_three_gate_map,
     optimal_stochastic_map,
     simulate_full,
-    stochastic_map_from_circuit,
 )
 from unot.evolve import (
     DeConfig,
@@ -27,36 +29,34 @@ from unot.evolve import (
 )
 from unot.fidelity import (
     DEVIATION_SLOPE,
+    REGION_TOL,
     AffineBlochChannel,
-    one_qubit_stats,
-    pair_covariance,
-    region_membership,
+    affine_stats_batch,
+    one_qubit_stats_batch,
+    pair_covariance_batch,
+    region_residual,
     stochastic_map_stats,
     three_qubit_avg_fidelity,
 )
 from unot.oracle import (
     SeededSampler,
-    bloch_map_from_affine,
     bloch_map_from_three_qubit_unitary,
     mc_stats,
     sample_bloch,
-    sample_gate,
-    sample_ladder_circuit,
+    sample_gates,
+    sample_ladders,
     sample_unitary,
 )
-from unot.rotation import OneQubitGate, rotation_from_gate, rotation_trace, unit_axis
+from unot.rotation import rotation_batch, rotation_trace
 
 _BASIS8 = gell_mann_basis(8)
 
 
 def test_01_single_gates_sit_on_the_deviation_line():
     start = time.perf_counter()
-    sampler = SeededSampler(101)
-    worst = 0.0
-    for _ in range(1000):
-        stats = one_qubit_stats(sample_gate(sampler))
-        worst = max(worst, abs(stats.deviation - stats.avg_fidelity * DEVIATION_SLOPE))
-    assert worst < 1e-12
+    angles, _ = sample_gates(SeededSampler(101), 1000)
+    avg_f, dev = one_qubit_stats_batch(angles)
+    assert np.max(np.abs(dev - avg_f * DEVIATION_SLOPE)) < 1e-12
     assert time.perf_counter() - start < 1.0
 
 
@@ -88,10 +88,9 @@ def test_04_random_circuits_respect_their_regions():
     start = time.perf_counter()
     sampler = SeededSampler(104)
     for qubit_count in (1, 2, 3):
-        for _ in range(1000):
-            circuit = sample_ladder_circuit(sampler, qubit_count)
-            stats = stochastic_map_stats(stochastic_map_from_circuit(circuit))
-            assert region_membership(stats, qubit_count)
+        linear = ladder_linear(*sample_ladders(sampler, qubit_count, 1000))
+        avg_f, dev = affine_stats_batch(linear, np.zeros((1000, 3)))
+        assert np.all(region_residual(avg_f, dev, qubit_count) <= REGION_TOL)
     assert time.perf_counter() - start < 30.0
 
 
@@ -99,36 +98,35 @@ def test_05_full_simulation_equals_reduced_map():
     start = time.perf_counter()
     sampler = SeededSampler(105)
     for i in range(200):
-        circuit = sample_ladder_circuit(sampler, 1 + i % 4)
-        smap = stochastic_map_from_circuit(circuit)
+        ladder = sample_ladders(sampler, 1 + i % 4, 1)
+        circuit = ladder_circuit(*ladder)
+        linear = ladder_linear(*ladder)[0]
         for _ in range(10):
             radius = float(sampler.uniform(0.0, 1.0, 1)[0]) ** (1.0 / 3.0)
-            rho = density_from_bloch(radius * sample_bloch(sampler))
-            diff = simulate_full(circuit, rho) - smap.apply_density(rho)
-            assert np.max(np.abs(diff)) < 1e-10
+            a = radius * sample_bloch(sampler)
+            full = bloch_from_density(simulate_full(circuit, density_from_bloch(a)))
+            assert np.max(np.abs(full - linear @ a)) < 1e-10
     assert time.perf_counter() - start < 60.0
 
 
 def test_06_covariance_bounds_hold_and_are_tight():
     start = time.perf_counter()
     sampler = SeededSampler(106)
-    for _ in range(1000):
-        g_k, g_l = sample_gate(sampler), sample_gate(sampler)
-        c = pair_covariance(g_k, g_l)
-        d_k = one_qubit_stats(g_k).deviation
-        d_l = one_qubit_stats(g_l).deviation
-        assert c <= d_k * d_l + 1e-12
-        assert c >= -0.5 * d_k * d_l - 1e-12
-    for _ in range(100):
-        angle_k = float(sampler.uniform(0.0, 2.0 * np.pi, 1)[0])
-        angle_l = float(sampler.uniform(0.0, 2.0 * np.pi, 1)[0])
-        parallel_k = OneQubitGate(angle_k, unit_axis(0.0, 0.0, 1.0))
-        parallel_l = OneQubitGate(angle_l, unit_axis(0.0, 0.0, 1.0))
-        ortho_l = OneQubitGate(angle_l, unit_axis(1.0, 0.0, 0.0))
-        d_k = one_qubit_stats(parallel_k).deviation
-        d_l = one_qubit_stats(parallel_l).deviation
-        assert abs(pair_covariance(parallel_k, parallel_l) - d_k * d_l) < 1e-12
-        assert abs(pair_covariance(parallel_k, ortho_l) + 0.5 * d_k * d_l) < 1e-12
+    angles, axes = sample_gates(sampler, 2000)
+    c = pair_covariance_batch((angles[0::2], axes[0::2]), (angles[1::2], axes[1::2]))
+    _, dev = one_qubit_stats_batch(angles)
+    d_k, d_l = dev[0::2], dev[1::2]
+    assert np.all(c <= d_k * d_l + 1e-12)
+    assert np.all(c >= -0.5 * d_k * d_l - 1e-12)
+    # Parallel axes reach the upper bound, orthogonal axes the lower one.
+    angles = sampler.uniform(0.0, 2.0 * np.pi, 200)
+    _, dev = one_qubit_stats_batch(angles)
+    d_k, d_l = dev[0::2], dev[1::2]
+    z, x = np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])
+    parallel = pair_covariance_batch((angles[0::2], z), (angles[1::2], z))
+    ortho = pair_covariance_batch((angles[0::2], z), (angles[1::2], x))
+    assert np.max(np.abs(parallel - d_k * d_l)) < 1e-12
+    assert np.max(np.abs(ortho + 0.5 * d_k * d_l)) < 1e-12
     assert time.perf_counter() - start < 1.0
 
 
@@ -180,12 +178,11 @@ def test_10_fourth_gate_compensates_a_tilted_axis():
 
 def test_11_rotation_trace_identities():
     start = time.perf_counter()
-    sampler = SeededSampler(111)
-    for _ in range(1000):
-        gate = sample_gate(sampler)
-        r = rotation_from_gate(gate)
-        tr = np.trace(r)
-        assert abs(tr - (2.0 * np.cos(gate.angle) + 1.0)) < 1e-12
-        assert abs(tr - rotation_trace(gate.angle)) < 1e-12
-        assert abs(tr * tr - np.trace(r @ r) - 2.0 * tr) < 1e-12
+    angles, axes = sample_gates(SeededSampler(111), 1000)
+    r = rotation_batch(angles, axes)
+    tr = np.trace(r, axis1=1, axis2=2)
+    assert np.max(np.abs(tr - (2.0 * np.cos(angles) + 1.0))) < 1e-12
+    assert np.max(np.abs(tr - rotation_trace(angles))) < 1e-12
+    tr_sq = np.trace(r @ r, axis1=1, axis2=2)
+    assert np.max(np.abs(tr * tr - tr_sq - 2.0 * tr)) < 1e-12
     assert time.perf_counter() - start < 1.0

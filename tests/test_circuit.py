@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from ladder_strategies import bloch_vectors, ladder_circuits
+from references import apply_density, ladder_circuit, stochastic_map_from_circuit
 
 from unot.circuit import (
     LadderCircuit,
@@ -19,18 +20,11 @@ from unot.circuit import (
     optimal_stochastic_map,
     optimal_three_qubit_circuit,
     simulate_full,
-    stochastic_map_from_circuit,
     weights_from_preps,
 )
 from unot.fidelity import stochastic_map_stats, three_qubit_avg_fidelity
-from unot.oracle import (
-    SeededSampler,
-    sample_bloch,
-    sample_gates,
-    sample_ladder_circuit,
-    sample_ladders,
-)
-from unot.rotation import OneQubitGate, rotation_from_gate, unit_axis
+from unot.oracle import SeededSampler, sample_bloch, sample_gates, sample_ladders
+from unot.rotation import OneQubitGate, rotation_batch, unit_axis
 
 _X = unit_axis(1.0, 0.0, 0.0)
 _Y = unit_axis(0.0, 1.0, 0.0)
@@ -97,13 +91,13 @@ def test_circuit_route_to_optimal_map_is_near_exact():
 def test_full_simulation_agrees_with_reduced_map():
     sampler = SeededSampler(31)
     for qubit_count in (1, 2, 3, 4):
-        circuit = sample_ladder_circuit(sampler, qubit_count)
+        circuit = ladder_circuit(*sample_ladders(sampler, qubit_count, 1))
         smap = stochastic_map_from_circuit(circuit)
         for _ in range(5):
             a = sample_bloch(sampler) * float(sampler.uniform(0.0, 1.0, 1)[0])
             rho = density_from_bloch(a)
             direct = simulate_full(circuit, rho)
-            reduced = smap.apply_density(rho)
+            reduced = apply_density(smap, rho)
             check_density(direct)
             assert np.max(np.abs(direct - reduced)) < 1e-10
 
@@ -116,7 +110,7 @@ def test_optimal_circuit_output_for_computational_input():
 
 
 def test_full_unitary_dimensions_and_unitarity():
-    circuit = sample_ladder_circuit(SeededSampler(8), 3)
+    circuit = ladder_circuit(*sample_ladders(SeededSampler(8), 3, 1))
     u = full_unitary(circuit)
     assert u.shape == (8, 8)
     assert np.max(np.abs(u @ u.conj().T - np.eye(8))) < 1e-12
@@ -177,7 +171,7 @@ def test_tilt_angle_bounds():
 @given(circuit=ladder_circuits(), bloch=bloch_vectors)
 def test_full_simulation_matches_reduced_map(circuit, bloch):
     rho = density_from_bloch(bloch)
-    reduced = stochastic_map_from_circuit(circuit).apply_density(rho)
+    reduced = apply_density(stochastic_map_from_circuit(circuit), rho)
     assert np.max(np.abs(simulate_full(circuit, rho) - reduced)) < 1e-10
 
 
@@ -238,8 +232,8 @@ def test_mixture_linear_is_the_gate_order_sum():
     angles, axes = sample_gates(SeededSampler(4), 5)
     weights = np.array([0.1, 0.3, 0.2, 0.25, 0.15])
     gates = [OneQubitGate(a, x) for a, x in zip(angles, axes)]
-    expected = sum(w * rotation_from_gate(g) for w, g in zip(weights, gates))
-    rotations = np.array([rotation_from_gate(g) for g in gates])
+    rotations = rotation_batch(angles, axes)
+    expected = sum(w * r for w, r in zip(weights, rotations))
     assert np.array_equal(mixture_linear(weights[None], rotations[None])[0], expected)
     assert np.array_equal(StochasticMap(weights, tuple(gates)).bloch_linear(), expected)
 
@@ -252,13 +246,13 @@ def _density_stack(sampler, count):
 @pytest.mark.parametrize("qubit_count", [1, 2, 3, 4])
 def test_simulate_full_on_a_stack_equals_single_calls(qubit_count):
     sampler = SeededSampler(40 + qubit_count)
-    circuit = sample_ladder_circuit(sampler, qubit_count)
+    circuit = ladder_circuit(*sample_ladders(sampler, qubit_count, 1))
     rho = _density_stack(sampler, 10)
     single = np.array([simulate_full(circuit, r) for r in rho])
     assert np.array_equal(simulate_full(circuit, rho), single)
     smap = stochastic_map_from_circuit(circuit)
     assert np.array_equal(
-        smap.apply_density(rho), np.array([smap.apply_density(r) for r in rho])
+        apply_density(smap, rho), np.array([apply_density(smap, r) for r in rho])
     )
     assert np.array_equal(bloch_from_density(rho), [bloch_from_density(r) for r in rho])
 
@@ -273,10 +267,35 @@ def test_simulate_full_on_a_stack_equals_single_calls(qubit_count):
 )
 def test_simulate_full_rejects_a_bad_density_in_a_stack(bad):
     sampler = SeededSampler(9)
-    circuit = sample_ladder_circuit(sampler, 3)
+    circuit = ladder_circuit(*sample_ladders(sampler, 3, 1))
     rho = _density_stack(sampler, 5)
     rho[3] = np.array(bad, dtype=complex)
     with pytest.raises(ValueError):
         simulate_full(circuit, rho)
     with pytest.raises(ValueError):
         check_density(rho)
+
+
+
+_FLIPS = (OneQubitGate(np.pi, _X),) * 2
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: StochasticMap([np.nan, np.nan], _FLIPS),
+        lambda: StochasticMap([np.nan, 1.0], _FLIPS),
+        lambda: density_from_bloch([np.nan, 0.0, 0.0]),
+        lambda: check_density(np.full((2, 2), np.nan)),
+        lambda: LadderCircuit((np.nan,), _FLIPS),
+        lambda: weights_from_preps([0.5, np.nan]),
+        lambda: OneQubitGate(np.nan, _X),
+        lambda: OneQubitGate(1.0, [np.nan, 0.0, 1.0]),
+    ],
+    ids=[
+        "weights", "one-weight", "bloch", "density", "ladder", "preps", "angle", "axis"
+    ],
+)
+def test_validators_reject_nan(build):
+    with pytest.raises(ValueError):
+        build()

@@ -142,6 +142,20 @@ def test_unknown_config_key_is_rejected(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["[" * 100_000, '{"trials": ' + "[" * 100_000],
+    ids=["nested-array", "nested-value"],
+)
+def test_deeply_nested_config_exits_two(tmp_path, monkeypatch, capsys, text):
+    monkeypatch.chdir(tmp_path)
+    Path("deep.json").write_text(text)
+    assert main(["compensate", "--config", "deep.json"]) == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["deep.json"]
+
+
 def test_missing_config_file_is_rejected(tmp_path):
     code = main(["tradeoff", "--config", str(tmp_path / "nope.json")])
     assert code == EXIT_BAD_CONFIG

@@ -6,6 +6,8 @@ import json
 import numpy as np
 import pytest
 
+import unot.experiments
+from unot.circuit import ladder_linear
 from unot.experiments import (
     EXPERIMENTS,
     MAX_ARRAY_BYTES,
@@ -114,6 +116,20 @@ def test_verify_passes_at_reduced_scale():
     assert result.ok
     assert len(result.rows) == 9
     assert all(row["passed"] for row in result.rows)
+
+
+def test_verify_checks_the_ladder_map_the_drivers_use(monkeypatch):
+    # F and Delta see only Tr M and the symmetric part of M, so a transposed
+    # Bloch map passes the region check; the simulation check must catch it.
+    def transposed(*ladders):
+        return ladder_linear(*ladders).transpose(0, 2, 1)
+
+    monkeypatch.setattr(unot.experiments, "ladder_linear", transposed)
+    result = run_experiment(ExperimentConfig("verify", trials=60, samples=2000))
+    passed = {row["family"]: row["passed"] for row in result.rows}
+    assert passed["region-membership"]
+    assert not passed["circuit-map-equivalence"]
+    assert not result.ok
 
 
 def test_verify_fails_with_corrupted_tolerances():

@@ -4,31 +4,26 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from ladder_strategies import ladder_circuits
+from references import stochastic_map_from_circuit
 
-from unot.circuit import (
-    StochasticMap,
-    optimal_stochastic_map,
-    stochastic_map_from_circuit,
-)
+from unot.circuit import StochasticMap, optimal_stochastic_map
 from unot.fidelity import (
     DEVIATION_SLOPE,
     MAX_AVG_FIDELITY,
+    REGION_TOL,
     AffineBlochChannel,
     FidelityStats,
     affine_channel_stats,
     affine_stats_batch,
     one_qubit_stats,
     one_qubit_stats_batch,
-    pair_covariance,
     pair_covariance_batch,
-    pointwise_fidelity,
-    region_membership,
     region_residual,
     stochastic_map_stats,
     three_qubit_avg_fidelity,
 )
 from unot.oracle import SeededSampler, sample_bloch, sample_gates, sample_unitary
-from unot.rotation import OneQubitGate, rotation_from_gate, unit_axis
+from unot.rotation import OneQubitGate, rotation_batch, unit_axis
 
 _X = unit_axis(1.0, 0.0, 0.0)
 _Y = unit_axis(0.0, 1.0, 0.0)
@@ -37,6 +32,13 @@ _Z = unit_axis(0.0, 0.0, 1.0)
 _FLIP_X = OneQubitGate(np.pi, _X)
 _FLIP_Y = OneQubitGate(np.pi, _Y)
 _FLIP_Z = OneQubitGate(np.pi, _Z)
+
+
+def _pair_covariance(gate_k, gate_l):
+    # The one-row call of the batch.
+    return pair_covariance_batch(
+        (gate_k.angle, gate_k.axis), (gate_l.angle, gate_l.axis)
+    )
 
 
 def test_full_flip_reaches_the_one_qubit_optimum():
@@ -52,19 +54,10 @@ def test_avg_fidelity_follows_one_minus_cosine_law():
         assert abs(stats.deviation - stats.avg_fidelity * DEVIATION_SLOPE) < 1e-12
 
 
-def test_pointwise_fidelity_batch_matches_scalar():
-    gate = OneQubitGate(1.3, _Z)
-    r = rotation_from_gate(gate)
-    points = sample_bloch(SeededSampler(9), 50)
-    batch = pointwise_fidelity(r, points)
-    for a, f in zip(points, batch):
-        assert abs(f - (1.0 - a @ r @ a) / 2.0) < 1e-15
-
-
 def test_second_moment_of_full_flip_quadratic_form():
     # The sphere average of (a . R a)^2 is 7/15 for the pi flip R, and
     # Delta^2 = [<(a . R a)^2> - <a . R a>^2] / 4 with <a . R a> = -1/3.
-    channel = AffineBlochChannel(rotation_from_gate(_FLIP_X), np.zeros(3))
+    channel = AffineBlochChannel(rotation_batch(np.pi, _X), np.zeros(3))
     stats = affine_channel_stats(channel)
     assert abs(stats.deviation**2 - (7.0 / 15.0 - 1.0 / 9.0) / 4.0) < 1e-15
 
@@ -72,18 +65,18 @@ def test_second_moment_of_full_flip_quadratic_form():
 def test_second_moment_against_direct_haar_average():
     sampler = SeededSampler(41)
     points = sample_bloch(sampler, 1_000_000)
-    r = rotation_from_gate(_FLIP_X)
+    r = rotation_batch(np.pi, _X)
     quad = np.einsum("ni,ij,nj->n", points, r, points)
     assert abs((quad**2).mean() - 7.0 / 15.0) < 2e-3
     assert abs(quad.mean() + 1.0 / 3.0) < 2e-3
 
 
 def test_pair_covariance_frozen_values():
-    assert abs(pair_covariance(_FLIP_X, _FLIP_Y) - (-2.0 / 45.0)) < 1e-15
-    assert abs(pair_covariance(_FLIP_X, _FLIP_X) - 4.0 / 45.0) < 1e-15
+    assert abs(_pair_covariance(_FLIP_X, _FLIP_Y) - (-2.0 / 45.0)) < 1e-15
+    assert abs(_pair_covariance(_FLIP_X, _FLIP_X) - 4.0 / 45.0) < 1e-15
     tilted = OneQubitGate(np.pi, unit_axis(1.0, 1.0, 0.0))
     expected = (3.0 * 0.5 - 1.0) * 4.0 / 90.0
-    assert abs(pair_covariance(_FLIP_X, tilted) - expected) < 1e-15
+    assert abs(_pair_covariance(_FLIP_X, tilted) - expected) < 1e-15
 
 
 def test_covariance_diagonal_is_squared_deviation():
@@ -92,7 +85,7 @@ def test_covariance_diagonal_is_squared_deviation():
         axis = rng.normal(size=3)
         gate = OneQubitGate(rng.uniform(0, 2 * np.pi), axis / np.linalg.norm(axis))
         dev = one_qubit_stats(gate).deviation
-        assert abs(pair_covariance(gate, gate) - dev * dev) < 1e-14
+        assert abs(_pair_covariance(gate, gate) - dev * dev) < 1e-14
 
 
 @pytest.mark.parametrize("angle", [1.89e-3, 1e-4, 1e-6])
@@ -102,7 +95,7 @@ def test_near_identity_gates_keep_full_relative_precision(angle):
     versine = angle**2 / 2.0 - angle**4 / 24.0 + angle**6 / 720.0
     gate = OneQubitGate(angle, _Z)
     assert abs(one_qubit_stats(gate).avg_fidelity / (versine / 3.0) - 1.0) < 1e-15
-    assert abs(pair_covariance(gate, gate) / (versine * versine / 45.0) - 1.0) < 1e-15
+    assert abs(_pair_covariance(gate, gate) / (versine * versine / 45.0) - 1.0) < 1e-15
 
 
 def test_batch_closed_forms_equal_single_gate_calls():
@@ -114,7 +107,7 @@ def test_batch_closed_forms_equal_single_gate_calls():
     assert np.array_equal(d, [st.deviation for st in single])
     cov = pair_covariance_batch((angles[::2], axes[::2]), (angles[1::2], axes[1::2]))
     pairs = zip(gates[::2], gates[1::2])
-    assert np.array_equal(cov, [pair_covariance(g, h) for g, h in pairs])
+    assert np.array_equal(cov, [_pair_covariance(g, h) for g, h in pairs])
 
 
 def test_two_flip_mixture_frozen_stats():
@@ -133,7 +126,7 @@ def test_optimal_mixture_is_exactly_universal():
 def _pairwise_stats(smap: StochasticMap) -> tuple[float, float]:
     """The paper's pairwise route: F = sum_k w_k F_k and Delta^2 = w . C . w."""
     w = smap.weights
-    cov = np.array([[pair_covariance(g, h) for h in smap.gates] for g in smap.gates])
+    cov = np.array([[_pair_covariance(g, h) for h in smap.gates] for g in smap.gates])
     f_each = np.array([one_qubit_stats(g).avg_fidelity for g in smap.gates])
     return float(w @ f_each), float(w @ cov @ w)
 
@@ -224,14 +217,15 @@ def test_stats_validation_rejects_out_of_range():
 
 
 def test_region_membership_by_qubit_count():
-    line_point = FidelityStats(0.4, 0.4 * DEVIATION_SLOPE)
-    assert region_membership(line_point, 1)
-    off_line = FidelityStats(0.4, 0.1)
-    assert not region_membership(off_line, 1)
-    assert region_membership(FidelityStats(0.4, 0.3 * DEVIATION_SLOPE), 2)
-    assert not region_membership(FidelityStats(0.4, 0.0), 2)
-    assert region_membership(FidelityStats(0.4, 0.0), 3)
-    assert not region_membership(FidelityStats(0.8, 0.1), 3)
+    def inside(f, d, qubit_count):
+        return region_residual(f, d, qubit_count) <= REGION_TOL
+
+    assert inside(0.4, 0.4 * DEVIATION_SLOPE, 1)
+    assert not inside(0.4, 0.1, 1)
+    assert inside(0.4, 0.3 * DEVIATION_SLOPE, 2)
+    assert not inside(0.4, 0.0, 2)
+    assert inside(0.4, 0.0, 3)
+    assert not inside(0.8, 0.1, 3)
     for qubit_count, inside in (
         (1, (0.4, 0.4 * DEVIATION_SLOPE)),
         (2, (0.4, 0.3 * DEVIATION_SLOPE)),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from references import bloch_map_from_affine
 
 from unot.circuit import optimal_stochastic_map, optimal_three_qubit_circuit, full_unitary
 from unot.fidelity import (
@@ -16,17 +17,14 @@ from unot.oracle import (
     RNG_ALGORITHM,
     McEstimate,
     SeededSampler,
-    bloch_map_from_affine,
     bloch_map_from_three_qubit_unitary,
     mc_stats,
     sample_bloch,
-    sample_gate,
     sample_gates,
-    sample_ladder_circuit,
     sample_ladders,
     sample_unitary,
 )
-from unot.rotation import OneQubitGate, rotation_from_gate, unit_axis
+from unot.rotation import OneQubitGate, rotation_batch, unit_axis
 
 
 def test_rng_algorithm_label():
@@ -112,19 +110,14 @@ def test_haar_spectrum_has_no_phase_preference():
 
 
 def test_sample_gate_ranges():
-    sampler = SeededSampler(6)
-    for _ in range(50):
-        gate = sample_gate(sampler)
-        assert 0.0 <= gate.angle < 2.0 * np.pi
-        assert abs(np.linalg.norm(gate.axis) - 1.0) < 1e-12
+    angles, axes = sample_gates(SeededSampler(6), 50)
+    assert np.all((angles >= 0.0) & (angles < 2.0 * np.pi))
+    assert np.max(np.abs(np.linalg.norm(axes, axis=1) - 1.0)) < 1e-12
 
 
 def test_sample_ladder_circuit_shapes():
-    sampler = SeededSampler(7)
-    circuit = sample_ladder_circuit(sampler, 4)
-    assert circuit.qubit_count == 4
-    assert len(circuit.gates) == 4
-    preps = np.asarray(circuit.prep_params)
+    preps, angles, axes = sample_ladders(SeededSampler(7), 4, 1)
+    assert (preps.shape, angles.shape, axes.shape) == ((1, 3), (1, 4), (1, 4, 3))
     assert np.all((preps >= 0.0) & (preps <= 1.0))
 
 
@@ -146,9 +139,9 @@ def test_sample_gates_draw_one_gate_at_a_time():
 def test_sample_gates_equal_single_gate_draws():
     batch, single = SeededSampler(8), SeededSampler(8)
     angles, axes = sample_gates(batch, 300)
-    gates = [sample_gate(single) for _ in range(300)]
-    assert np.array_equal(angles, [g.angle for g in gates])
-    assert np.array_equal(axes, np.array([g.axis for g in gates]))
+    gates = [sample_gates(single, 1) for _ in range(300)]
+    assert np.array_equal(angles, [a[0] for a, _ in gates])
+    assert np.array_equal(axes, np.array([x[0] for _, x in gates]))
     assert batch.position == single.position
     assert np.array_equal(batch.random(4), single.random(4))
 
@@ -157,11 +150,10 @@ def test_sample_gates_equal_single_gate_draws():
 def test_sample_ladders_equal_single_circuit_draws(qubit_count):
     batch, single = SeededSampler(13), SeededSampler(13)
     preps, angles, axes = sample_ladders(batch, qubit_count, 40)
-    circuits = [sample_ladder_circuit(single, qubit_count) for _ in range(40)]
+    rows = [sample_ladders(single, qubit_count, 1) for _ in range(40)]
     assert preps.shape == (40, qubit_count - 1)
-    assert np.array_equal(preps.reshape(40, -1), [c.prep_params for c in circuits])
-    assert np.array_equal(angles, [[g.angle for g in c.gates] for c in circuits])
-    assert np.array_equal(axes, np.array([[g.axis for g in c.gates] for c in circuits]))
+    for got, part in zip((preps, angles, axes), zip(*rows)):
+        assert np.array_equal(got, np.concatenate(part))
     assert batch.position == single.position
 
 
@@ -192,7 +184,7 @@ def test_identity_channel_statistics_vanish():
 
 def test_mc_agrees_with_closed_form_for_a_gate():
     gate = OneQubitGate(np.pi / 2.0, unit_axis(1.0, 0.0, 0.0))
-    rotation = rotation_from_gate(gate)
+    rotation = rotation_batch(gate.angle, gate.axis)
     exact = one_qubit_stats(gate)
     f, d = mc_stats(
         bloch_map_from_affine(AffineBlochChannel(rotation, np.zeros(3))),
@@ -231,7 +223,8 @@ def test_three_qubit_oracle_on_the_optimal_circuit():
 
 def test_mc_standard_error_shrinks_with_samples():
     gate = OneQubitGate(2.0, unit_axis(0.0, 1.0, 0.0))
-    bloch_map = bloch_map_from_affine(AffineBlochChannel(rotation_from_gate(gate), np.zeros(3)))
+    rotation = rotation_batch(gate.angle, gate.axis)
+    bloch_map = bloch_map_from_affine(AffineBlochChannel(rotation, np.zeros(3)))
     f_small, _ = mc_stats(bloch_map, SeededSampler(26), 2000)
     f_large, _ = mc_stats(bloch_map, SeededSampler(26), 32000)
     assert f_large.std_error < f_small.std_error

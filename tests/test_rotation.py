@@ -4,17 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from references import gate_from_unitary, rotation_from_unitary
 
 from unot.oracle import SeededSampler, sample_gates
 from unot.rotation import (
     OneQubitGate,
-    gate_from_unitary,
     rotation_batch,
-    rotation_from_gate,
-    rotation_from_unitary,
-    rotation_squared_trace,
     rotation_trace,
-    skew_from_axis,
     unit_axis,
     unitary_from_gate,
 )
@@ -28,6 +24,11 @@ def _random_gate(rng):
     return OneQubitGate(rng.uniform(0.0, 2.0 * np.pi), axis)
 
 
+def _rotation(gate):
+    # The one-row call of the batch.
+    return rotation_batch([gate.angle], [gate.axis])[0]
+
+
 def test_quarter_turn_about_z_matches_frozen_matrix():
     gate = OneQubitGate(np.pi / 2.0, _Z)
     expected = np.array(
@@ -37,14 +38,14 @@ def test_quarter_turn_about_z_matches_frozen_matrix():
             [0.0, 0.0, 1.0],
         ]
     )
-    assert np.max(np.abs(rotation_from_gate(gate) - expected)) < 1e-12
+    assert np.max(np.abs(_rotation(gate) - expected)) < 1e-12
 
 
 def test_axis_angle_form_matches_conjugation_route():
     rng = np.random.default_rng(11)
     for _ in range(200):
         gate = _random_gate(rng)
-        direct = rotation_from_gate(gate)
+        direct = _rotation(gate)
         via_unitary = rotation_from_unitary(unitary_from_gate(gate))
         assert np.max(np.abs(direct - via_unitary)) < 1e-12
 
@@ -78,7 +79,7 @@ def test_gate_from_unitary_keeps_tiny_rotations():
     # A 1e-12 rotation moves R by 2e-12; it must not be rounded to the identity.
     gate = OneQubitGate(1e-12, np.array([0.6, 0.0, 0.8]))
     back = gate_from_unitary(unitary_from_gate(gate))
-    assert np.max(np.abs(rotation_from_gate(back) - rotation_from_gate(gate))) < 1e-15
+    assert np.max(np.abs(_rotation(back) - _rotation(gate))) < 1e-15
 
 
 def test_gate_from_unitary_rejects_nonunitary():
@@ -99,13 +100,15 @@ def test_axis_must_be_unit_length():
 
 
 def test_skew_matrix_reproduces_cross_product():
+    # Rodrigues: R v = cos t v + sin t (n x v) + (1 - cos t)(n . v) n.
     rng = np.random.default_rng(5)
-    axis = rng.normal(size=3)
-    axis /= np.linalg.norm(axis)
-    s = skew_from_axis(axis)
+    gate = _random_gate(rng)
+    c, s, n = np.cos(gate.angle), np.sin(gate.angle), gate.axis
+    r = _rotation(gate)
     for _ in range(10):
         v = rng.normal(size=3)
-        assert np.max(np.abs(s @ v - np.cross(v, axis))) < 1e-12
+        expected = c * v + s * np.cross(n, v) + (1.0 - c) * (n @ v) * n
+        assert np.max(np.abs(r @ v - expected)) < 1e-12
 
 
 @settings(max_examples=60, deadline=None)
@@ -120,7 +123,7 @@ def test_rotation_is_special_orthogonal(angle, seed):
     if norm < 1e-3:
         axis = np.array([0.0, 0.0, 1.0])
         norm = 1.0
-    r = rotation_from_gate(OneQubitGate(angle, axis / norm))
+    r = _rotation(OneQubitGate(angle, axis / norm))
     assert np.max(np.abs(r @ r.T - np.eye(3))) < 1e-12
     assert abs(np.linalg.det(r) - 1.0) < 1e-12
 
@@ -129,22 +132,21 @@ def test_trace_closed_forms():
     rng = np.random.default_rng(23)
     for _ in range(100):
         gate = _random_gate(rng)
-        r = rotation_from_gate(gate)
+        r = _rotation(gate)
         tr = np.trace(r)
         assert abs(tr - rotation_trace(gate.angle)) < 1e-12
-        assert abs(np.trace(r @ r) - rotation_squared_trace(gate.angle)) < 1e-12
+        assert abs(np.trace(r @ r) - (4.0 * np.cos(gate.angle) ** 2 - 1.0)) < 1e-12
         assert abs(tr * tr - np.trace(r @ r) - 2.0 * tr) < 1e-12
 
 
 def test_trace_values_at_marker_angles():
     assert abs(rotation_trace(np.pi) + 1.0) < 1e-15
     assert abs(rotation_trace(0.0) - 3.0) < 1e-15
-    assert abs(rotation_squared_trace(np.pi) - 3.0) < 1e-15
 
 
 def test_rotation_batch_equals_single_gates_bitwise():
     angles, axes = sample_gates(SeededSampler(19), 2000)
-    single = [rotation_from_gate(OneQubitGate(a, x)) for a, x in zip(angles, axes)]
+    single = [_rotation(OneQubitGate(a, x)) for a, x in zip(angles, axes)]
     assert np.array_equal(rotation_batch(angles, axes), np.array(single))
     # Leading dimensions are kept.
     stacked = rotation_batch(angles.reshape(40, 50), axes.reshape(40, 50, 3))
