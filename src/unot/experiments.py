@@ -304,6 +304,13 @@ def _sample_mixtures(sampler: SeededSampler, counts) -> np.ndarray:
     return mixture_linear(weights, rotation_batch(angles, axes))
 
 
+def _worst(*residuals) -> float:
+    """Largest entry of the given residual scalars and arrays, NaN if any
+    entry is NaN: Python's `max` keeps whichever of a NaN and a number it
+    sees first, so a NaN residual could pass a budget."""
+    return float(np.max(np.concatenate([np.ravel(r) for r in residuals])))
+
+
 def _verify_families(config: ExperimentConfig):
     scale = config.tol_scale
     n = config.trials
@@ -314,9 +321,8 @@ def _verify_families(config: ExperimentConfig):
     r = rotation_batch(angles, axes)
     tr = np.trace(r, axis1=1, axis2=2)
     tr_sq = np.trace(r @ r, axis1=1, axis2=2)
-    worst = max(
-        float(np.max(np.abs(tr - rotation_trace(angles)))),
-        float(np.max(np.abs(tr * tr - tr_sq - 2.0 * tr))),
+    worst = _worst(
+        np.abs(tr - rotation_trace(angles)), np.abs(tr * tr - tr_sq - 2.0 * tr)
     )
     yield "rotation-trace-identities", worst, 1e-12 * scale
 
@@ -331,7 +337,7 @@ def _verify_families(config: ExperimentConfig):
     c = pair_covariance_batch((angles[0::2], axes[0::2]), (angles[1::2], axes[1::2]))
     _, d = one_qubit_stats_batch(angles)
     d_k, d_l = d[0::2], d[1::2]
-    worst = max(float(np.max(c - d_k * d_l)), float(np.max(-0.5 * d_k * d_l - c)), 0.0)
+    worst = _worst(c - d_k * d_l, -0.5 * d_k * d_l - c, 0.0)
     angles, axes = sample_gates(s, 50)
     _, d = one_qubit_stats_batch(angles)
     ortho = np.cross(axes, [1.0, 0.0, 0.0])
@@ -340,21 +346,17 @@ def _verify_families(config: ExperimentConfig):
     ortho /= np.linalg.norm(ortho, axis=1, keepdims=True)
     parallel = pair_covariance_batch((angles, axes), (angles, axes))
     orthogonal = pair_covariance_batch((angles, axes), (angles, ortho))
-    worst = max(
-        worst,
-        float(np.max(np.abs(parallel - d * d))),
-        float(np.max(np.abs(orthogonal + 0.5 * d * d))),
-    )
+    worst = _worst(worst, np.abs(parallel - d * d), np.abs(orthogonal + 0.5 * d * d))
     yield "covariance-bounds", worst, 1e-12 * scale
 
     # Mixtures never exceed the one-qubit line.
     f, d = _linear_stats(_sample_mixtures(sub[3], [2 + i % 4 for i in range(n)]))
-    worst = max(float(np.max(d - f * DEVIATION_SLOPE)), 0.0)
+    worst = _worst(d - f * DEVIATION_SLOPE, 0.0)
     yield "mixture-upper-bound", worst, 1e-12 * scale
 
     # Two-gate mixtures cannot fall below half the line.
     f, d = _linear_stats(_sample_mixtures(sub[4], [2] * n))
-    worst = max(float(np.max(0.5 * f * DEVIATION_SLOPE - d)), 0.0)
+    worst = _worst(0.5 * f * DEVIATION_SLOPE - d, 0.0)
     yield "two-qubit-lower-bound", worst, 1e-12 * scale
 
     # Random ladder circuits land inside their qubit-count region.
@@ -376,11 +378,11 @@ def _verify_families(config: ExperimentConfig):
     for child in s.split(unitary_count):
         u = sample_unitary(child, 8)
         closed = three_qubit_avg_fidelity(u)
-        worst_excess = max(worst_excess, closed - MAX_AVG_FIDELITY, -closed, 0.0)
+        worst_excess = _worst(worst_excess, closed - MAX_AVG_FIDELITY, -closed)
         est_f, _ = mc_stats(
             bloch_map_from_three_qubit_unitary(u), child, config.samples
         )
-        worst_sigma = max(
+        worst_sigma = _worst(
             worst_sigma, abs(closed - est_f.value) / max(est_f.std_error, 1e-15)
         )
     yield "three-qubit-ceiling", worst_excess, 1e-10 * scale
@@ -399,7 +401,7 @@ def _verify_families(config: ExperimentConfig):
         rho = np.array([density_from_bloch(a) for a in bloch])
         full = bloch_from_density(simulate_full(circuit, rho))
         reduced = bloch @ ladder_linear(preps, angles, axes)[0].T
-        worst = max(worst, float(np.max(np.abs(full - reduced))))
+        worst = _worst(worst, np.abs(full - reduced))
     yield "circuit-map-equivalence", worst, 1e-10 * scale
 
 
@@ -582,9 +584,10 @@ EXPERIMENTS = {
         "check closed forms against oracles",
         ("seed", "trials", "samples", "tol_scale"),
         trials=1000,
-        # The oracle's (samples, 8) complex state; the (trials, 5, 3, 3)
-        # rotations of the padded gate mixtures.
-        array_bytes=lambda c: {"samples": 128 * c.samples, "trials": 360 * c.trials},
+        # The oracle's (samples,) float64 fidelities (it maps the samples in
+        # fixed blocks); the (trials, 5, 3, 3) rotations of the padded gate
+        # mixtures.
+        array_bytes=lambda c: {"samples": 8 * c.samples, "trials": 360 * c.trials},
     ),
     "tradeoff": Experiment(
         run_tradeoff,

@@ -28,6 +28,11 @@ RNG_ALGORITHM = "numpy-pcg64/de-v2"
 
 _TWO_PI = 2.0 * np.pi
 
+# Rows `mc_stats` draws and maps at a time.  A block's vectors and map
+# temporaries, the three-qubit map's (rows, 8) complex states included, take
+# a few MiB whatever the sample count; only the (n,) fidelities grow with n.
+_BLOCK_ROWS = 8192
+
 
 @dataclass
 class SeededSampler:
@@ -92,6 +97,8 @@ class McEstimate:
     n_samples: int
 
     def __post_init__(self):
+        if not (np.isfinite(self.value) and np.isfinite(self.std_error)):
+            raise ValueError("value and std_error must be finite")
         if self.std_error < 0.0:
             raise ValueError("std_error must be nonnegative")
         if self.n_samples < 1:
@@ -173,24 +180,36 @@ def mc_stats(
 ) -> tuple[McEstimate, McEstimate]:
     """Monte-Carlo (F, Delta) of a channel given by its Bloch-vector action.
 
-    `bloch_map` maps an (n, 3) array of input Bloch vectors to the (n, 3)
-    output vectors.  Delta is the population standard deviation of the
-    pointwise fidelities; its standard error comes from the delta method
-    applied to the sample variance.
+    `bloch_map` maps an (m, 3) array of input Bloch vectors to the (m, 3)
+    output vectors, and must act row by row: the samples go through it in
+    blocks of at most `_BLOCK_ROWS` rows.  The blocks consume the stream
+    exactly as one draw of all n vectors would and give the same bits, since
+    the mean and moments are still taken over the whole (n,) array of
+    pointwise fidelities.  A non-finite map output raises RuntimeError.
+    Delta is the population standard deviation of the pointwise fidelities;
+    its standard error comes from the delta method applied to the sample
+    variance.
     """
     n = int(n_samples)
     if n < 2:
         raise ValueError("need at least two samples")
-    a = sample_bloch(sampler, n)
-    out = np.asarray(bloch_map(a), dtype=float)
-    if out.shape != (n, 3):
-        raise ValueError(f"bloch_map returned shape {out.shape}, expected ({n}, 3)")
-    f = 0.5 * (1.0 - np.einsum("ni,ni->n", a, out))
+    f = np.empty(n)
+    for start in range(0, n, _BLOCK_ROWS):
+        m = min(_BLOCK_ROWS, n - start)
+        a = sample_bloch(sampler, m)
+        out = np.asarray(bloch_map(a), dtype=float)
+        if out.shape != (m, 3):
+            raise ValueError(f"bloch_map returned shape {out.shape}, expected ({m}, 3)")
+        if not np.isfinite(out).all():
+            raise RuntimeError("bloch_map returned a non-finite Bloch vector")
+        f[start : start + m] = 0.5 * (1.0 - np.einsum("ni,ni->n", a, out))
     mean = float(np.mean(f))
-    centered = f - mean
-    c2 = centered * centered
+    c2 = f  # squared in place: the fidelities are not needed after the mean
+    c2 -= mean
+    c2 *= c2
     m2 = float(np.mean(c2))
-    m4 = float(np.mean(c2 * c2))
+    c2 *= c2
+    m4 = float(np.mean(c2))
     std = float(np.sqrt(m2))
     se_mean = std / np.sqrt(n)
     se_var = np.sqrt(max(m4 - m2 * m2, 0.0) / n)

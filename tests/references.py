@@ -4,11 +4,14 @@ The drivers reduce a ladder to its Bloch map as a product of rotations
 (`circuit.ladder_linear`).  The unitary route here composes the ladder's
 2x2 unitaries instead and recovers each branch gate from their product, so
 the two agree only if composing rotations and composing unitaries agree.
+`mc_stats_one_draw` is the Monte Carlo oracle as one draw of all samples,
+which the block-by-block `oracle.mc_stats` must match bit for bit.
 """
 
 import numpy as np
 
 from unot.circuit import LadderCircuit, StochasticMap, check_density, weights_from_preps
+from unot.oracle import McEstimate, sample_bloch
 from unot.rotation import PAULI, OneQubitGate, unitary_from_gate
 
 _UNITARY_TOL = 1e-9
@@ -91,6 +94,28 @@ def bloch_map_from_affine(channel):
     linear = np.asarray(channel.linear, dtype=float)
     shift = np.asarray(channel.shift, dtype=float)
     return lambda a: a @ linear.T + shift
+
+
+def mc_stats_one_draw(bloch_map, sampler, n_samples):
+    """`oracle.mc_stats` with all n Bloch vectors drawn and mapped at once."""
+    n = int(n_samples)
+    if n < 2:
+        raise ValueError("need at least two samples")
+    a = sample_bloch(sampler, n)
+    out = np.asarray(bloch_map(a), dtype=float)
+    if out.shape != (n, 3):
+        raise ValueError(f"bloch_map returned shape {out.shape}, expected ({n}, 3)")
+    f = 0.5 * (1.0 - np.einsum("ni,ni->n", a, out))
+    mean = float(np.mean(f))
+    centered = f - mean
+    c2 = centered * centered
+    m2 = float(np.mean(c2))
+    m4 = float(np.mean(c2 * c2))
+    std = float(np.sqrt(m2))
+    se_mean = std / np.sqrt(n)
+    se_var = np.sqrt(max(m4 - m2 * m2, 0.0) / n)
+    se_std = se_var / (2.0 * std) if std > 0.0 else 0.0
+    return McEstimate(mean, se_mean, n), McEstimate(std, se_std, n)
 
 
 def ladder_circuit(preps, angles, axes) -> LadderCircuit:

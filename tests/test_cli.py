@@ -5,8 +5,10 @@ import csv
 import io
 import json
 import tempfile
+import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -223,6 +225,60 @@ def test_memory_error_exits_one_without_traceback(tmp_path, monkeypatch, capsys)
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "74.5 GiB" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "patches, nan_families",
+    [
+        pytest.param(
+            {
+                "three_qubit_avg_fidelity": lambda u: float("nan"),
+                "mc_stats": lambda *args: (
+                    types.SimpleNamespace(value=float("nan"), std_error=float("nan")),
+                    None,
+                ),
+            },
+            {"three-qubit-ceiling", "three-qubit-oracle-agreement"},
+            id="three-qubit",
+        ),
+        pytest.param(
+            {"bloch_from_density": lambda rho: np.full((len(rho), 3), np.nan)},
+            {"circuit-map-equivalence"},
+            id="circuit-map",
+        ),
+    ],
+)
+def test_a_nan_residual_fails_its_family(
+    tmp_path, monkeypatch, capsys, patches, nan_families
+):
+    for name, fake in patches.items():
+        monkeypatch.setattr(f"unot.experiments.{name}", fake)
+    out = tmp_path / "verify.csv"
+    code = main(["verify", "--trials", "30", "--samples", "1000", "--out", str(out)])
+    assert code == EXIT_FAILURE
+    stdout = capsys.readouterr().out
+    for row in _read_csv(out):
+        nan = row["family"] in nan_families
+        assert row["passed"] == str(not nan)
+        assert (row["worst_residual"] == "nan") == nan
+        if nan:
+            assert f"FAIL {row['family']}: worst residual nan" in stdout
+
+
+def test_non_finite_oracle_output_exits_one_without_traceback(
+    tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(
+        "unot.experiments.bloch_map_from_three_qubit_unitary",
+        lambda u: lambda a: np.full(a.shape, np.nan),
+    )
+    code = main(["verify", "--trials", "30", "--samples", "1000", "--out", "x.csv"])
+    assert code == EXIT_FAILURE
+    err = capsys.readouterr().err
+    assert err.startswith("invariant violation: ") and err.count("\n") == 1
+    assert "non-finite" in err and "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -164,7 +164,7 @@ def test_noise_sweep_zero_eta_row_is_exact():
 def test_largest_array_estimate_meets_the_ceiling_exactly():
     # Configs only: nothing is run, so nothing of this size is allocated.
     for name, setting, per_unit, extra in (
-        ("verify", "samples", 128, {}),
+        ("verify", "samples", 8, {}),
         ("verify", "trials", 360, {}),
         ("noise-sweep", "trials", 1024, {}),
         ("tradeoff", "trials", 216, {}),

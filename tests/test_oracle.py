@@ -1,10 +1,12 @@
 """Tests for the seeded Monte Carlo oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from references import bloch_map_from_affine
+from references import bloch_map_from_affine, mc_stats_one_draw
 
 from unot.circuit import optimal_stochastic_map, optimal_three_qubit_circuit, full_unitary
 from unot.fidelity import (
@@ -14,6 +16,7 @@ from unot.fidelity import (
     three_qubit_avg_fidelity,
 )
 from unot.oracle import (
+    _BLOCK_ROWS,
     RNG_ALGORITHM,
     McEstimate,
     SeededSampler,
@@ -173,6 +176,11 @@ def test_mc_estimate_fields():
     assert est.value == 0.5
     with pytest.raises(ValueError):
         McEstimate(0.5, -0.01, 100)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            McEstimate(bad, 0.01, 100)
+        with pytest.raises(ValueError, match="finite"):
+            McEstimate(0.5, bad, 100)
 
 
 def test_identity_channel_statistics_vanish():
@@ -330,6 +338,51 @@ def test_mc_stats_checks_sample_count_and_map_shape():
     # One output row for all inputs would broadcast silently without the check.
     with pytest.raises(ValueError):
         mc_stats(lambda a: a[:1], SeededSampler(35), 100)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_mc_stats_rejects_non_finite_map_output(bad):
+    # Only the last, short block is corrupted: every block is checked.
+    def bad_tail(a):
+        out = a.copy()
+        if len(a) < _BLOCK_ROWS:
+            out[-1, 1] = bad
+        return out
+
+    with pytest.raises(RuntimeError, match="non-finite"):
+        mc_stats(bad_tail, SeededSampler(36), _BLOCK_ROWS + 5)
+
+
+@pytest.mark.parametrize(
+    "n",
+    [2, 1000, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 7]
+    + [100_000],
+)
+@pytest.mark.parametrize("kind", ["three-qubit", "affine"])
+def test_blocks_give_the_bits_of_one_draw(kind, n):
+    if kind == "three-qubit":
+        u = sample_unitary(SeededSampler(37), 8)
+        bloch_map = bloch_map_from_three_qubit_unitary(u)
+    else:
+        u = sample_unitary(SeededSampler(37), 4)
+        bloch_map = bloch_map_from_affine(_stinespring_channel(u, 0.8))
+    streamed, one_draw = SeededSampler(38), SeededSampler(38)
+    assert mc_stats(bloch_map, streamed, n) == mc_stats_one_draw(bloch_map, one_draw, n)
+    assert streamed.position == one_draw.position == 3 * n
+
+
+def test_mc_stats_peak_memory_stays_below_64_bytes_per_sample():
+    # The one-draw form peaks at about 272 bytes per sample on this map.
+    u = sample_unitary(SeededSampler(39), 8)
+    bloch_map = bloch_map_from_three_qubit_unitary(u)
+    n = 200_000
+    tracemalloc.start()
+    try:
+        mc_stats(bloch_map, SeededSampler(40), n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * n
 
 
 def _stinespring_channel(u, damping):
