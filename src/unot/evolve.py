@@ -54,6 +54,9 @@ _SIGMA = np.stack(PAULI)
 _KRAUS_ROWS = np.arange(4)[:, None] + 4 * np.arange(2)[None, :]
 _KRAUS_COLS = np.array([0, 4])
 
+# control_stats_batch evaluates this many rows at a time.
+_BLOCK_ROWS = 1024
+
 
 @dataclass(frozen=True)
 class GeneratorBasis:
@@ -65,12 +68,13 @@ class GeneratorBasis:
         m = np.asarray(self.matrices, dtype=complex)
         if m.ndim != 3 or m.shape[1] != m.shape[2]:
             raise ValueError("matrices must have shape (count, dim, dim)")
-        if np.max(np.abs(m - m.conj().transpose(0, 2, 1))) > _BASIS_TOL:
+        # Each check is written so that a NaN fails it.
+        if not np.all(np.abs(m - m.conj().transpose(0, 2, 1)) <= _BASIS_TOL):
             raise ValueError("generators must be Hermitian")
-        if np.max(np.abs(np.trace(m, axis1=1, axis2=2))) > _BASIS_TOL:
+        if not np.all(np.abs(np.trace(m, axis1=1, axis2=2)) <= _BASIS_TOL):
             raise ValueError("generators must be traceless")
         gram = np.einsum("aij,bji->ab", m, m)
-        if np.max(np.abs(gram - 2.0 * np.eye(m.shape[0]))) > 1e-10:
+        if not np.all(np.abs(gram - 2.0 * np.eye(m.shape[0])) <= 1e-10):
             raise ValueError("generators must satisfy Tr(g_i g_j) = 2 delta_ij")
         m = m.copy()
         m.setflags(write=False)
@@ -138,22 +142,31 @@ def _check_controls(p: np.ndarray, basis: GeneratorBasis) -> np.ndarray:
 def unitary_from_controls(p: np.ndarray, basis: GeneratorBasis) -> np.ndarray:
     """U(p) = exp(-i sum_j p_j g_j)."""
     p = _check_controls(p, basis).reshape(1, basis.count)
-    return _unitaries_from_control_batch(p, basis)[0]
+    return _unitary_columns(p, basis, np.arange(basis.dim))[0]
 
 
-def _unitaries_from_control_batch(pop: np.ndarray, basis: GeneratorBasis) -> np.ndarray:
+def _unitary_columns(pop: np.ndarray, basis: GeneratorBasis, cols: np.ndarray) -> np.ndarray:
+    """Columns `cols` of U(p) for each row p of `pop`, shape (n, dim, len(cols))."""
     h = np.tensordot(pop, basis.matrices, axes=([1], [0]))
     vals, vecs = np.linalg.eigh(h)
     phases = np.exp(-1.0j * vals)
-    return np.einsum("nij,nj,nkj->nik", vecs, phases, vecs.conj())
+    return np.einsum("nij,nj,nkj->nik", vecs, phases, vecs[:, cols, :].conj())
 
 
-def _channel_parts_from_unitaries(us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Affine Bloch parts (linear, shift) of a batch of 8x8 unitaries."""
-    kraus = us[:, _KRAUS_ROWS[None, :, :, None], _KRAUS_COLS[None, None, None, :]]
-    kraus = kraus.reshape(us.shape[0], 4, 2, 2)
+def _channel_parts_from_unitaries(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Affine Bloch parts (linear, shift) from columns 0 and 4 of 8x8 unitaries.
+
+    `cols` has shape (n, 8, 2): the two columns the ancillas in |00> select,
+    which is all the Kraus operators read.  Raises RuntimeError when a row's
+    Kraus operators are not complete within 1e-9, NaN rows included.
+    """
+    # Two index arrays give the gathered array a row-fastest layout, and the
+    # einsums below sum in that layout's order: a contiguous copy changes
+    # their bits.
+    kraus = cols[:, _KRAUS_ROWS[None, :, :, None], np.arange(2)[None, None, None, :]]
+    kraus = kraus.reshape(cols.shape[0], 4, 2, 2)
     comp = np.einsum("nmba,nmbc->nac", kraus.conj(), kraus)
-    if np.max(np.abs(comp - np.eye(2))) > _KRAUS_TOL:
+    if not np.all(np.abs(comp - np.eye(2)) <= _KRAUS_TOL):
         raise RuntimeError("Kraus completeness violated beyond 1e-9")
     sandwich = np.einsum("nmab,jbc,nmdc->njad", kraus, _SIGMA, kraus.conj())
     linear = 0.5 * np.einsum("iab,njba->nij", _SIGMA, sandwich).real
@@ -167,17 +180,31 @@ def channel_from_unitary(u: np.ndarray) -> AffineBlochChannel:
     u = np.asarray(u, dtype=complex)
     if u.shape != (8, 8):
         raise ValueError(f"expected an 8x8 matrix, got shape {u.shape}")
-    linear, shift = _channel_parts_from_unitaries(u[None, :, :])
+    linear, shift = _channel_parts_from_unitaries(u[None][:, :, _KRAUS_COLS])
     return AffineBlochChannel(linear[0], shift[0])
 
 
 def control_stats_batch(pop: np.ndarray, basis: GeneratorBasis) -> tuple[np.ndarray, np.ndarray]:
-    """(F, Delta) arrays of the channels realized by each row of `pop`."""
+    """(F, Delta) arrays of the channels realized by each row of `pop`.
+
+    `pop` has shape (count,) or (n, count).  The rows go through the kernel
+    in blocks of at most `_BLOCK_ROWS`, and each block builds only columns 0
+    and 4 of its unitaries, the two the Kraus operators read.  Every row is
+    computed on its own, so the results do not depend on the block size and
+    are bitwise those of one call over all rows; zero rows give two empty
+    arrays.  Raises RuntimeError when a block breaks Kraus completeness or
+    leaves F in [0, 1] or Delta <= 1/2.
+    """
     if basis.dim != 8:
         raise ValueError(f"control statistics require an su(8) basis, got su({basis.dim})")
     pop = _check_controls(pop, basis).reshape(-1, basis.count)
-    us = _unitaries_from_control_batch(pop, basis)
-    return affine_stats_batch(*_channel_parts_from_unitaries(us))
+    n = pop.shape[0]
+    avg_f, dev = np.empty(n), np.empty(n)
+    for start in range(0, n, _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        cols = _unitary_columns(pop[block], basis, _KRAUS_COLS)
+        avg_f[block], dev[block] = affine_stats_batch(*_channel_parts_from_unitaries(cols))
+    return avg_f, dev
 
 
 def optimal_controls(basis: GeneratorBasis) -> np.ndarray:

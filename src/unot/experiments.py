@@ -567,11 +567,12 @@ _DE_SETTINGS = ("seed", "trials", "npop", "dweight", "cr", "iters", "stride")
 
 
 def _de_arrays(c: ExperimentConfig) -> dict[str, int]:
-    # Per member and trial, an evaluation builds about 1 KiB (an 8x8 complex
-    # unitary and its eigenvectors) and a sweep ranks npop - 1 float64 donor
-    # keys.  The history keeps one float64 per iteration row and trial.
+    # Per member and trial, the population and each sweep's draws hold 63
+    # float64 controls (504 B) and a sweep ranks npop - 1 float64 donor keys;
+    # evaluation streams in fixed blocks.  The history keeps one float64 per
+    # iteration row and trial.
     return {
-        "npop and trials": c.trials * c.npop * max(1024, 8 * (c.npop - 1)),
+        "npop and trials": c.trials * c.npop * max(504, 8 * (c.npop - 1)),
         "iters and trials": 8 * (c.iters + 1) * c.trials,
     }
 
@@ -602,8 +603,9 @@ EXPERIMENTS = {
         "response of the optimal controls to control noise",
         ("seed", "trials", "eta", "eta_grid"),
         trials=1000,
-        # About 1 KiB per trial row: an 8x8 complex unitary and its eigenvectors.
-        array_bytes=lambda c: {"trials": 1024 * c.trials},
+        # 504 B per trial row: its 63 float64 controls (the kernel streams
+        # them in fixed blocks).
+        array_bytes=lambda c: {"trials": 504 * c.trials},
     ),
     "optimize": Experiment(
         run_optimize,

@@ -180,7 +180,7 @@ def three_qubit_avg_fidelity(u: np.ndarray) -> float:
     u = np.asarray(u, dtype=complex)
     if u.shape != (8, 8):
         raise ValueError(f"expected an 8x8 matrix, got shape {u.shape}")
-    if np.max(np.abs(u @ u.conj().T - np.eye(8))) > _UNITARY_TOL:
+    if not np.all(np.abs(u @ u.conj().T - np.eye(8)) <= _UNITARY_TOL):
         raise ValueError("matrix is not unitary within tolerance")
     overlap = u[0:4, 0] + u[4:8, 4]
     return MAX_AVG_FIDELITY - float(np.sum(np.abs(overlap) ** 2)) / 6.0

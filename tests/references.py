@@ -5,12 +5,16 @@ The drivers reduce a ladder to its Bloch map as a product of rotations
 2x2 unitaries instead and recovers each branch gate from their product, so
 the two agree only if composing rotations and composing unitaries agree.
 `mc_stats_one_draw` is the Monte Carlo oracle as one draw of all samples,
-which the block-by-block `oracle.mc_stats` must match bit for bit.
+which the block-by-block `oracle.mc_stats` must match bit for bit, and
+`control_stats_one_call` is the control kernel as one call that builds every
+row's full unitary, which the block-by-block, two-column
+`evolve.control_stats_batch` must match bit for bit.
 """
 
 import numpy as np
 
 from unot.circuit import LadderCircuit, StochasticMap, check_density, weights_from_preps
+from unot.fidelity import affine_stats_batch
 from unot.oracle import McEstimate, sample_bloch
 from unot.rotation import PAULI, OneQubitGate, unitary_from_gate
 
@@ -116,6 +120,27 @@ def mc_stats_one_draw(bloch_map, sampler, n_samples):
     se_var = np.sqrt(max(m4 - m2 * m2, 0.0) / n)
     se_std = se_var / (2.0 * std) if std > 0.0 else 0.0
     return McEstimate(mean, se_mean, n), McEstimate(std, se_std, n)
+
+
+def control_stats_one_call(pop, basis):
+    """(F, Delta) of each row of `pop`, with all full 8x8 unitaries at once.
+
+    Kraus operator m takes rows (m, m + 4) and columns (0, 4) of U(p).
+    """
+    h = np.tensordot(pop, basis.matrices, axes=([1], [0]))
+    vals, vecs = np.linalg.eigh(h)
+    phases = np.exp(-1.0j * vals)
+    us = np.einsum("nij,nj,nkj->nik", vecs, phases, vecs.conj())
+    rows = np.arange(4)[:, None] + 4 * np.arange(2)[None, :]
+    cols = np.array([0, 4])
+    kraus = us[:, rows[None, :, :, None], cols[None, None, None, :]]
+    kraus = kraus.reshape(us.shape[0], 4, 2, 2)
+    sigma = np.stack(PAULI)
+    sandwich = np.einsum("nmab,jbc,nmdc->njad", kraus, sigma, kraus.conj())
+    linear = 0.5 * np.einsum("iab,njba->nij", sigma, sandwich).real
+    residue = np.einsum("nmab,nmcb->nac", kraus, kraus.conj())
+    shift = 0.5 * np.einsum("iab,nba->ni", sigma, residue).real
+    return affine_stats_batch(linear, shift)
 
 
 def ladder_circuit(preps, angles, axes) -> LadderCircuit:

@@ -188,7 +188,7 @@ def test_missing_config_file_is_rejected(tmp_path):
             id="huge-npop",
         ),
         pytest.param(
-            ["optimize", "--trials", "200000", "--iters", "1"], "trials", id="eval-batch"
+            ["optimize", "--trials", "300000", "--iters", "1"], "trials", id="eval-batch"
         ),
         pytest.param(["optimize", "--iters", str(10**9)], "iters", id="huge-iters"),
         pytest.param(["recover", "--iters", str(10**9)], "iters", id="huge-recover-iters"),

@@ -2,11 +2,13 @@
 
 import functools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from references import (
     bloch_map_from_affine,
+    control_stats_one_call,
     ladder_circuit,
     stochastic_map_from_circuit,
 )
@@ -16,6 +18,7 @@ import unot.evolve
 from unot.circuit import full_unitary, optimal_three_qubit_circuit
 from unot.cli import main
 from unot.evolve import (
+    _BLOCK_ROWS,
     DeConfig,
     GeneratorBasis,
     NoiseModel,
@@ -71,6 +74,28 @@ def test_generator_basis_rejects_nonhermitian():
         GeneratorBasis(bad)
 
 
+_SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+_SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+
+
+@pytest.mark.parametrize(
+    "check, matrices",
+    [
+        ("Hermitian", np.stack([_SX, np.where(_SY == 0, np.nan, _SY)])),
+        # Finite and Hermitian, but the trace overflows both ways to NaN.
+        ("traceless", np.diag([1e308, 1e308, -1e308, -1e308]).astype(complex)[None]),
+        # Hermitian and traceless; the Gram cross term overflows to
+        # inf i - inf i, a NaN.
+        ("Tr", 1e200 * np.stack([_SX, _SY])),
+    ],
+    ids=["hermitian", "traceless", "gram"],
+)
+def test_generator_basis_checks_reject_nan(check, matrices):
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=check):
+            GeneratorBasis(matrices)
+
+
 def test_unitary_from_controls_matches_expm():
     sampler = SeededSampler(40)
     for _ in range(5):
@@ -114,6 +139,13 @@ def test_kraus_completeness_holds_for_haar_unitaries():
 def test_channel_rejects_wrong_shape():
     with pytest.raises(ValueError):
         channel_from_unitary(np.eye(4, dtype=complex))
+
+
+def test_kraus_completeness_check_rejects_nan():
+    u = np.eye(8, dtype=complex)
+    u[2, 0] = np.nan
+    with pytest.raises(RuntimeError, match="Kraus completeness"):
+        channel_from_unitary(u)
 
 
 def test_fitness_of_embedded_system_flip():
@@ -408,6 +440,34 @@ def test_batch_control_stats_check_their_controls():
     pop[2, 0] = np.inf
     with pytest.raises(ValueError, match="finite"):
         control_stats_batch(pop, _BASIS8)
+
+
+@pytest.mark.parametrize(
+    "n", [1, 34, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 7]
+)
+def test_blocks_give_the_bits_of_one_call(n):
+    pop = SeededSampler(47).uniform(-np.pi, np.pi, (n, 63))
+    avg_f, dev = control_stats_batch(pop, _BASIS8)
+    one_f, one_dev = control_stats_one_call(pop, _BASIS8)
+    assert np.array_equal(avg_f, one_f) and np.array_equal(dev, one_dev)
+
+
+def test_zero_control_rows_give_empty_stats():
+    avg_f, dev = control_stats_batch(np.zeros((0, 63)), _BASIS8)
+    assert avg_f.shape == dev.shape == (0,)
+    assert avg_f.dtype == dev.dtype == np.float64
+
+
+def test_control_stats_peak_memory_stays_below_16_mib():
+    # Building every row's full unitary at once peaks at about 4.3 KB a row.
+    pop = SeededSampler(48).uniform(-np.pi, np.pi, (50_000, 63))
+    tracemalloc.start()
+    try:
+        control_stats_batch(pop, _BASIS8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 @pytest.mark.parametrize("noise", [NoiseModel(0.0), NoiseModel(0.4, period=25)])

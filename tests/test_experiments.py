@@ -166,12 +166,14 @@ def test_largest_array_estimate_meets_the_ceiling_exactly():
     for name, setting, per_unit, extra in (
         ("verify", "samples", 8, {}),
         ("verify", "trials", 360, {}),
-        ("noise-sweep", "trials", 1024, {}),
+        ("noise-sweep", "trials", 504, {}),
         ("tradeoff", "trials", 216, {}),
-        # Below npop 130 the first evaluation's 1 KiB per member is largest,
-        ("optimize", "trials", 1024 * 10, {"npop": 10}),
-        ("recover", "trials", 1024 * 10, {"npop": 10}),
-        # above it the donor keys: npop - 1 float64 per member.
+        # Below npop 65 the 63 float64 controls per member are largest (one
+        # iteration, so the history stays below the ceiling),
+        ("optimize", "trials", 504 * 10, {"npop": 10, "iters": 1}),
+        ("recover", "trials", 504 * 10, {"npop": 10, "iters": 1}),
+        # from it on the donor keys: npop - 1 float64 per member.
+        ("optimize", "trials", 8 * 65 * 64, {"npop": 65}),
         ("optimize", "trials", 8 * 200 * 199, {"npop": 200}),
     ):
         largest = MAX_ARRAY_BYTES // per_unit

@@ -183,6 +183,13 @@ def test_three_qubit_ceiling_markers():
     assert abs(three_qubit_avg_fidelity(u) - 2.0 / 3.0) < 1e-15
 
 
+def test_three_qubit_unitarity_check_rejects_nan():
+    u = np.eye(8, dtype=complex)
+    u[3, 5] = np.nan
+    with pytest.raises(ValueError, match="not unitary"):
+        three_qubit_avg_fidelity(u)
+
+
 def test_generic_two_qubit_channels_obey_floor_and_ceiling_only():
     """Tracing a Haar 4x4 unitary over one ancilla qubit gives channels
     that respect the deviation floor and the 2/3 fidelity ceiling, but a
