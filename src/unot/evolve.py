@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numbers
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,6 +36,7 @@ __all__ = [
     "unitary_from_controls",
     "channel_from_unitary",
     "control_stats_batch",
+    "noise_stats",
     "optimal_controls",
     "apply_noise",
     "de_mutate",
@@ -48,21 +49,44 @@ _KRAUS_TOL = 1e-9
 
 _SIGMA = np.stack(PAULI)
 
-# Kraus operator m of the ancilla-discarding channel takes rows (m, m + 4)
-# and columns (0, 4) of the 8x8 unitary: ancillas enter in |00>, the system
-# bit is most significant.
-_KRAUS_ROWS = np.arange(4)[:, None] + 4 * np.arange(2)[None, :]
-_KRAUS_COLS = np.array([0, 4])
+# The ancillas enter in |00> and the system bit is most significant, so the
+# channel reads only columns 0 and 4 of the 8x8 unitary.
+_CHANNEL_COLS = np.array([0, 4])
 
-# control_stats_batch evaluates this many rows at a time.
-_BLOCK_ROWS = 1024
+# control_stats_batch and noise_stats evaluate this many rows at a time.
+_BLOCK_ROWS = 512
+
+
+def _pauli_transfer_map() -> np.ndarray:
+    """Real (32, 16) map from a flattened, interleaved Choi matrix to R.
+
+    With C[(k, s), (l, t)] = <s| E(|k><l|) |t>, the Pauli-transfer matrix
+    R_ij = Tr(sigma_i E(sigma_j)) / 2 (sigma_0 = I) is the row-major sum
+    T C over C's 16 entries.  R is real, so applied to C's interleaved real
+    and imaginary parts T becomes the real map Re(T z) = Re T Re z - Im T Im z.
+    """
+    sigma = np.concatenate([np.eye(2)[None], _SIGMA])
+    t = 0.5 * np.einsum("its,jkl->ijkslt", sigma, sigma).reshape(16, 16)
+    out = np.empty((32, 16))
+    out[0::2], out[1::2] = t.T.real, -t.T.imag
+    return out
+
+
+_PAULI_TRANSFER = _pauli_transfer_map()
 
 
 @dataclass(frozen=True)
 class GeneratorBasis:
-    """Orthogonal Hermitian traceless generators with Tr(g_i g_j) = 2 delta_ij."""
+    """Orthogonal Hermitian traceless generators with Tr(g_i g_j) = 2 delta_ij.
+
+    `interleaved` holds the same generators as a read-only real
+    (count, 2 dim^2) matrix, each row the real and imaginary parts of one
+    flattened generator in turn, so `(p @ interleaved).view(complex)` is
+    h = sum_j p_j g_j flattened.
+    """
 
     matrices: np.ndarray
+    interleaved: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrices, dtype=complex)
@@ -79,6 +103,8 @@ class GeneratorBasis:
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrices", m)
+        # A view of the read-only copy, so read-only too.
+        object.__setattr__(self, "interleaved", m.view(float).reshape(m.shape[0], -1))
 
     @property
     def dim(self) -> int:
@@ -145,34 +171,43 @@ def unitary_from_controls(p: np.ndarray, basis: GeneratorBasis) -> np.ndarray:
     return _unitary_columns(p, basis, np.arange(basis.dim))[0]
 
 
+def _row_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for a 2-D `a`, each row's bits the same whatever the row count.
+
+    numpy hands a one-row product to BLAS gemv, which sums in another order
+    than gemm, so a lone row goes through gemm as a pair.
+    """
+    if len(a) == 1:
+        return (np.concatenate([a, a]) @ b)[:1]
+    return a @ b
+
+
 def _unitary_columns(pop: np.ndarray, basis: GeneratorBasis, cols: np.ndarray) -> np.ndarray:
     """Columns `cols` of U(p) for each row p of `pop`, shape (n, dim, len(cols))."""
-    h = np.tensordot(pop, basis.matrices, axes=([1], [0]))
+    h = _row_product(pop, basis.interleaved).view(complex).reshape(-1, basis.dim, basis.dim)
     vals, vecs = np.linalg.eigh(h)
     phases = np.exp(-1.0j * vals)
-    return np.einsum("nij,nj,nkj->nik", vecs, phases, vecs[:, cols, :].conj())
+    return vecs @ (phases[:, :, None] * vecs[:, cols, :].conj().swapaxes(1, 2))
 
 
-def _channel_parts_from_unitaries(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _channel_parts_from_columns(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Affine Bloch parts (linear, shift) from columns 0 and 4 of 8x8 unitaries.
 
-    `cols` has shape (n, 8, 2): the two columns the ancillas in |00> select,
-    which is all the Kraus operators read.  Raises RuntimeError when a row's
-    Kraus operators are not complete within 1e-9, NaN rows included.
+    `cols` has shape (n, 8, 2), and row 4 s + a of column k holds
+    <s a| U |k 0 0>.  Laid out as x[(k, s), a], the columns give the Choi
+    matrix C = x x^dag, C[(k, s), (l, t)] = <s| E(|k><l|) |t>, and
+    `_PAULI_TRANSFER` reads the channel off it.  Raises RuntimeError when
+    a row's partial trace of C over s, the Kraus completeness sum, is not
+    the identity within 1e-9, NaN rows included.
     """
-    # Two index arrays give the gathered array a row-fastest layout, and the
-    # einsums below sum in that layout's order: a contiguous copy changes
-    # their bits.
-    kraus = cols[:, _KRAUS_ROWS[None, :, :, None], np.arange(2)[None, None, None, :]]
-    kraus = kraus.reshape(cols.shape[0], 4, 2, 2)
-    comp = np.einsum("nmba,nmbc->nac", kraus.conj(), kraus)
-    if not np.all(np.abs(comp - np.eye(2)) <= _KRAUS_TOL):
+    n = cols.shape[0]
+    x = cols.swapaxes(1, 2).reshape(n, 4, 4)
+    choi = x @ x.conj().swapaxes(1, 2)
+    partial = choi[:, 0::2, 0::2] + choi[:, 1::2, 1::2]
+    if not np.all(np.abs(partial - np.eye(2)) <= _KRAUS_TOL):
         raise RuntimeError("Kraus completeness violated beyond 1e-9")
-    sandwich = np.einsum("nmab,jbc,nmdc->njad", kraus, _SIGMA, kraus.conj())
-    linear = 0.5 * np.einsum("iab,njba->nij", _SIGMA, sandwich).real
-    residue = np.einsum("nmab,nmcb->nac", kraus, kraus.conj())
-    shift = 0.5 * np.einsum("iab,nba->ni", _SIGMA, residue).real
-    return linear, shift
+    transfer = _row_product(choi.reshape(n, 16).view(float), _PAULI_TRANSFER).reshape(n, 4, 4)
+    return transfer[:, 1:, 1:], transfer[:, 1:, 0]
 
 
 def channel_from_unitary(u: np.ndarray) -> AffineBlochChannel:
@@ -180,8 +215,21 @@ def channel_from_unitary(u: np.ndarray) -> AffineBlochChannel:
     u = np.asarray(u, dtype=complex)
     if u.shape != (8, 8):
         raise ValueError(f"expected an 8x8 matrix, got shape {u.shape}")
-    linear, shift = _channel_parts_from_unitaries(u[None][:, :, _KRAUS_COLS])
+    linear, shift = _channel_parts_from_columns(u[None][:, :, _CHANNEL_COLS])
     return AffineBlochChannel(linear[0], shift[0])
+
+
+def _block_stats(count: int, block, basis: GeneratorBasis) -> tuple[np.ndarray, np.ndarray]:
+    """(F, Delta) of `count` control rows that `block(start, m)` hands over
+    `_BLOCK_ROWS` at a time, as an (m, d) array of rows start to start + m."""
+    avg_f, dev = np.empty(count), np.empty(count)
+    for start in range(0, count, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, count)
+        cols = _unitary_columns(block(start, stop - start), basis, _CHANNEL_COLS)
+        avg_f[start:stop], dev[start:stop] = affine_stats_batch(
+            *_channel_parts_from_columns(cols)
+        )
+    return avg_f, dev
 
 
 def control_stats_batch(pop: np.ndarray, basis: GeneratorBasis) -> tuple[np.ndarray, np.ndarray]:
@@ -189,7 +237,7 @@ def control_stats_batch(pop: np.ndarray, basis: GeneratorBasis) -> tuple[np.ndar
 
     `pop` has shape (count,) or (n, count).  The rows go through the kernel
     in blocks of at most `_BLOCK_ROWS`, and each block builds only columns 0
-    and 4 of its unitaries, the two the Kraus operators read.  Every row is
+    and 4 of its unitaries, the two the channel reads.  Every row is
     computed on its own, so the results do not depend on the block size and
     are bitwise those of one call over all rows; zero rows give two empty
     arrays.  Raises RuntimeError when a block breaks Kraus completeness or
@@ -198,13 +246,7 @@ def control_stats_batch(pop: np.ndarray, basis: GeneratorBasis) -> tuple[np.ndar
     if basis.dim != 8:
         raise ValueError(f"control statistics require an su(8) basis, got su({basis.dim})")
     pop = _check_controls(pop, basis).reshape(-1, basis.count)
-    n = pop.shape[0]
-    avg_f, dev = np.empty(n), np.empty(n)
-    for start in range(0, n, _BLOCK_ROWS):
-        block = slice(start, start + _BLOCK_ROWS)
-        cols = _unitary_columns(pop[block], basis, _KRAUS_COLS)
-        avg_f[block], dev[block] = affine_stats_batch(*_channel_parts_from_unitaries(cols))
-    return avg_f, dev
+    return _block_stats(len(pop), lambda start, m: pop[start : start + m], basis)
 
 
 def optimal_controls(basis: GeneratorBasis) -> np.ndarray:
@@ -280,6 +322,33 @@ def apply_noise(
         return population.copy()
     eps = sampler.uniform(-np.pi, np.pi, population.shape)
     return population + noise.strength * eps
+
+
+def noise_stats(
+    controls: np.ndarray,
+    noise: NoiseModel,
+    sampler: SeededSampler,
+    count: int,
+    basis: GeneratorBasis,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(F, Delta) arrays of `count` noisy copies of one control vector.
+
+    Bitwise `control_stats_batch(apply_noise(np.tile(controls, (count, 1)),
+    noise, sampler), basis)`, and the stream moves as that one draw moves
+    it, but each block's noise is drawn just before the block is evaluated,
+    so no (count, d) array exists.  Zero strength draws nothing.
+    """
+    if basis.dim != 8:
+        raise ValueError(f"control statistics require an su(8) basis, got su({basis.dim})")
+    controls = _check_controls(controls, basis)
+    if controls.ndim != 1:
+        raise ValueError(f"controls must have shape ({basis.count},), got {controls.shape}")
+    count = _integer(count, "count", 0)
+
+    def block(start, m):
+        return apply_noise(np.broadcast_to(controls, (m, basis.count)), noise, sampler)
+
+    return _block_stats(count, block, basis)
 
 
 @dataclass(frozen=True)

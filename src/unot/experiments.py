@@ -29,9 +29,8 @@ from .circuit import (
 from .evolve import (
     DeConfig,
     NoiseModel,
-    apply_noise,
-    control_stats_batch,
     gell_mann_basis,
+    noise_stats,
     optimal_controls,
     run_feedback,
 )
@@ -465,10 +464,9 @@ def run_noise_sweep(config: ExperimentConfig) -> ExperimentResult:
         grid = tuple(np.arange(0.0, 1.0 + 1e-9, 0.05))
     rows = []
     for eta, child in zip(grid, SeededSampler(config.seed).split(len(grid))):
-        pop = np.tile(p_star, (config.trials, 1))
-        pop = apply_noise(pop, NoiseModel(eta, period=None), child)
-        f, d = control_stats_batch(pop, basis)
-        rows.append({"eta": float(eta), **_summary(f, d), "trials": config.trials})
+        f, d = noise_stats(p_star, NoiseModel(eta, period=None), child, config.trials, basis)
+        stats = {k: float(v) for k, v in _summary(f, d).items()}
+        rows.append({"eta": float(eta), **stats, "trials": config.trials})
     report = [
         "noise-sweep: eta={:.2f} -> F={:.4f}+-{:.4f} Delta={:.4f}+-{:.4f}".format(
             r["eta"], r["mean_f"], r["std_f"], r["mean_delta"], r["std_delta"]
@@ -478,15 +476,23 @@ def run_noise_sweep(config: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(rows, report)
 
 
-def _summary(f: np.ndarray, d: np.ndarray) -> dict:
-    """Mean and spread of F and Delta over trials (sample std from two on)."""
-    ddof = 1 if len(f) > 1 else 0
+def _summary(f: np.ndarray, d: np.ndarray) -> dict[str, np.ndarray]:
+    """Mean and spread of F and Delta over the trials on the last axis
+    (sample std from two trials on)."""
+    ddof = 1 if f.shape[-1] > 1 else 0
     return {
-        "mean_f": float(f.mean()),
-        "std_f": float(f.std(ddof=ddof)),
-        "mean_delta": float(d.mean()),
-        "std_delta": float(d.std(ddof=ddof)),
+        "mean_f": f.mean(axis=-1),
+        "std_f": f.std(axis=-1, ddof=ddof),
+        "mean_delta": d.mean(axis=-1),
+        "std_delta": d.std(axis=-1, ddof=ddof),
     }
+
+
+def _median(x: np.ndarray) -> float:
+    """The median `np.median` gives, the mean of the two middle values for
+    an even count, without the numpy.ma import that `np.median` makes."""
+    s = np.sort(x)
+    return float(s[[(s.size - 1) // 2, s.size // 2]].mean())
 
 
 def _search(config: ExperimentConfig, noises):
@@ -502,15 +508,16 @@ def _search(config: ExperimentConfig, noises):
     iterations = [*range(0, config.iters, config.stride), config.iters]
     for noise in noises:
         run = run_feedback(de_config, noise, basis, seeds)
+        stats = _summary(run.avg_fidelity[iterations], run.deviation[iterations])
+        stats["mean_fitness"] = run.fitness[iterations].mean(axis=-1)
         rows = [
             {
                 "iteration": it,
-                **_summary(run.avg_fidelity[it], run.deviation[it]),
-                "mean_fitness": float(run.fitness[it].mean()),
+                **{k: float(v[row]) for k, v in stats.items()},
                 "noise_injected": bool(run.noise_injected[it]),
                 "trials": config.trials,
             }
-            for it in iterations
+            for row, it in enumerate(iterations)
         ]
         yield rows, run.avg_fidelity[-1], run.deviation[-1]
 
@@ -519,8 +526,8 @@ def run_optimize(config: ExperimentConfig) -> ExperimentResult:
     [(rows, final_f, final_d)] = _search(config, [NoiseModel(0.0, period=None)])
     report = [
         f"optimize: {config.trials} runs x {config.iters} iterations; "
-        f"final median F={np.median(final_f):.4f}, "
-        f"median Delta={np.median(final_d):.4f}"
+        f"final median F={_median(final_f):.4f}, "
+        f"median Delta={_median(final_d):.4f}"
     ]
     return ExperimentResult(rows, report)
 
@@ -534,7 +541,7 @@ def run_recover(config: ExperimentConfig) -> ExperimentResult:
         rows.extend({"schedule": int(schedule), **row} for row in run_rows)
         report.append(
             f"recover: eta={eta} every {schedule} iterations over "
-            f"{config.trials} runs; final median F={np.median(final_f):.4f}"
+            f"{config.trials} runs; final median F={_median(final_f):.4f}"
         )
     return ExperimentResult(rows, report)
 
@@ -603,9 +610,9 @@ EXPERIMENTS = {
         "response of the optimal controls to control noise",
         ("seed", "trials", "eta", "eta_grid"),
         trials=1000,
-        # 504 B per trial row: its 63 float64 controls (the kernel streams
-        # them in fixed blocks).
-        array_bytes=lambda c: {"trials": 504 * c.trials},
+        # The (trials,) float64 F and Delta results: the controls and their
+        # noise are drawn and evaluated in fixed blocks.
+        array_bytes=lambda c: {"trials": 8 * c.trials},
     ),
     "optimize": Experiment(
         run_optimize,

@@ -6,14 +6,19 @@ The drivers reduce a ladder to its Bloch map as a product of rotations
 the two agree only if composing rotations and composing unitaries agree.
 `mc_stats_one_draw` is the Monte Carlo oracle as one draw of all samples,
 which the block-by-block `oracle.mc_stats` must match bit for bit, and
-`control_stats_one_call` is the control kernel as one call that builds every
-row's full unitary, which the block-by-block, two-column
-`evolve.control_stats_batch` must match bit for bit.
+`control_stats_one_call` is the control kernel as one call over all rows,
+which the block-by-block `evolve.control_stats_batch` must match bit for
+bit, and `noise_stats_one_draw` is `evolve.noise_stats` with all noise drawn
+at once.  `control_stats_kraus` reads the channel off Kraus operators
+instead of the Choi matrix, an independent route that agrees to roundoff.
 """
+
+import itertools
 
 import numpy as np
 
 from unot.circuit import LadderCircuit, StochasticMap, check_density, weights_from_preps
+from unot.evolve import apply_noise
 from unot.fidelity import affine_stats_batch
 from unot.oracle import McEstimate, sample_bloch
 from unot.rotation import PAULI, OneQubitGate, unitary_from_gate
@@ -123,9 +128,42 @@ def mc_stats_one_draw(bloch_map, sampler, n_samples):
 
 
 def control_stats_one_call(pop, basis):
-    """(F, Delta) of each row of `pop`, with all full 8x8 unitaries at once.
+    """(F, Delta) of each row of `pop`, all rows in one call.
 
-    Kraus operator m takes rows (m, m + 4) and columns (0, 4) of U(p).
+    Columns 0 and 4 of U(p), laid out as x[(k, s), a] = <s a| U |k 0 0>, give
+    the Choi matrix C = x x^dag, C[(k, s), (l, t)] = <s| E(|k><l|) |t>.  The
+    Pauli-transfer matrix R_ij = Tr(sigma_i E(sigma_j)) / 2 (sigma_0 = I) is
+    a fixed 16x16 map of C, applied as one real product to C's interleaved
+    real and imaginary parts; the channel is M = R[1:, 1:], c = R[1:, 0].
+    A lone row goes through as a pair, as in the package: numpy hands a
+    one-row product to BLAS gemv, which sums in another order than gemm.
+    """
+    n = len(pop)
+    if n == 1:
+        avg_f, dev = control_stats_one_call(np.concatenate([pop, pop]), basis)
+        return avg_f[:1], dev[:1]
+    h = (pop @ basis.interleaved).view(complex).reshape(n, 8, 8)
+    vals, vecs = np.linalg.eigh(h)
+    phases = np.exp(-1.0j * vals)
+    cols = vecs @ (phases[:, :, None] * vecs[:, [0, 4], :].conj().swapaxes(1, 2))
+    x = cols.swapaxes(1, 2).reshape(n, 4, 4)
+    choi = x @ x.conj().swapaxes(1, 2)
+    sigma = [np.eye(2), *PAULI]
+    transfer = np.zeros((4, 4, 2, 2, 2, 2), dtype=complex)
+    for i, j, k, s, l, t in itertools.product(range(4), range(4), *[range(2)] * 4):
+        transfer[i, j, k, s, l, t] = 0.5 * sigma[i][t, s] * sigma[j][k, l]
+    transfer = transfer.reshape(16, 16).T
+    real = np.empty((32, 16))
+    real[0::2], real[1::2] = transfer.real, -transfer.imag
+    r = (choi.reshape(n, 16).view(float) @ real).reshape(n, 4, 4)
+    return affine_stats_batch(r[:, 1:, 1:], r[:, 1:, 0])
+
+
+def control_stats_kraus(pop, basis):
+    """(F, Delta) of each row of `pop` by Kraus operators and five einsums.
+
+    Kraus operator m takes rows (m, m + 4) and columns (0, 4) of U(p), an
+    independent route to the channel.
     """
     h = np.tensordot(pop, basis.matrices, axes=([1], [0]))
     vals, vecs = np.linalg.eigh(h)
@@ -141,6 +179,13 @@ def control_stats_one_call(pop, basis):
     residue = np.einsum("nmab,nmcb->nac", kraus, kraus.conj())
     shift = 0.5 * np.einsum("iab,nba->ni", sigma, residue).real
     return affine_stats_batch(linear, shift)
+
+
+def noise_stats_one_draw(controls, noise, sampler, count, basis):
+    """`evolve.noise_stats` as one tiled (count, d) population, disturbed in
+    one draw and evaluated in one call."""
+    pop = apply_noise(np.tile(controls, (count, 1)), noise, sampler)
+    return control_stats_one_call(pop, basis)
 
 
 def ladder_circuit(preps, angles, axes) -> LadderCircuit:

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 from references import (
     bloch_map_from_affine,
+    control_stats_kraus,
     control_stats_one_call,
     ladder_circuit,
+    noise_stats_one_draw,
     stochastic_map_from_circuit,
 )
 from scipy.linalg import expm, schur
@@ -28,6 +30,7 @@ from unot.evolve import (
     de_crossover,
     de_mutate,
     gell_mann_basis,
+    noise_stats,
     optimal_controls,
     run_feedback,
     unitary_from_controls,
@@ -94,6 +97,13 @@ def test_generator_basis_checks_reject_nan(check, matrices):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match=check):
             GeneratorBasis(matrices)
+
+
+def test_interleaved_generators_give_h_and_are_read_only():
+    p = SeededSampler(54).uniform(-np.pi, np.pi, (5, 63))
+    h = (p @ _BASIS8.interleaved).view(complex).reshape(5, 8, 8)
+    assert np.max(np.abs(h - np.einsum("na,aij->nij", p, _BASIS8.matrices))) < 1e-13
+    assert not _BASIS8.interleaved.flags.writeable
 
 
 def test_unitary_from_controls_matches_expm():
@@ -443,13 +453,63 @@ def test_batch_control_stats_check_their_controls():
 
 
 @pytest.mark.parametrize(
-    "n", [1, 34, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 7]
+    "n",
+    [1, 34]
+    + [k * _BLOCK_ROWS + j for k in (1, 2) for j in (-1, 0, 1)]
+    + [3 * _BLOCK_ROWS + 7, 6 * _BLOCK_ROWS + 7],
 )
 def test_blocks_give_the_bits_of_one_call(n):
     pop = SeededSampler(47).uniform(-np.pi, np.pi, (n, 63))
     avg_f, dev = control_stats_batch(pop, _BASIS8)
     one_f, one_dev = control_stats_one_call(pop, _BASIS8)
     assert np.array_equal(avg_f, one_f) and np.array_equal(dev, one_dev)
+
+
+def test_choi_route_matches_the_kraus_route():
+    sampler = SeededSampler(50)
+    pop = np.concatenate(
+        [
+            sampler.uniform(-np.pi, np.pi, (2000, 63)),
+            optimal_controls(_BASIS8) + 0.05 * sampler.uniform(-np.pi, np.pi, (200, 63)),
+        ]
+    )
+    avg_f, dev = control_stats_batch(pop, _BASIS8)
+    kraus_f, kraus_dev = control_stats_kraus(pop, _BASIS8)
+    assert np.max(np.abs(avg_f - kraus_f)) <= 1e-15
+    assert np.max(np.abs(dev - kraus_dev)) <= 1e-15
+
+
+def test_single_rows_give_the_bits_of_a_batch():
+    pop = SeededSampler(51).uniform(-np.pi, np.pi, (40, 63))
+    avg_f, dev = control_stats_batch(pop, _BASIS8)
+    for k in range(len(pop)):
+        one_f, one_dev = control_stats_batch(pop[k], _BASIS8)
+        assert one_f[0] == avg_f[k] and one_dev[0] == dev[k]
+
+
+@pytest.mark.parametrize("count", [1, 511, 512, 513, 4000])
+@pytest.mark.parametrize("strength", [0.0, 0.3])
+def test_noise_stats_give_the_bits_of_one_draw(count, strength):
+    controls = optimal_controls(_BASIS8)
+    noise = NoiseModel(strength)
+    streamed, drawn = SeededSampler(52), SeededSampler(52)
+    avg_f, dev = noise_stats(controls, noise, streamed, count, _BASIS8)
+    one_f, one_dev = noise_stats_one_draw(controls, noise, drawn, count, _BASIS8)
+    assert np.array_equal(avg_f, one_f) and np.array_equal(dev, one_dev)
+    assert streamed.position == drawn.position == (63 * count if strength else 0)
+    assert np.array_equal(streamed.random(5), drawn.random(5))
+
+
+def test_noise_stats_check_their_arguments():
+    controls = optimal_controls(_BASIS8)
+    avg_f, dev = noise_stats(controls, NoiseModel(0.2), SeededSampler(53), 0, _BASIS8)
+    assert avg_f.shape == dev.shape == (0,)
+    with pytest.raises(ValueError, match="shape"):
+        noise_stats(controls[None], NoiseModel(0.2), SeededSampler(53), 3, _BASIS8)
+    with pytest.raises(ValueError, match="count"):
+        noise_stats(controls, NoiseModel(0.2), SeededSampler(53), 2.0, _BASIS8)
+    with pytest.raises(ValueError, match="su\\(8\\)"):
+        noise_stats(np.zeros(3), NoiseModel(0.2), SeededSampler(53), 3, gell_mann_basis(2))
 
 
 def test_zero_control_rows_give_empty_stats():
@@ -468,6 +528,7 @@ def test_control_stats_peak_memory_stays_below_16_mib():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
 
 
 @pytest.mark.parametrize("noise", [NoiseModel(0.0), NoiseModel(0.4, period=25)])

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -166,7 +167,7 @@ def test_largest_array_estimate_meets_the_ceiling_exactly():
     for name, setting, per_unit, extra in (
         ("verify", "samples", 8, {}),
         ("verify", "trials", 360, {}),
-        ("noise-sweep", "trials", 504, {}),
+        ("noise-sweep", "trials", 8, {}),
         ("tradeoff", "trials", 216, {}),
         # Below npop 65 the 63 float64 controls per member are largest (one
         # iteration, so the history stays below the ceiling),
@@ -188,6 +189,26 @@ def test_largest_array_estimate_meets_the_ceiling_exactly():
             ExperimentConfig(name, iters=largest + 1, trials=20)
     for name in EXPERIMENTS:
         ExperimentConfig(name)
+
+
+def test_noise_sweep_peak_memory_stays_below_16_mib():
+    # Tiling the controls and adding a same-size noise draw holds three
+    # (trials, 63) float64 arrays, 25 MB each at 50 000 trials.
+    config = ExperimentConfig("noise-sweep", trials=50_000, eta=0.3)
+    tracemalloc.start()
+    try:
+        run_experiment(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_report_median_is_numpy_median():
+    sampler = np.random.default_rng(3)
+    for n in (1, 2, 3, 20, 21):
+        x = sampler.random(n)
+        assert unot.experiments._median(x) == np.median(x)
 
 
 def test_noise_sweep_single_eta_flag():
