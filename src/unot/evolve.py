@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import full_unitary, optimal_three_qubit_circuit
-from .fidelity import AffineBlochChannel, affine_stats_batch
+from .fidelity import affine_stats_batch
 from .oracle import SeededSampler
 from .rotation import PAULI
 
@@ -210,13 +210,14 @@ def _channel_parts_from_columns(cols: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return transfer[:, 1:, 1:], transfer[:, 1:, 0]
 
 
-def channel_from_unitary(u: np.ndarray) -> AffineBlochChannel:
-    """Qubit channel left on the system after ancillas in |00> are discarded."""
+def channel_from_unitary(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Affine Bloch parts (linear (3, 3), shift (3,)) of the qubit channel left
+    on the system after ancillas in |00> are discarded."""
     u = np.asarray(u, dtype=complex)
     if u.shape != (8, 8):
         raise ValueError(f"expected an 8x8 matrix, got shape {u.shape}")
     linear, shift = _channel_parts_from_columns(u[None][:, :, _CHANNEL_COLS])
-    return AffineBlochChannel(linear[0], shift[0])
+    return linear[0], shift[0]
 
 
 def _block_stats(count: int, block, basis: GeneratorBasis) -> tuple[np.ndarray, np.ndarray]:
@@ -272,7 +273,7 @@ def optimal_controls(basis: GeneratorBasis) -> np.ndarray:
     """
     if basis.dim != 8:
         raise ValueError("optimal controls require an su(8) basis")
-    u = full_unitary(optimal_three_qubit_circuit())
+    u = full_unitary(*optimal_three_qubit_circuit())
     w, v = np.linalg.eig(u)
     z = np.linalg.qr(v)[0]
     angles = np.angle(w)

@@ -17,7 +17,6 @@ from pathlib import Path
 import numpy as np
 
 from .circuit import (
-    LadderCircuit,
     bloch_from_density,
     compensated_four_gate_map,
     density_from_bloch,
@@ -54,7 +53,7 @@ from .oracle import (
     sample_ladders,
     sample_unitary,
 )
-from .rotation import OneQubitGate, rotation_batch, rotation_trace
+from .rotation import rotation_batch, rotation_trace
 
 __all__ = [
     "EXPERIMENTS",
@@ -392,13 +391,12 @@ def _verify_families(config: ExperimentConfig):
     worst = 0.0
     for i in range(50):
         preps, angles, axes = sample_ladders(s, 1 + i % 4, 1)
-        circuit = LadderCircuit(preps[0], tuple(map(OneQubitGate, angles[0], axes[0])))
         bloch = np.empty((10, 3))
         for k in range(10):
             radius = float(s.random(1)[0]) ** (1.0 / 3.0)  # = uniform(0, 1) bitwise
             bloch[k] = radius * sample_bloch(s)
-        rho = np.array([density_from_bloch(a) for a in bloch])
-        full = bloch_from_density(simulate_full(circuit, rho))
+        rho = density_from_bloch(bloch)
+        full = bloch_from_density(simulate_full(preps[0], angles[0], axes[0], rho))
         reduced = bloch @ ladder_linear(preps, angles, axes)[0].T
         worst = _worst(worst, np.abs(full - reduced))
     yield "circuit-map-equivalence", worst, 1e-10 * scale
@@ -548,12 +546,8 @@ def run_recover(config: ExperimentConfig) -> ExperimentResult:
 
 def run_compensate(config: ExperimentConfig) -> ExperimentResult:
     grid = config.alpha_grid or tuple(np.linspace(0.01, 0.25, 25))
-    _, three = _linear_stats(
-        np.array([misaligned_three_gate_map(a).bloch_linear() for a in grid])
-    )
-    four_f, four = _linear_stats(
-        np.array([compensated_four_gate_map(a).bloch_linear() for a in grid])
-    )
+    _, three = _linear_stats(misaligned_three_gate_map(grid))
+    four_f, four = _linear_stats(compensated_four_gate_map(grid))
     rows = [
         {
             "alpha": float(alpha),

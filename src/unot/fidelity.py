@@ -7,29 +7,18 @@ computed here in closed form for single gates, stochastic mixtures of
 gates, affine Bloch channels, and three-qubit dilations.
 
 `affine_stats_batch` is the one kernel for affine channels a -> M a + c:
-it maps a batch of (M, c) to arrays of (F, Delta), and the scalar
-`affine_channel_stats` and `stochastic_map_stats` (a mixture acts as
-M = sum_k w_k R_k, c = 0) are one-row calls of it.
+it maps a batch of (M, c) to arrays of (F, Delta); a gate mixture enters
+it as M = sum_k w_k R_k, c = 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .circuit import StochasticMap
-from .rotation import OneQubitGate
-
 __all__ = [
-    "FidelityStats",
-    "AffineBlochChannel",
-    "one_qubit_stats",
     "one_qubit_stats_batch",
     "pair_covariance_batch",
-    "stochastic_map_stats",
     "affine_stats_batch",
-    "affine_channel_stats",
     "three_qubit_avg_fidelity",
     "region_residual",
     "MAX_AVG_FIDELITY",
@@ -51,47 +40,6 @@ _STATS_TOL = 1e-12
 _UNITARY_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class FidelityStats:
-    """Average fidelity and its standard deviation over uniform pure inputs."""
-
-    avg_fidelity: float
-    deviation: float
-
-    def __post_init__(self):
-        f, d = float(self.avg_fidelity), float(self.deviation)
-        if not (-_STATS_TOL <= f <= 1.0 + _STATS_TOL):
-            raise ValueError(f"avg_fidelity {f} outside [0, 1]")
-        if not (-_STATS_TOL <= d <= 0.5 + _STATS_TOL):
-            raise ValueError(f"deviation {d} outside [0, 1/2]")
-        object.__setattr__(self, "avg_fidelity", f)
-        object.__setattr__(self, "deviation", d)
-
-
-@dataclass(frozen=True)
-class AffineBlochChannel:
-    """Qubit channel acting on Bloch vectors as a -> linear @ a + shift."""
-
-    linear: np.ndarray
-    shift: np.ndarray
-
-    def __post_init__(self):
-        linear = np.asarray(self.linear, dtype=float)
-        shift = np.asarray(self.shift, dtype=float)
-        if linear.shape != (3, 3):
-            raise ValueError(f"linear part must be 3x3, got {linear.shape}")
-        if shift.shape != (3,):
-            raise ValueError(f"shift must have shape (3,), got {shift.shape}")
-        if not (np.all(np.isfinite(linear)) and np.all(np.isfinite(shift))):
-            raise ValueError("channel entries must be finite")
-        linear = linear.copy()
-        shift = shift.copy()
-        linear.setflags(write=False)
-        shift.setflags(write=False)
-        object.__setattr__(self, "linear", linear)
-        object.__setattr__(self, "shift", shift)
-
-
 def _versine(angle):
     # 1 - cos(angle) as 2 sin^2(angle / 2): no cancellation near angle = 0.
     half = np.sin(0.5 * angle)
@@ -103,16 +51,14 @@ def one_qubit_stats_batch(angles) -> tuple[np.ndarray, np.ndarray]:
 
     F = (3 - Tr R) / 6 = (1 - cos t) / 3 and Delta = F / sqrt(5).  F is
     evaluated as 2 sin^2(t/2) / 3, which keeps full relative precision for
-    small angles, where 3 - Tr R cancels.
+    small angles, where 3 - Tr R cancels.  Raises ValueError for a
+    non-finite angle, NaN included.
     """
-    f = _versine(np.asarray(angles, dtype=float)) / 3.0
+    angles = np.asarray(angles, dtype=float)
+    if not np.isfinite(angles).all():
+        raise ValueError("angle must be finite")
+    f = _versine(angles) / 3.0
     return f, f * DEVIATION_SLOPE
-
-
-def one_qubit_stats(gate: OneQubitGate) -> FidelityStats:
-    """(F, Delta) of one gate; see `one_qubit_stats_batch`."""
-    f, d = one_qubit_stats_batch(gate.angle)
-    return FidelityStats(f, d)
 
 
 def pair_covariance_batch(gates_k, gates_l) -> np.ndarray:
@@ -135,11 +81,6 @@ def pair_covariance_batch(gates_k, gates_l) -> np.ndarray:
     )
 
 
-def stochastic_map_stats(smap: StochasticMap) -> FidelityStats:
-    """(F, Delta) of a convex mixture of gates: the channel a -> (sum_k w_k R_k) a."""
-    return affine_channel_stats(AffineBlochChannel(smap.bloch_linear(), np.zeros(3)))
-
-
 def affine_stats_batch(linear: np.ndarray, shift: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(F, Delta) arrays of a batch of affine Bloch channels a -> M a + c.
 
@@ -147,9 +88,15 @@ def affine_stats_batch(linear: np.ndarray, shift: np.ndarray) -> tuple[np.ndarra
     and the sphere variance of the pointwise fidelity is the sum of squares
     Delta^2 = |S - (Tr M / 3) I|_F^2 / 30 + |c|^2 / 12 with S = (M + M^T) / 2,
     which cannot go negative and keeps its relative precision near Delta = 0.
-    Raises RuntimeError when any row leaves F in [0, 1] or Delta <= 1/2,
-    NaN rows included.
+    Raises ValueError for other shapes, and RuntimeError when any row leaves
+    F in [0, 1] or Delta <= 1/2, NaN and infinite rows included.
     """
+    linear = np.asarray(linear, dtype=float)
+    shift = np.asarray(shift, dtype=float)
+    if linear.ndim != 3 or linear.shape[1:] != (3, 3) or shift.shape != (len(linear), 3):
+        raise ValueError(
+            f"need linear parts (n, 3, 3) and shifts (n, 3), got {linear.shape}, {shift.shape}"
+        )
     tr = np.trace(linear, axis1=1, axis2=2)
     traceless = 0.5 * (linear + linear.transpose(0, 2, 1))
     traceless -= (tr / 3.0)[:, None, None] * np.eye(3)
@@ -162,12 +109,6 @@ def affine_stats_batch(linear: np.ndarray, shift: np.ndarray) -> tuple[np.ndarra
     if not np.all((avg_f >= -tol) & (avg_f <= 1.0 + tol) & (dev <= 0.5 + tol)):
         raise RuntimeError("channel statistics outside F in [0, 1], Delta <= 1/2")
     return avg_f, dev
-
-
-def affine_channel_stats(channel: AffineBlochChannel) -> FidelityStats:
-    """(F, Delta) of one affine Bloch channel; see `affine_stats_batch`."""
-    avg_f, dev = affine_stats_batch(channel.linear[None], channel.shift[None])
-    return FidelityStats(avg_f[0], dev[0])
 
 
 def three_qubit_avg_fidelity(u: np.ndarray) -> float:

@@ -4,6 +4,7 @@ The drivers reduce a ladder to its Bloch map as a product of rotations
 (`circuit.ladder_linear`).  The unitary route here composes the ladder's
 2x2 unitaries instead and recovers each branch gate from their product, so
 the two agree only if composing rotations and composing unitaries agree.
+A gate mixture is held as (weights (k,), angles (k,), axes (k, 3)).
 `mc_stats_one_draw` is the Monte Carlo oracle as one draw of all samples,
 which the block-by-block `oracle.mc_stats` must match bit for bit, and
 `control_stats_one_call` is the control kernel as one call over all rows,
@@ -17,11 +18,11 @@ import itertools
 
 import numpy as np
 
-from unot.circuit import LadderCircuit, StochasticMap, check_density, weights_from_preps
+from unot.circuit import check_density, mixture_linear, weights_from_preps
 from unot.evolve import apply_noise
 from unot.fidelity import affine_stats_batch
 from unot.oracle import McEstimate, sample_bloch
-from unot.rotation import PAULI, OneQubitGate, unitary_from_gate
+from unot.rotation import PAULI, rotation_batch, unitary_batch
 
 _UNITARY_TOL = 1e-9
 
@@ -49,12 +50,12 @@ def rotation_from_unitary(u) -> np.ndarray:
     return r
 
 
-def gate_from_unitary(u) -> OneQubitGate:
-    """Recover axis-angle parameters from a 2x2 unitary, ignoring global phase.
+def gate_from_unitary(u) -> tuple[float, np.ndarray]:
+    """Recover (angle, axis) from a 2x2 unitary, ignoring global phase.
 
     The unitary is first rescaled to determinant one; the remaining sign
     ambiguity (+/- V give the same rotation) is resolved toward a
-    nonnegative sine of the half angle.
+    nonnegative sine of the half angle, so the angle lies in [0, 2 pi].
     """
     u = _check_unitary(u)
     v = u / np.sqrt(np.linalg.det(u))
@@ -70,38 +71,59 @@ def gate_from_unitary(u) -> OneQubitGate:
     if sin_half < 1e-15:
         # Identity up to phase, to the resolution of the entries of `u`: the
         # rotation this drops moves R by less than 2e-15.
-        return OneQubitGate(0.0, np.array([0.0, 0.0, 1.0]))
-    return OneQubitGate(2.0 * np.arctan2(sin_half, cos_half), sin_n / sin_half)
+        return 0.0, np.array([0.0, 0.0, 1.0])
+    return 2.0 * np.arctan2(sin_half, cos_half), sin_n / sin_half
 
 
-def stochastic_map_from_circuit(circuit: LadderCircuit) -> StochasticMap:
-    """Reduce a ladder circuit to its stochastic map on the system qubit.
+def stochastic_map_from_circuit(preps, angles, axes):
+    """Reduce one ladder to its gate mixture (weights, angles, axes).
 
     Branch gates are recovered from the composed 2x2 unitaries W_k, not by
     combining axis-angle parameters of the factors.
     """
     composed = []
     w = np.eye(2, dtype=complex)
-    for gate in circuit.gates:
-        w = unitary_from_gate(gate) @ w
+    for u in unitary_batch(angles, axes):
+        w = u @ w
         composed.append(gate_from_unitary(w))
-    return StochasticMap(weights_from_preps(circuit.prep_params), tuple(composed))
+    return (
+        weights_from_preps(preps),
+        np.array([angle for angle, _ in composed]),
+        np.array([axis for _, axis in composed]),
+    )
 
 
-def apply_density(smap: StochasticMap, rho) -> np.ndarray:
+def optimal_mixture():
+    """The best approximate universal flip as a gate mixture: pi flips about
+    x, y and z at weight 1/3 each, Bloch action a -> -a / 3."""
+    return np.full(3, 1.0 / 3.0), np.full(3, np.pi), np.eye(3)
+
+
+def mixture_map(weights, angles, axes) -> np.ndarray:
+    """Bloch map (3, 3) of one gate mixture, a one-row `mixture_linear` call."""
+    rotations = rotation_batch(angles, axes)
+    return mixture_linear(np.asarray(weights, dtype=float)[None], rotations[None])[0]
+
+
+def linear_stats(linear) -> tuple[float, float]:
+    """(F, Delta) of one unital channel a -> linear a, a one-row kernel call."""
+    avg_f, dev = affine_stats_batch(np.asarray(linear, dtype=float)[None], np.zeros((1, 3)))
+    return float(avg_f[0]), float(dev[0])
+
+
+def apply_density(weights, angles, axes, rho) -> np.ndarray:
     """Apply a gate mixture to a density matrix or a stack (..., 2, 2) of them."""
     rho = check_density(rho)
     out = np.zeros_like(rho)
-    for w, gate in zip(smap.weights, smap.gates):
-        u = unitary_from_gate(gate)
+    for w, u in zip(weights, unitary_batch(angles, axes)):
         out += w * (u @ rho @ u.conj().T)
     return out
 
 
-def bloch_map_from_affine(channel):
+def bloch_map_from_affine(linear, shift):
     """Bloch action a -> linear a + shift of an affine channel, for `mc_stats`."""
-    linear = np.asarray(channel.linear, dtype=float)
-    shift = np.asarray(channel.shift, dtype=float)
+    linear = np.asarray(linear, dtype=float)
+    shift = np.asarray(shift, dtype=float)
     return lambda a: a @ linear.T + shift
 
 
@@ -186,8 +208,3 @@ def noise_stats_one_draw(controls, noise, sampler, count, basis):
     one draw and evaluated in one call."""
     pop = apply_noise(np.tile(controls, (count, 1)), noise, sampler)
     return control_stats_one_call(pop, basis)
-
-
-def ladder_circuit(preps, angles, axes) -> LadderCircuit:
-    """The `LadderCircuit` of the first row of `oracle.sample_ladders` arrays."""
-    return LadderCircuit(preps[0], tuple(map(OneQubitGate, angles[0], axes[0])))

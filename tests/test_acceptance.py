@@ -7,7 +7,7 @@ Seeds are fixed so every number below is reproducible bit for bit.
 import time
 
 import numpy as np
-from references import bloch_map_from_affine, ladder_circuit
+from references import bloch_map_from_affine, linear_stats, mixture_map, optimal_mixture
 
 from unot.circuit import (
     bloch_from_density,
@@ -15,7 +15,6 @@ from unot.circuit import (
     density_from_bloch,
     ladder_linear,
     misaligned_three_gate_map,
-    optimal_stochastic_map,
     simulate_full,
 )
 from unot.evolve import (
@@ -30,12 +29,10 @@ from unot.evolve import (
 from unot.fidelity import (
     DEVIATION_SLOPE,
     REGION_TOL,
-    AffineBlochChannel,
     affine_stats_batch,
     one_qubit_stats_batch,
     pair_covariance_batch,
     region_residual,
-    stochastic_map_stats,
     three_qubit_avg_fidelity,
 )
 from unot.oracle import (
@@ -62,12 +59,11 @@ def test_01_single_gates_sit_on_the_deviation_line():
 
 def test_02_optimal_mixture_analytic_and_oracle():
     start = time.perf_counter()
-    smap = optimal_stochastic_map()
-    stats = stochastic_map_stats(smap)
-    assert abs(stats.avg_fidelity - 2.0 / 3.0) < 1e-12
-    assert stats.deviation < 1e-12
-    channel = AffineBlochChannel(smap.bloch_linear(), np.zeros(3))
-    f, d = mc_stats(bloch_map_from_affine(channel), SeededSampler(102), 100_000)
+    linear = mixture_map(*optimal_mixture())
+    avg_f, dev = linear_stats(linear)
+    assert abs(avg_f - 2.0 / 3.0) < 1e-12
+    assert dev < 1e-12
+    f, d = mc_stats(bloch_map_from_affine(linear, np.zeros(3)), SeededSampler(102), 100_000)
     assert abs(f.value - 0.667) <= 0.005
     assert d.value < 0.005
     assert time.perf_counter() - start < 5.0
@@ -99,12 +95,12 @@ def test_05_full_simulation_equals_reduced_map():
     sampler = SeededSampler(105)
     for i in range(200):
         ladder = sample_ladders(sampler, 1 + i % 4, 1)
-        circuit = ladder_circuit(*ladder)
+        circuit = tuple(a[0] for a in ladder)
         linear = ladder_linear(*ladder)[0]
         for _ in range(10):
             radius = float(sampler.uniform(0.0, 1.0, 1)[0]) ** (1.0 / 3.0)
             a = radius * sample_bloch(sampler)
-            full = bloch_from_density(simulate_full(circuit, density_from_bloch(a)))
+            full = bloch_from_density(simulate_full(*circuit, density_from_bloch(a)))
             assert np.max(np.abs(full - linear @ a)) < 1e-10
     assert time.perf_counter() - start < 60.0
 
@@ -168,11 +164,11 @@ def test_09_search_recovers_between_injections():
 def test_10_fourth_gate_compensates_a_tilted_axis():
     start = time.perf_counter()
     alpha = 0.05
-    three = stochastic_map_stats(misaligned_three_gate_map(alpha))
-    four = stochastic_map_stats(compensated_four_gate_map(alpha))
-    assert abs(three.deviation - 2.0 * alpha / (3.0 * np.sqrt(15.0))) <= 1e-6
-    assert four.deviation <= alpha**2 / 2.0
-    assert abs(four.avg_fidelity - 2.0 / 3.0) < 1e-12
+    _, three = linear_stats(misaligned_three_gate_map(np.array([alpha]))[0])
+    four_f, four = linear_stats(compensated_four_gate_map(np.array([alpha]))[0])
+    assert abs(three - 2.0 * alpha / (3.0 * np.sqrt(15.0))) <= 1e-6
+    assert four <= alpha**2 / 2.0
+    assert abs(four_f - 2.0 / 3.0) < 1e-12
     assert time.perf_counter() - start < 1.0
 
 

@@ -4,62 +4,66 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from ladder_strategies import ladder_circuits
-from references import stochastic_map_from_circuit
+from references import linear_stats, mixture_map, optimal_mixture, stochastic_map_from_circuit
 
-from unot.circuit import StochasticMap, optimal_stochastic_map
 from unot.fidelity import (
     DEVIATION_SLOPE,
     MAX_AVG_FIDELITY,
     REGION_TOL,
-    AffineBlochChannel,
-    FidelityStats,
-    affine_channel_stats,
     affine_stats_batch,
-    one_qubit_stats,
     one_qubit_stats_batch,
     pair_covariance_batch,
     region_residual,
-    stochastic_map_stats,
     three_qubit_avg_fidelity,
 )
 from unot.oracle import SeededSampler, sample_bloch, sample_gates, sample_unitary
-from unot.rotation import OneQubitGate, rotation_batch, unit_axis
+from unot.rotation import PAULI, rotation_batch
 
-_X = unit_axis(1.0, 0.0, 0.0)
-_Y = unit_axis(0.0, 1.0, 0.0)
-_Z = unit_axis(0.0, 0.0, 1.0)
+_X, _Y, _Z = np.eye(3)
 
-_FLIP_X = OneQubitGate(np.pi, _X)
-_FLIP_Y = OneQubitGate(np.pi, _Y)
-_FLIP_Z = OneQubitGate(np.pi, _Z)
+# Gates as (angle, axis) pairs.
+_FLIP_X = (np.pi, _X)
+_FLIP_Y = (np.pi, _Y)
 
 
-def _pair_covariance(gate_k, gate_l):
-    # The one-row call of the batch.
-    return pair_covariance_batch(
-        (gate_k.angle, gate_k.axis), (gate_l.angle, gate_l.axis)
-    )
+def _one_qubit_stats(angle):
+    # The one-row call of the batch, as floats.
+    avg_f, dev = one_qubit_stats_batch(np.array([angle]))
+    return float(avg_f[0]), float(dev[0])
+
+
+def _affine_stats(linear, shift):
+    # The one-row call of the batch, as floats.
+    avg_f, dev = affine_stats_batch(np.asarray(linear)[None], np.asarray(shift)[None])
+    return float(avg_f[0]), float(dev[0])
 
 
 def test_full_flip_reaches_the_one_qubit_optimum():
-    stats = one_qubit_stats(_FLIP_X)
-    assert abs(stats.avg_fidelity - 2.0 / 3.0) < 1e-15
-    assert abs(stats.deviation - 0.29814239699997197) < 1e-15
+    avg_f, dev = _one_qubit_stats(np.pi)
+    assert abs(avg_f - 2.0 / 3.0) < 1e-15
+    assert abs(dev - 0.29814239699997197) < 1e-15
 
 
 def test_avg_fidelity_follows_one_minus_cosine_law():
     for angle in np.linspace(0.0, 2.0 * np.pi, 41):
-        stats = one_qubit_stats(OneQubitGate(angle, _Y))
-        assert abs(stats.avg_fidelity - (1.0 - np.cos(angle)) / 3.0) < 1e-12
-        assert abs(stats.deviation - stats.avg_fidelity * DEVIATION_SLOPE) < 1e-12
+        avg_f, dev = _one_qubit_stats(angle)
+        assert abs(avg_f - (1.0 - np.cos(angle)) / 3.0) < 1e-12
+        assert abs(dev - avg_f * DEVIATION_SLOPE) < 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_one_qubit_stats_reject_a_non_finite_angle(bad):
+    with pytest.raises(ValueError):
+        one_qubit_stats_batch(np.array([0.5, bad]))
+    with pytest.raises(ValueError):
+        one_qubit_stats_batch(bad)
 
 
 def test_second_moment_of_full_flip_quadratic_form():
     # The sphere average of (a . R a)^2 is 7/15 for the pi flip R, and
     # Delta^2 = [<(a . R a)^2> - <a . R a>^2] / 4 with <a . R a> = -1/3.
-    channel = AffineBlochChannel(rotation_batch(np.pi, _X), np.zeros(3))
-    stats = affine_channel_stats(channel)
-    assert abs(stats.deviation**2 - (7.0 / 15.0 - 1.0 / 9.0) / 4.0) < 1e-15
+    _, dev = linear_stats(rotation_batch(*_FLIP_X))
+    assert abs(dev**2 - (7.0 / 15.0 - 1.0 / 9.0) / 4.0) < 1e-15
 
 
 def test_second_moment_against_direct_haar_average():
@@ -72,20 +76,20 @@ def test_second_moment_against_direct_haar_average():
 
 
 def test_pair_covariance_frozen_values():
-    assert abs(_pair_covariance(_FLIP_X, _FLIP_Y) - (-2.0 / 45.0)) < 1e-15
-    assert abs(_pair_covariance(_FLIP_X, _FLIP_X) - 4.0 / 45.0) < 1e-15
-    tilted = OneQubitGate(np.pi, unit_axis(1.0, 1.0, 0.0))
+    assert abs(pair_covariance_batch(_FLIP_X, _FLIP_Y) - (-2.0 / 45.0)) < 1e-15
+    assert abs(pair_covariance_batch(_FLIP_X, _FLIP_X) - 4.0 / 45.0) < 1e-15
+    tilted = (np.pi, np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0))
     expected = (3.0 * 0.5 - 1.0) * 4.0 / 90.0
-    assert abs(_pair_covariance(_FLIP_X, tilted) - expected) < 1e-15
+    assert abs(pair_covariance_batch(_FLIP_X, tilted) - expected) < 1e-15
 
 
 def test_covariance_diagonal_is_squared_deviation():
     rng = np.random.default_rng(7)
     for _ in range(50):
         axis = rng.normal(size=3)
-        gate = OneQubitGate(rng.uniform(0, 2 * np.pi), axis / np.linalg.norm(axis))
-        dev = one_qubit_stats(gate).deviation
-        assert abs(_pair_covariance(gate, gate) - dev * dev) < 1e-14
+        gate = (rng.uniform(0, 2 * np.pi), axis / np.linalg.norm(axis))
+        _, dev = _one_qubit_stats(gate[0])
+        assert abs(pair_covariance_batch(gate, gate) - dev * dev) < 1e-14
 
 
 @pytest.mark.parametrize("angle", [1.89e-3, 1e-4, 1e-6])
@@ -93,42 +97,43 @@ def test_near_identity_gates_keep_full_relative_precision(angle):
     # 1 - cos t by its Taylor series; the next term, t^8 / 40320, is below
     # 1e-16 relative at these angles.
     versine = angle**2 / 2.0 - angle**4 / 24.0 + angle**6 / 720.0
-    gate = OneQubitGate(angle, _Z)
-    assert abs(one_qubit_stats(gate).avg_fidelity / (versine / 3.0) - 1.0) < 1e-15
-    assert abs(_pair_covariance(gate, gate) / (versine * versine / 45.0) - 1.0) < 1e-15
+    gate = (angle, _Z)
+    assert abs(_one_qubit_stats(angle)[0] / (versine / 3.0) - 1.0) < 1e-15
+    assert abs(pair_covariance_batch(gate, gate) / (versine * versine / 45.0) - 1.0) < 1e-15
 
 
 def test_batch_closed_forms_equal_single_gate_calls():
     angles, axes = sample_gates(SeededSampler(27), 400)
-    gates = [OneQubitGate(a, x) for a, x in zip(angles, axes)]
+    gates = list(zip(angles, axes))
     f, d = one_qubit_stats_batch(angles)
-    single = [one_qubit_stats(g) for g in gates]
-    assert np.array_equal(f, [st.avg_fidelity for st in single])
-    assert np.array_equal(d, [st.deviation for st in single])
+    single = [_one_qubit_stats(a) for a in angles]
+    assert np.array_equal(f, [avg_f for avg_f, _ in single])
+    assert np.array_equal(d, [dev for _, dev in single])
     cov = pair_covariance_batch((angles[::2], axes[::2]), (angles[1::2], axes[1::2]))
     pairs = zip(gates[::2], gates[1::2])
-    assert np.array_equal(cov, [_pair_covariance(g, h) for g, h in pairs])
+    assert np.array_equal(cov, [pair_covariance_batch(g, h) for g, h in pairs])
 
 
 def test_two_flip_mixture_frozen_stats():
-    smap = StochasticMap(np.array([0.5, 0.5]), (_FLIP_X, _FLIP_Y))
-    stats = stochastic_map_stats(smap)
-    assert abs(stats.avg_fidelity - 2.0 / 3.0) < 1e-15
-    assert abs(stats.deviation - 0.14907119849998599) < 1e-14
+    weights = np.array([0.5, 0.5])
+    angles, axes = np.array([_FLIP_X[0], _FLIP_Y[0]]), np.array([_X, _Y])
+    avg_f, dev = linear_stats(mixture_map(weights, angles, axes))
+    assert abs(avg_f - 2.0 / 3.0) < 1e-15
+    assert abs(dev - 0.14907119849998599) < 1e-14
 
 
 def test_optimal_mixture_is_exactly_universal():
-    stats = stochastic_map_stats(optimal_stochastic_map())
-    assert stats.avg_fidelity == MAX_AVG_FIDELITY
-    assert stats.deviation == 0.0
+    avg_f, dev = linear_stats(mixture_map(*optimal_mixture()))
+    assert avg_f == MAX_AVG_FIDELITY
+    assert dev == 0.0
 
 
-def _pairwise_stats(smap: StochasticMap) -> tuple[float, float]:
+def _pairwise_stats(weights, angles, axes) -> tuple[float, float]:
     """The paper's pairwise route: F = sum_k w_k F_k and Delta^2 = w . C . w."""
-    w = smap.weights
-    cov = np.array([[_pair_covariance(g, h) for h in smap.gates] for g in smap.gates])
-    f_each = np.array([one_qubit_stats(g).avg_fidelity for g in smap.gates])
-    return float(w @ f_each), float(w @ cov @ w)
+    gates = list(zip(angles, axes))
+    cov = np.array([[pair_covariance_batch(g, h) for h in gates] for g in gates])
+    f_each = np.array([_one_qubit_stats(angle)[0] for angle in angles])
+    return float(weights @ f_each), float(weights @ cov @ weights)
 
 
 def test_affine_route_agrees_with_mixture_route():
@@ -136,30 +141,45 @@ def test_affine_route_agrees_with_mixture_route():
     for _ in range(30):
         axes = rng.normal(size=(3, 3))
         axes /= np.linalg.norm(axes, axis=1, keepdims=True)
-        gates = tuple(
-            OneQubitGate(rng.uniform(0, 2 * np.pi), axis) for axis in axes
-        )
+        angles = np.array([rng.uniform(0, 2 * np.pi) for _ in axes])
         w = rng.uniform(0.2, 1.0, 3)
-        smap = StochasticMap(w / w.sum(), gates)
-        channel = AffineBlochChannel(smap.bloch_linear(), np.zeros(3))
-        avg_f, var = _pairwise_stats(smap)
-        b = affine_channel_stats(channel)
-        assert abs(avg_f - b.avg_fidelity) < 1e-12
-        assert abs(np.sqrt(var) - b.deviation) < 1e-12
+        mixture = (w / w.sum(), angles, axes)
+        avg_f, var = _pairwise_stats(*mixture)
+        b_f, b_d = linear_stats(mixture_map(*mixture))
+        assert abs(avg_f - b_f) < 1e-12
+        assert abs(np.sqrt(var) - b_d) < 1e-12
 
 
 def test_affine_stats_with_shift_term():
-    channel = AffineBlochChannel(np.zeros((3, 3)), np.array([0.0, 0.0, 0.5]))
-    stats = affine_channel_stats(channel)
-    assert abs(stats.avg_fidelity - 0.5) < 1e-15
-    assert abs(stats.deviation - np.sqrt(0.25 / 12.0)) < 1e-15
+    avg_f, dev = _affine_stats(np.zeros((3, 3)), np.array([0.0, 0.0, 0.5]))
+    assert abs(avg_f - 0.5) < 1e-15
+    assert abs(dev - np.sqrt(0.25 / 12.0)) < 1e-15
 
 
 def test_nan_channel_is_rejected():
-    with pytest.raises(ValueError):
-        AffineBlochChannel(np.eye(3) * np.nan, np.zeros(3))
+    with pytest.raises(RuntimeError):
+        _affine_stats(np.eye(3) * np.nan, np.zeros(3))
     with pytest.raises(RuntimeError):
         affine_stats_batch(np.full((1, 3, 3), np.nan), np.zeros((1, 3)))
+    with pytest.raises(RuntimeError):
+        _affine_stats(np.zeros((3, 3)), [0.0, np.inf, 0.0])
+
+
+@pytest.mark.parametrize(
+    "linear, shift",
+    [
+        pytest.param((2, 3, 3), (2, 2), id="short-shift"),
+        pytest.param((2, 3, 3), (1, 3), id="fewer-shifts"),
+        pytest.param((2, 3, 3), (2, 3, 1), id="deep-shift"),
+        pytest.param((3, 3), (3,), id="one-unbatched-channel"),
+        pytest.param((2, 2, 2), (2, 2), id="qubit-sized-linear"),
+        pytest.param((2, 3, 4), (2, 3), id="rectangular-linear"),
+    ],
+)
+def test_affine_batch_rejects_misshapen_channels(linear, shift):
+    # A (n, 2) shift would otherwise broadcast into a silently wrong Delta.
+    with pytest.raises(ValueError):
+        affine_stats_batch(np.zeros(linear), np.zeros(shift))
 
 
 def test_affine_batch_rejects_rows_outside_the_stats_range():
@@ -173,7 +193,7 @@ def test_affine_batch_rejects_rows_outside_the_stats_range():
     with pytest.raises(RuntimeError):
         affine_stats_batch(np.zeros((2, 3, 3)), too_spread)
     with pytest.raises(RuntimeError):
-        affine_channel_stats(AffineBlochChannel(np.zeros((3, 3)), [0.0, 0.0, 3.0]))
+        _affine_stats(np.zeros((3, 3)), [0.0, 0.0, 3.0])
 
 
 def test_three_qubit_ceiling_markers():
@@ -196,8 +216,6 @@ def test_generic_two_qubit_channels_obey_floor_and_ceiling_only():
     sizable fraction exceeds the unitary-mixture line.  That line is a
     property of stochastic maps, which is why region checks apply to
     ladder reductions rather than to arbitrary channels."""
-    from unot.rotation import PAULI
-
     sig = np.stack(PAULI)
     sampler = SeededSampler(777)
     above_line = 0
@@ -208,19 +226,22 @@ def test_generic_two_qubit_channels_obey_floor_and_ceiling_only():
         linear = 0.5 * np.einsum("iab,jba->ij", sig, sandwich).real
         resid = np.einsum("mab,mcb->ac", kraus, kraus.conj())
         shift = 0.5 * np.einsum("iab,ba->i", sig, resid).real
-        stats = affine_channel_stats(AffineBlochChannel(linear, shift))
-        assert stats.avg_fidelity <= 2.0 / 3.0 + 1e-9
-        assert stats.deviation >= 0.5 * stats.avg_fidelity * DEVIATION_SLOPE - 1e-9
-        if stats.deviation > stats.avg_fidelity * DEVIATION_SLOPE + 1e-9:
+        avg_f, dev = _affine_stats(linear, shift)
+        assert avg_f <= 2.0 / 3.0 + 1e-9
+        assert dev >= 0.5 * avg_f * DEVIATION_SLOPE - 1e-9
+        if dev > avg_f * DEVIATION_SLOPE + 1e-9:
             above_line += 1
     assert above_line > 0
 
 
 def test_stats_validation_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        FidelityStats(-0.1, 0.0)
-    with pytest.raises(ValueError):
-        FidelityStats(0.5, -0.1)
+    # Tr M = 6 gives F = -1/2 and Tr M = -6 gives F = 3/2.
+    with pytest.raises(RuntimeError):
+        _affine_stats(2.0 * np.eye(3), np.zeros(3))
+    with pytest.raises(RuntimeError):
+        _affine_stats(-2.0 * np.eye(3), np.zeros(3))
+    # Just inside the range passes: F = 0 for the identity.
+    assert _affine_stats(np.eye(3), np.zeros(3)) == (0.0, 0.0)
 
 
 def test_region_membership_by_qubit_count():
@@ -304,10 +325,9 @@ def test_array_region_rule_rejects_any_count_below_one():
 @settings(deadline=None)
 @given(circuit=ladder_circuits())
 def test_covariance_and_moment_routes_agree(circuit):
-    smap = stochastic_map_from_circuit(circuit)
-    avg_f, var = _pairwise_stats(smap)
-    channel = AffineBlochChannel(smap.bloch_linear(), np.zeros(3))
-    by_moments = affine_channel_stats(channel)
-    assert abs(avg_f - by_moments.avg_fidelity) < 1e-12
+    mixture = stochastic_map_from_circuit(*circuit)
+    avg_f, var = _pairwise_stats(*mixture)
+    moment_f, moment_d = linear_stats(mixture_map(*mixture))
+    assert abs(avg_f - moment_f) < 1e-12
     # Delta^2, not Delta: the square root amplifies rounding near Delta = 0.
-    assert abs(var - by_moments.deviation**2) < 1e-12
+    assert abs(var - moment_d**2) < 1e-12

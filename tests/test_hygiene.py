@@ -3,7 +3,8 @@
 No import inside a function or class, no private name imported from a
 sibling module, every imported name used in its module or exported
 through that module's `__all__`, every `__all__` entry bound at module
-level, and numpy as the only third-party import.  A subprocess checks that
+level, numpy as the only third-party import, and sibling imports that only
+reach down the module layering.  A subprocess checks that
 running the command line loads no SciPy module and no `numpy.ma`, which
 `np.median` imports on first use (about 1 MB).
 """
@@ -105,6 +106,32 @@ def test_numpy_is_the_only_third_party_import(path):
         elif node.level == 0:
             roots.add(node.module.split(".")[0])
     assert sorted(roots - sys.stdlib_module_names - {"numpy"}) == []
+
+
+# The modules from the bottom layer up; each may import only earlier ones.
+LAYERS = ("rotation", "fidelity", "oracle", "circuit", "evolve", "experiments", "cli")
+MODULES = [p for p in SOURCES if p.stem != "__init__"]
+
+
+def test_layers_cover_the_package():
+    assert sorted(LAYERS) == sorted(p.stem for p in MODULES)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_modules_import_only_lower_layers(path):
+    below = set(LAYERS[: LAYERS.index(path.stem)])
+    siblings = set()
+    for node in _imports(_tree(path)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif node.level > 0:
+            # `from .x import y` names x; `from . import x` names x.
+            modules = [node.module] if node.module else [a.name for a in node.names]
+            names = [f"unot.{m}" for m in modules]
+        else:
+            names = [node.module]
+        siblings.update(n.split(".")[1] for n in names if n.startswith("unot."))
+    assert sorted(siblings - below) == []
 
 
 # Every subcommand at tiny settings, in one process that then lists the

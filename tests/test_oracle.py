@@ -6,15 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from references import bloch_map_from_affine, mc_stats_one_draw
+from references import bloch_map_from_affine, mc_stats_one_draw, mixture_map, optimal_mixture
 
-from unot.circuit import optimal_stochastic_map, optimal_three_qubit_circuit, full_unitary
-from unot.fidelity import (
-    AffineBlochChannel,
-    affine_channel_stats,
-    one_qubit_stats,
-    three_qubit_avg_fidelity,
-)
+from unot.circuit import full_unitary, optimal_three_qubit_circuit
+from unot.fidelity import affine_stats_batch, one_qubit_stats_batch, three_qubit_avg_fidelity
 from unot.oracle import (
     _BLOCK_ROWS,
     RNG_ALGORITHM,
@@ -27,7 +22,9 @@ from unot.oracle import (
     sample_ladders,
     sample_unitary,
 )
-from unot.rotation import OneQubitGate, rotation_batch, unit_axis
+from unot.rotation import rotation_batch
+
+_ZERO_SHIFT = np.zeros(3)
 
 
 def test_rng_algorithm_label():
@@ -184,29 +181,24 @@ def test_mc_estimate_fields():
 
 
 def test_identity_channel_statistics_vanish():
-    ident = bloch_map_from_affine(AffineBlochChannel(np.eye(3), np.zeros(3)))
+    ident = bloch_map_from_affine(np.eye(3), _ZERO_SHIFT)
     f, d = mc_stats(ident, SeededSampler(21), 5000)
     assert abs(f.value) < 1e-15
     assert abs(d.value) < 1e-15
 
 
 def test_mc_agrees_with_closed_form_for_a_gate():
-    gate = OneQubitGate(np.pi / 2.0, unit_axis(1.0, 0.0, 0.0))
-    rotation = rotation_batch(gate.angle, gate.axis)
-    exact = one_qubit_stats(gate)
-    f, d = mc_stats(
-        bloch_map_from_affine(AffineBlochChannel(rotation, np.zeros(3))),
-        SeededSampler(22),
-        40000,
-    )
-    assert abs(f.value - exact.avg_fidelity) < 5.0 * f.std_error
-    assert abs(f.value - exact.avg_fidelity) < 0.01
-    assert abs(d.value - exact.deviation) < 0.01
+    angle = np.pi / 2.0
+    rotation = rotation_batch(angle, [1.0, 0.0, 0.0])
+    exact_f, exact_d = one_qubit_stats_batch(angle)
+    f, d = mc_stats(bloch_map_from_affine(rotation, _ZERO_SHIFT), SeededSampler(22), 40000)
+    assert abs(f.value - exact_f) < 5.0 * f.std_error
+    assert abs(f.value - exact_f) < 0.01
+    assert abs(d.value - exact_d) < 0.01
 
 
 def test_optimal_map_oracle_is_flat():
-    linear = optimal_stochastic_map().bloch_linear()
-    bloch_map = bloch_map_from_affine(AffineBlochChannel(linear, np.zeros(3)))
+    bloch_map = bloch_map_from_affine(mixture_map(*optimal_mixture()), _ZERO_SHIFT)
     f, d = mc_stats(bloch_map, SeededSampler(23), 20000)
     assert abs(f.value - 2.0 / 3.0) < 1e-12
     assert d.value < 1e-12
@@ -223,16 +215,15 @@ def test_three_qubit_unitary_oracle_matches_closed_form():
 
 
 def test_three_qubit_oracle_on_the_optimal_circuit():
-    u = full_unitary(optimal_three_qubit_circuit())
+    u = full_unitary(*optimal_three_qubit_circuit())
     f, d = mc_stats(bloch_map_from_three_qubit_unitary(u), SeededSampler(25), 30000)
     assert abs(f.value - 2.0 / 3.0) < 1e-12
     assert d.value < 1e-12
 
 
 def test_mc_standard_error_shrinks_with_samples():
-    gate = OneQubitGate(2.0, unit_axis(0.0, 1.0, 0.0))
-    rotation = rotation_batch(gate.angle, gate.axis)
-    bloch_map = bloch_map_from_affine(AffineBlochChannel(rotation, np.zeros(3)))
+    rotation = rotation_batch(2.0, [0.0, 1.0, 0.0])
+    bloch_map = bloch_map_from_affine(rotation, _ZERO_SHIFT)
     f_small, _ = mc_stats(bloch_map, SeededSampler(26), 2000)
     f_large, _ = mc_stats(bloch_map, SeededSampler(26), 32000)
     assert f_large.std_error < f_small.std_error
@@ -279,7 +270,7 @@ def _ring(z, count=16):
 
 
 _MAP_UNITARIES = [
-    full_unitary(optimal_three_qubit_circuit()),
+    full_unitary(*optimal_three_qubit_circuit()),
     *(sample_unitary(child, 8) for child in SeededSampler(31).split(4)),
 ]
 
@@ -332,7 +323,7 @@ def test_mc_standard_errors_follow_the_moment_formulas():
 
 
 def test_mc_stats_checks_sample_count_and_map_shape():
-    ident = bloch_map_from_affine(AffineBlochChannel(np.eye(3), np.zeros(3)))
+    ident = bloch_map_from_affine(np.eye(3), _ZERO_SHIFT)
     with pytest.raises(ValueError):
         mc_stats(ident, SeededSampler(35), 1)
     # One output row for all inputs would broadcast silently without the check.
@@ -365,7 +356,7 @@ def test_blocks_give_the_bits_of_one_draw(kind, n):
         bloch_map = bloch_map_from_three_qubit_unitary(u)
     else:
         u = sample_unitary(SeededSampler(37), 4)
-        bloch_map = bloch_map_from_affine(_stinespring_channel(u, 0.8))
+        bloch_map = bloch_map_from_affine(*_stinespring_channel(u, 0.8))
     streamed, one_draw = SeededSampler(38), SeededSampler(38)
     assert mc_stats(bloch_map, streamed, n) == mc_stats_one_draw(bloch_map, one_draw, n)
     assert streamed.position == one_draw.position == 3 * n
@@ -386,7 +377,7 @@ def test_mc_stats_peak_memory_stays_below_64_bytes_per_sample():
 
 
 def _stinespring_channel(u, damping):
-    """Affine channel of a 4x4 unitary on system (x) |0>, followed by a
+    """Affine parts (linear, shift) of the channel of a 4x4 unitary on system (x) |0>, followed by a
     depolarizing shrink of the Bloch ball by `damping`."""
     kraus = [u[[j, 2 + j]][:, [0, 2]] for j in range(2)]
     paulis = [
@@ -401,7 +392,7 @@ def _stinespring_channel(u, damping):
 
     shift = 0.5 * image(np.eye(2))
     linear = np.stack([0.5 * image(p) for p in paulis], axis=1)
-    return AffineBlochChannel(damping * linear, damping * shift)
+    return damping * linear, damping * shift
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
@@ -412,12 +403,12 @@ def _stinespring_channel(u, damping):
 )
 def test_affine_closed_form_within_five_sigma_of_the_oracle(seed, damping, samples):
     u = sample_unitary(SeededSampler(seed), 4)
-    channel = _stinespring_channel(u, damping)
-    exact = affine_channel_stats(channel)
-    f, d = mc_stats(bloch_map_from_affine(channel), SeededSampler(seed + 1), samples)
+    linear, shift = _stinespring_channel(u, damping)
+    exact_f, exact_d = affine_stats_batch(linear[None], shift[None])
+    f, d = mc_stats(bloch_map_from_affine(linear, shift), SeededSampler(seed + 1), samples)
     # The floor covers channels with a flat fidelity, whose standard errors are 0.
-    assert abs(f.value - exact.avg_fidelity) <= 5.0 * f.std_error + 1e-12
-    assert abs(d.value - exact.deviation) <= 5.0 * d.std_error + 1e-12
+    assert abs(f.value - exact_f[0]) <= 5.0 * f.std_error + 1e-12
+    assert abs(d.value - exact_d[0]) <= 5.0 * d.std_error + 1e-12
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)

@@ -14,9 +14,9 @@ def test_library_example_runs_as_documented(capsys):
     namespace: dict = {}
     exec(code, namespace)
     capsys.readouterr()
-    flip = namespace["one_qubit_stats"](namespace["flip"])
-    assert abs(flip.avg_fidelity - 2.0 / 3.0) < 1e-15
-    assert abs(flip.deviation - 2.0 / (3.0 * np.sqrt(5.0))) < 1e-15
-    best = namespace["stochastic_map_stats"](namespace["best"])
-    assert best.avg_fidelity == 2.0 / 3.0
-    assert best.deviation == 0.0
+    flip_f, flip_d = namespace["flip"]
+    assert abs(flip_f - 2.0 / 3.0) < 1e-15
+    assert abs(flip_d - 2.0 / (3.0 * np.sqrt(5.0))) < 1e-15
+    (best_f,), (best_d,) = namespace["best"]
+    assert best_f == 2.0 / 3.0
+    assert best_d == 0.0
