@@ -17,7 +17,6 @@ from .circuit import (
 from .evolve import (
     DeConfig,
     FeedbackRun,
-    GeneratorBasis,
     NoiseModel,
     channel_from_unitary,
     gell_mann_basis,
@@ -34,7 +33,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DeConfig",
     "FeedbackRun",
-    "GeneratorBasis",
     "McEstimate",
     "NoiseModel",
     "SeededSampler",

@@ -1,9 +1,10 @@
 """Differential-evolution feedback for three-qubit flip circuits.
 
 A candidate circuit is a real control vector p driving the unitary
-U(p) = exp(-i sum_j p_j g_j) over an orthogonal Hermitian generator basis
-of su(8).  Feeding the system qubit plus two fresh ancillas through U(p)
-and discarding the ancillas yields a qubit channel whose figure of merit
+U(p) = exp(-i sum_j p_j g_j), where the g_j are the 63 su(8) generators
+of `gell_mann_basis(8)`, fixed at import.  Feeding the system qubit plus
+two fresh ancillas through U(p) and discarding the ancillas yields a qubit
+channel whose figure of merit
 
     xi = F - Delta
 
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import numbers
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +29,6 @@ from .oracle import SeededSampler
 from .rotation import PAULI
 
 __all__ = [
-    "GeneratorBasis",
     "NoiseModel",
     "DeConfig",
     "FeedbackRun",
@@ -44,7 +44,6 @@ __all__ = [
     "run_feedback",
 ]
 
-_BASIS_TOL = 1e-12
 _KRAUS_TOL = 1e-9
 
 _SIGMA = np.stack(PAULI)
@@ -75,52 +74,14 @@ def _pauli_transfer_map() -> np.ndarray:
 _PAULI_TRANSFER = _pauli_transfer_map()
 
 
-@dataclass(frozen=True)
-class GeneratorBasis:
-    """Orthogonal Hermitian traceless generators with Tr(g_i g_j) = 2 delta_ij.
+def gell_mann_basis(dim: int) -> np.ndarray:
+    """Generalized Gell-Mann generators of su(dim), shape (dim^2 - 1, dim, dim).
 
-    `interleaved` holds the same generators as a read-only real
-    (count, 2 dim^2) matrix, each row the real and imaginary parts of one
-    flattened generator in turn, so `(p @ interleaved).view(complex)` is
-    h = sum_j p_j g_j flattened.
-    """
-
-    matrices: np.ndarray
-    interleaved: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        m = np.asarray(self.matrices, dtype=complex)
-        if m.ndim != 3 or m.shape[1] != m.shape[2]:
-            raise ValueError("matrices must have shape (count, dim, dim)")
-        # Each check is written so that a NaN fails it.
-        if not np.all(np.abs(m - m.conj().transpose(0, 2, 1)) <= _BASIS_TOL):
-            raise ValueError("generators must be Hermitian")
-        if not np.all(np.abs(np.trace(m, axis1=1, axis2=2)) <= _BASIS_TOL):
-            raise ValueError("generators must be traceless")
-        gram = np.einsum("aij,bji->ab", m, m)
-        if not np.all(np.abs(gram - 2.0 * np.eye(m.shape[0])) <= 1e-10):
-            raise ValueError("generators must satisfy Tr(g_i g_j) = 2 delta_ij")
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrices", m)
-        # A view of the read-only copy, so read-only too.
-        object.__setattr__(self, "interleaved", m.view(float).reshape(m.shape[0], -1))
-
-    @property
-    def dim(self) -> int:
-        return self.matrices.shape[1]
-
-    @property
-    def count(self) -> int:
-        return self.matrices.shape[0]
-
-
-def gell_mann_basis(dim: int) -> GeneratorBasis:
-    """Generalized Gell-Mann generators of su(dim).
-
+    The generators are Hermitian and traceless with Tr(g_i g_j) = 2 delta_ij.
     Ordering: symmetric pair matrices for j < k in row-major pair order,
     then the antisymmetric pairs in the same order, then the dim - 1
-    diagonal generators.
+    diagonal generators.  The controls of this module are coordinates over
+    `gell_mann_basis(8)`.
     """
     if dim < 2:
         raise ValueError("dim must be at least 2")
@@ -143,7 +104,18 @@ def gell_mann_basis(dim: int) -> GeneratorBasis:
             m[i, i] = scale
         m[l, l] = -l * scale
         mats.append(m)
-    return GeneratorBasis(np.array(mats))
+    return np.array(mats)
+
+
+# The su(8) generators of the controls, built once and read-only.
+_GENERATORS = gell_mann_basis(8)
+_GENERATORS.setflags(write=False)
+_COUNT, _DIM = _GENERATORS.shape[:2]
+# The same generators as a real (63, 128) matrix, each row the real and
+# imaginary parts of one flattened generator in turn, so
+# `(p @ _INTERLEAVED).view(complex)` is h = sum_j p_j g_j flattened.  A view
+# of the read-only generators, so read-only too.
+_INTERLEAVED = _GENERATORS.view(float).reshape(_COUNT, -1)
 
 
 def _integer(value, label: str, low: int) -> int:
@@ -155,20 +127,21 @@ def _integer(value, label: str, low: int) -> int:
     return int(value)
 
 
-def _check_controls(p: np.ndarray, basis: GeneratorBasis) -> np.ndarray:
-    """Finite controls of shape (count,), or (n, count) with a leading batch axis."""
+def _check_controls(p: np.ndarray, batch: bool) -> np.ndarray:
+    """Finite controls of shape (63,), or also (n, 63) when `batch`."""
     p = np.asarray(p, dtype=float)
-    if p.ndim not in (1, 2) or p.shape[-1] != basis.count:
-        raise ValueError(f"controls must have shape ([n,] {basis.count}), got {p.shape}")
+    if p.shape != (_COUNT,) and not (batch and p.ndim == 2 and p.shape[1] == _COUNT):
+        allowed = f"([n,] {_COUNT})" if batch else f"({_COUNT},)"
+        raise ValueError(f"controls must have shape {allowed}, got {p.shape}")
     if not np.all(np.isfinite(p)):
         raise ValueError("controls must be finite")
     return p
 
 
-def unitary_from_controls(p: np.ndarray, basis: GeneratorBasis) -> np.ndarray:
-    """U(p) = exp(-i sum_j p_j g_j)."""
-    p = _check_controls(p, basis).reshape(1, basis.count)
-    return _unitary_columns(p, basis, np.arange(basis.dim))[0]
+def unitary_from_controls(p: np.ndarray) -> np.ndarray:
+    """U(p) = exp(-i sum_j p_j g_j) of one control vector of shape (63,)."""
+    p = _check_controls(p, batch=False)
+    return _unitary_columns(p[None], np.arange(_DIM))[0]
 
 
 def _row_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -182,9 +155,9 @@ def _row_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
-def _unitary_columns(pop: np.ndarray, basis: GeneratorBasis, cols: np.ndarray) -> np.ndarray:
-    """Columns `cols` of U(p) for each row p of `pop`, shape (n, dim, len(cols))."""
-    h = _row_product(pop, basis.interleaved).view(complex).reshape(-1, basis.dim, basis.dim)
+def _unitary_columns(pop: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Columns `cols` of U(p) for each row p of `pop`, shape (n, 8, len(cols))."""
+    h = _row_product(pop, _INTERLEAVED).view(complex).reshape(-1, _DIM, _DIM)
     vals, vecs = np.linalg.eigh(h)
     phases = np.exp(-1.0j * vals)
     return vecs @ (phases[:, :, None] * vecs[:, cols, :].conj().swapaxes(1, 2))
@@ -220,23 +193,23 @@ def channel_from_unitary(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return linear[0], shift[0]
 
 
-def _block_stats(count: int, block, basis: GeneratorBasis) -> tuple[np.ndarray, np.ndarray]:
+def _block_stats(count: int, block) -> tuple[np.ndarray, np.ndarray]:
     """(F, Delta) of `count` control rows that `block(start, m)` hands over
     `_BLOCK_ROWS` at a time, as an (m, d) array of rows start to start + m."""
     avg_f, dev = np.empty(count), np.empty(count)
     for start in range(0, count, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, count)
-        cols = _unitary_columns(block(start, stop - start), basis, _CHANNEL_COLS)
+        cols = _unitary_columns(block(start, stop - start), _CHANNEL_COLS)
         avg_f[start:stop], dev[start:stop] = affine_stats_batch(
             *_channel_parts_from_columns(cols)
         )
     return avg_f, dev
 
 
-def control_stats_batch(pop: np.ndarray, basis: GeneratorBasis) -> tuple[np.ndarray, np.ndarray]:
+def control_stats_batch(pop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(F, Delta) arrays of the channels realized by each row of `pop`.
 
-    `pop` has shape (count,) or (n, count).  The rows go through the kernel
+    `pop` has shape (63,) or (n, 63).  The rows go through the kernel
     in blocks of at most `_BLOCK_ROWS`, and each block builds only columns 0
     and 4 of its unitaries, the two the channel reads.  Every row is
     computed on its own, so the results do not depend on the block size and
@@ -244,18 +217,16 @@ def control_stats_batch(pop: np.ndarray, basis: GeneratorBasis) -> tuple[np.ndar
     arrays.  Raises RuntimeError when a block breaks Kraus completeness or
     leaves F in [0, 1] or Delta <= 1/2.
     """
-    if basis.dim != 8:
-        raise ValueError(f"control statistics require an su(8) basis, got su({basis.dim})")
-    pop = _check_controls(pop, basis).reshape(-1, basis.count)
-    return _block_stats(len(pop), lambda start, m: pop[start : start + m], basis)
+    pop = _check_controls(pop, batch=True).reshape(-1, _COUNT)
+    return _block_stats(len(pop), lambda start, m: pop[start : start + m])
 
 
-def optimal_controls(basis: GeneratorBasis) -> np.ndarray:
+def optimal_controls() -> np.ndarray:
     """Controls whose unitary realizes the optimal universal flip.
 
     Takes the full unitary of the optimal three-qubit ladder, extracts a
     traceless Hermitian logarithm from its eigendecomposition, and projects
-    it onto the generator basis.  The fitness xi = F - Delta of the result
+    it onto the su(8) generators.  The fitness xi = F - Delta of the result
     (`control_stats_batch`) is 2/3 up to roundoff.
 
     The ladder unitary has 8 distinct eigenphases (the closest two lie
@@ -271,8 +242,6 @@ def optimal_controls(basis: GeneratorBasis) -> np.ndarray:
     perturbing a feedback-found solution does; the principal branch sits in
     a visibly sharper basin.
     """
-    if basis.dim != 8:
-        raise ValueError("optimal controls require an su(8) basis")
     u = full_unitary(*optimal_three_qubit_circuit())
     w, v = np.linalg.eig(u)
     z = np.linalg.qr(v)[0]
@@ -280,8 +249,8 @@ def optimal_controls(basis: GeneratorBasis) -> np.ndarray:
     lift = np.empty_like(angles)
     lift[np.argsort(angles)] = 2.0 * np.pi * (-1.0) ** np.arange(angles.size)
     h = -(z * (angles + lift)) @ z.conj().T
-    h -= np.trace(h) / basis.dim * np.eye(basis.dim)
-    return 0.5 * np.einsum("ij,aji->a", h, basis.matrices).real
+    h -= np.trace(h) / _DIM * np.eye(_DIM)
+    return 0.5 * np.einsum("ij,aji->a", h, _GENERATORS).real
 
 
 @dataclass(frozen=True)
@@ -330,26 +299,21 @@ def noise_stats(
     noise: NoiseModel,
     sampler: SeededSampler,
     count: int,
-    basis: GeneratorBasis,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(F, Delta) arrays of `count` noisy copies of one control vector.
 
     Bitwise `control_stats_batch(apply_noise(np.tile(controls, (count, 1)),
-    noise, sampler), basis)`, and the stream moves as that one draw moves
+    noise, sampler))`, and the stream moves as that one draw moves
     it, but each block's noise is drawn just before the block is evaluated,
     so no (count, d) array exists.  Zero strength draws nothing.
     """
-    if basis.dim != 8:
-        raise ValueError(f"control statistics require an su(8) basis, got su({basis.dim})")
-    controls = _check_controls(controls, basis)
-    if controls.ndim != 1:
-        raise ValueError(f"controls must have shape ({basis.count},), got {controls.shape}")
+    controls = _check_controls(controls, batch=False)
     count = _integer(count, "count", 0)
 
     def block(start, m):
-        return apply_noise(np.broadcast_to(controls, (m, basis.count)), noise, sampler)
+        return apply_noise(np.broadcast_to(controls, (m, _COUNT)), noise, sampler)
 
-    return _block_stats(count, block, basis)
+    return _block_stats(count, block)
 
 
 @dataclass(frozen=True)
@@ -412,7 +376,6 @@ def de_crossover(
 def run_feedback(
     config: DeConfig,
     noise: NoiseModel,
-    basis: GeneratorBasis,
     seeds: Sequence[int],
     initial_population: np.ndarray | None = None,
 ) -> FeedbackRun:
@@ -434,7 +397,7 @@ def run_feedback(
     mutant component is not evaluated.
     """
     samplers = [SeededSampler(seed) for seed in seeds]
-    t, n, d = len(samplers), config.population_size, basis.count
+    t, n, d = len(samplers), config.population_size, _COUNT
     if t == 0:
         raise ValueError("seeds must not be empty")
     if initial_population is None:
@@ -448,7 +411,7 @@ def run_feedback(
         return np.stack([apply_noise(p, noise, s) for p, s in zip(population, samplers)])
 
     def evaluate(population):
-        avg_f, dev = control_stats_batch(population.reshape(t * n, d), basis)
+        avg_f, dev = control_stats_batch(population.reshape(t * n, d))
         return avg_f.reshape(t, n), dev.reshape(t, n)
 
     rows = config.max_iterations + 1
@@ -471,7 +434,7 @@ def run_feedback(
         trial = de_crossover(population, mutant, config.crossover_rate, draws)
         changed = (draws <= config.crossover_rate).any(axis=-1)
         if changed.any():
-            t_avg_f, t_dev = control_stats_batch(trial[changed], basis)
+            t_avg_f, t_dev = control_stats_batch(trial[changed])
             t_fit = t_avg_f - t_dev
             won = t_fit > fit[changed]
             better = np.zeros_like(changed)

@@ -28,7 +28,6 @@ from .circuit import (
 from .evolve import (
     DeConfig,
     NoiseModel,
-    gell_mann_basis,
     noise_stats,
     optimal_controls,
     run_feedback,
@@ -159,7 +158,9 @@ class ExperimentConfig:
                 continue
             if not isinstance(grid, (list, tuple)) or not all(map(_is_number, grid)):
                 raise ValueError(f"{label} must be a list of numbers, got {grid!r}")
-            if not grid or not all(map(inside, grid)):
+            if not grid:
+                raise ValueError(f"{label} must not be empty")
+            if not all(map(inside, grid)):
                 raise ValueError(f"{label} values must lie in {span}")
             setattr(self, label, tuple(float(v) for v in grid))
         if not 0 <= self.seed < 2**64:
@@ -452,8 +453,7 @@ def run_tradeoff(config: ExperimentConfig) -> ExperimentResult:
 
 
 def run_noise_sweep(config: ExperimentConfig) -> ExperimentResult:
-    basis = gell_mann_basis(8)
-    p_star = optimal_controls(basis)
+    p_star = optimal_controls()
     if config.eta_grid is not None:
         grid = config.eta_grid
     elif config.eta is not None:
@@ -462,7 +462,7 @@ def run_noise_sweep(config: ExperimentConfig) -> ExperimentResult:
         grid = tuple(np.arange(0.0, 1.0 + 1e-9, 0.05))
     rows = []
     for eta, child in zip(grid, SeededSampler(config.seed).split(len(grid))):
-        f, d = noise_stats(p_star, NoiseModel(eta, period=None), child, config.trials, basis)
+        f, d = noise_stats(p_star, NoiseModel(eta, period=None), child, config.trials)
         stats = {k: float(v) for k, v in _summary(f, d).items()}
         rows.append({"eta": float(eta), **stats, "trials": config.trials})
     report = [
@@ -502,10 +502,9 @@ def _search(config: ExperimentConfig, noises):
     """
     de_config = DeConfig(config.npop, config.dweight, config.cr, config.iters)
     seeds = [child.seed for child in SeededSampler(config.seed).split(config.trials)]
-    basis = gell_mann_basis(8)
     iterations = [*range(0, config.iters, config.stride), config.iters]
     for noise in noises:
-        run = run_feedback(de_config, noise, basis, seeds)
+        run = run_feedback(de_config, noise, seeds)
         stats = _summary(run.avg_fidelity[iterations], run.deviation[iterations])
         stats["mean_fitness"] = run.fitness[iterations].mean(axis=-1)
         rows = [

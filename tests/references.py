@@ -12,6 +12,8 @@ which the block-by-block `evolve.control_stats_batch` must match bit for
 bit, and `noise_stats_one_draw` is `evolve.noise_stats` with all noise drawn
 at once.  `control_stats_kraus` reads the channel off Kraus operators
 instead of the Choi matrix, an independent route that agrees to roundoff.
+The control routes build their own su(8) generators, `_GENERATORS`, and
+never read the package's copy.
 """
 
 import itertools
@@ -19,12 +21,16 @@ import itertools
 import numpy as np
 
 from unot.circuit import check_density, mixture_linear, weights_from_preps
-from unot.evolve import apply_noise
+from unot.evolve import apply_noise, gell_mann_basis
 from unot.fidelity import affine_stats_batch
 from unot.oracle import McEstimate, sample_bloch
 from unot.rotation import PAULI, rotation_batch, unitary_batch
 
 _UNITARY_TOL = 1e-9
+
+_GENERATORS = gell_mann_basis(8)
+# Row j holds the real and imaginary parts of flattened generator j in turn.
+_INTERLEAVED = _GENERATORS.view(float).reshape(63, 128)
 
 
 def _check_unitary(u) -> np.ndarray:
@@ -149,7 +155,7 @@ def mc_stats_one_draw(bloch_map, sampler, n_samples):
     return McEstimate(mean, se_mean, n), McEstimate(std, se_std, n)
 
 
-def control_stats_one_call(pop, basis):
+def control_stats_one_call(pop):
     """(F, Delta) of each row of `pop`, all rows in one call.
 
     Columns 0 and 4 of U(p), laid out as x[(k, s), a] = <s a| U |k 0 0>, give
@@ -162,9 +168,9 @@ def control_stats_one_call(pop, basis):
     """
     n = len(pop)
     if n == 1:
-        avg_f, dev = control_stats_one_call(np.concatenate([pop, pop]), basis)
+        avg_f, dev = control_stats_one_call(np.concatenate([pop, pop]))
         return avg_f[:1], dev[:1]
-    h = (pop @ basis.interleaved).view(complex).reshape(n, 8, 8)
+    h = (pop @ _INTERLEAVED).view(complex).reshape(n, 8, 8)
     vals, vecs = np.linalg.eigh(h)
     phases = np.exp(-1.0j * vals)
     cols = vecs @ (phases[:, :, None] * vecs[:, [0, 4], :].conj().swapaxes(1, 2))
@@ -181,13 +187,13 @@ def control_stats_one_call(pop, basis):
     return affine_stats_batch(r[:, 1:, 1:], r[:, 1:, 0])
 
 
-def control_stats_kraus(pop, basis):
+def control_stats_kraus(pop):
     """(F, Delta) of each row of `pop` by Kraus operators and five einsums.
 
     Kraus operator m takes rows (m, m + 4) and columns (0, 4) of U(p), an
     independent route to the channel.
     """
-    h = np.tensordot(pop, basis.matrices, axes=([1], [0]))
+    h = np.tensordot(pop, _GENERATORS, axes=([1], [0]))
     vals, vecs = np.linalg.eigh(h)
     phases = np.exp(-1.0j * vals)
     us = np.einsum("nij,nj,nkj->nik", vecs, phases, vecs.conj())
@@ -203,8 +209,8 @@ def control_stats_kraus(pop, basis):
     return affine_stats_batch(linear, shift)
 
 
-def noise_stats_one_draw(controls, noise, sampler, count, basis):
+def noise_stats_one_draw(controls, noise, sampler, count):
     """`evolve.noise_stats` as one tiled (count, d) population, disturbed in
     one draw and evaluated in one call."""
     pop = apply_noise(np.tile(controls, (count, 1)), noise, sampler)
-    return control_stats_one_call(pop, basis)
+    return control_stats_one_call(pop)

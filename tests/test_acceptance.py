@@ -22,7 +22,6 @@ from unot.evolve import (
     NoiseModel,
     apply_noise,
     control_stats_batch,
-    gell_mann_basis,
     optimal_controls,
     run_feedback,
 )
@@ -45,8 +44,6 @@ from unot.oracle import (
     sample_unitary,
 )
 from unot.rotation import rotation_batch, rotation_trace
-
-_BASIS8 = gell_mann_basis(8)
 
 
 def test_01_single_gates_sit_on_the_deviation_line():
@@ -128,9 +125,9 @@ def test_06_covariance_bounds_hold_and_are_tight():
 
 def test_07_noise_degradation_band_at_one_tenth():
     start = time.perf_counter()
-    population = np.tile(optimal_controls(_BASIS8), (1000, 1))
+    population = np.tile(optimal_controls(), (1000, 1))
     population = apply_noise(population, NoiseModel(0.1), SeededSampler(424242))
-    avg_f, dev = control_stats_batch(population, _BASIS8)
+    avg_f, dev = control_stats_batch(population)
     assert 0.615 <= avg_f.mean() <= 0.651
     assert 0.068 <= dev.mean() <= 0.122
     assert time.perf_counter() - start < 120.0
@@ -144,7 +141,7 @@ def test_08_search_converges_near_the_ceiling():
         crossover_rate=0.03,
         max_iterations=1000,
     )
-    run = run_feedback(config, NoiseModel(0.0), _BASIS8, range(20))
+    run = run_feedback(config, NoiseModel(0.0), range(20))
     assert np.median(run.avg_fidelity[-1]) >= 0.655
     assert np.median(run.deviation[-1]) <= 0.02
     assert time.perf_counter() - start < 600.0
@@ -153,7 +150,7 @@ def test_08_search_converges_near_the_ceiling():
 def test_09_search_recovers_between_injections():
     start = time.perf_counter()
     config = DeConfig(max_iterations=1000)
-    run = run_feedback(config, NoiseModel(0.5, period=100), _BASIS8, range(20))
+    run = run_feedback(config, NoiseModel(0.5, period=100), range(20))
     for k in range(1, 11):
         assert np.median(run.avg_fidelity[100 * k]) < 0.60
     for k in range(2, 11):

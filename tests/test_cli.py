@@ -145,6 +145,18 @@ def test_unknown_config_key_is_rejected(
 
 
 @pytest.mark.parametrize(
+    "command, name", [("compensate", "alpha_grid"), ("noise-sweep", "eta_grid")]
+)
+def test_empty_grid_is_rejected_as_empty(tmp_path, monkeypatch, capsys, command, name):
+    monkeypatch.chdir(tmp_path)
+    Path("cfg.json").write_text(json.dumps({name: []}))
+    assert main([command, "--config", "cfg.json"]) == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert f"{name} must not be empty" in err
+    assert "must lie in" not in err
+
+
+@pytest.mark.parametrize(
     "text",
     ["[" * 100_000, '{"trials": ' + "[" * 100_000],
     ids=["nested-array", "nested-value"],

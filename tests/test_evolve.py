@@ -21,8 +21,9 @@ from unot.circuit import full_unitary, optimal_three_qubit_circuit
 from unot.cli import main
 from unot.evolve import (
     _BLOCK_ROWS,
+    _GENERATORS,
+    _INTERLEAVED,
     DeConfig,
-    GeneratorBasis,
     NoiseModel,
     apply_noise,
     channel_from_unitary,
@@ -39,12 +40,12 @@ from unot.fidelity import affine_stats_batch
 from unot.oracle import SeededSampler, mc_stats, sample_ladders, sample_unitary
 from unot.rotation import PAULI
 
-_BASIS8 = gell_mann_basis(8)
+_SU8 = gell_mann_basis(8)
 
 
 def _stats(p):
     # (F, Delta) of one control vector: the one-row call of the batch.
-    avg_f, dev = control_stats_batch(np.asarray(p)[None], _BASIS8)
+    avg_f, dev = control_stats_batch(np.asarray(p)[None])
     return avg_f[0], dev[0]
 
 
@@ -54,9 +55,8 @@ def _fitness(p):
 
 
 def test_basis_size_and_orthogonality():
-    assert _BASIS8.count == 63
-    assert _BASIS8.dim == 8
-    mats = _BASIS8.matrices
+    mats = gell_mann_basis(8)
+    assert mats.shape == (63, 8, 8)
     gram = np.einsum("aij,bji->ab", mats, mats).real
     assert np.max(np.abs(gram - 2.0 * np.eye(63))) < 1e-12
     assert np.max(np.abs(np.trace(mats, axis1=1, axis2=2))) < 1e-12
@@ -64,61 +64,41 @@ def test_basis_size_and_orthogonality():
 
 
 def test_two_level_basis_is_the_pauli_triple():
-    basis = gell_mann_basis(2)
-    assert basis.count == 3
-    for ours, pauli in zip(basis.matrices, PAULI):
+    mats = gell_mann_basis(2)
+    assert mats.shape == (3, 2, 2)
+    for ours, pauli in zip(mats, PAULI):
         assert np.max(np.abs(ours - pauli)) < 1e-15
 
 
-def test_generator_basis_rejects_nonhermitian():
-    bad = np.zeros((1, 2, 2), dtype=complex)
-    bad[0, 0, 1] = 1.0
-    with pytest.raises(ValueError):
-        GeneratorBasis(bad)
-
-
-_SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-
-
-@pytest.mark.parametrize(
-    "check, matrices",
-    [
-        ("Hermitian", np.stack([_SX, np.where(_SY == 0, np.nan, _SY)])),
-        # Finite and Hermitian, but the trace overflows both ways to NaN.
-        ("traceless", np.diag([1e308, 1e308, -1e308, -1e308]).astype(complex)[None]),
-        # Hermitian and traceless; the Gram cross term overflows to
-        # inf i - inf i, a NaN.
-        ("Tr", 1e200 * np.stack([_SX, _SY])),
-    ],
-    ids=["hermitian", "traceless", "gram"],
-)
-def test_generator_basis_checks_reject_nan(check, matrices):
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ValueError, match=check):
-            GeneratorBasis(matrices)
-
-
 def test_interleaved_generators_give_h_and_are_read_only():
+    assert np.array_equal(_GENERATORS, _SU8)
+    assert np.array_equal(_INTERLEAVED.view(complex).reshape(63, 8, 8), _SU8)
+    assert not _GENERATORS.flags.writeable
+    assert not _INTERLEAVED.flags.writeable
     p = SeededSampler(54).uniform(-np.pi, np.pi, (5, 63))
-    h = (p @ _BASIS8.interleaved).view(complex).reshape(5, 8, 8)
-    assert np.max(np.abs(h - np.einsum("na,aij->nij", p, _BASIS8.matrices))) < 1e-13
-    assert not _BASIS8.interleaved.flags.writeable
+    h = (p @ _INTERLEAVED).view(complex).reshape(5, 8, 8)
+    assert np.max(np.abs(h - np.einsum("na,aij->nij", p, _SU8))) < 1e-13
 
 
 def test_unitary_from_controls_matches_expm():
     sampler = SeededSampler(40)
     for _ in range(5):
         p = sampler.uniform(-np.pi, np.pi, 63)
-        u = unitary_from_controls(p, _BASIS8)
-        h = np.einsum("a,aij->ij", p, _BASIS8.matrices)
+        u = unitary_from_controls(p)
+        h = np.einsum("a,aij->ij", p, _SU8)
         assert np.max(np.abs(u - expm(-1.0j * h))) < 1e-11
         assert np.max(np.abs(u @ u.conj().T - np.eye(8))) < 1e-12
 
 
 def test_zero_controls_give_identity():
-    u = unitary_from_controls(np.zeros(63), _BASIS8)
+    u = unitary_from_controls(np.zeros(63))
     assert np.max(np.abs(u - np.eye(8))) < 1e-15
+
+
+@pytest.mark.parametrize("shape", [(1, 63), (2, 63), (62,)])
+def test_unitary_from_controls_takes_one_control_vector(shape):
+    with pytest.raises(ValueError, match=r"must have shape \(63,\)"):
+        unitary_from_controls(np.zeros(shape))
 
 
 def test_channel_of_system_bit_flip():
@@ -162,7 +142,7 @@ def test_kraus_completeness_check_rejects_nan():
 def test_fitness_of_embedded_system_flip():
     sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     h = (np.pi / 2.0) * np.kron(sx, np.eye(4, dtype=complex))
-    p = 0.5 * np.einsum("ij,aji->a", h, _BASIS8.matrices).real
+    p = 0.5 * np.einsum("ij,aji->a", h, _SU8).real
     expected = 2.0 / 3.0 - 0.29814239699997197
     assert abs(_fitness(p) - expected) < 1e-12
 
@@ -175,7 +155,7 @@ def test_fitness_never_beats_the_ceiling():
 
 
 def test_optimal_controls_hit_the_ceiling_exactly():
-    p = optimal_controls(_BASIS8)
+    p = optimal_controls()
     avg_f, dev = _stats(p)
     assert abs(avg_f - 2.0 / 3.0) < 1e-12
     assert dev < 1e-12
@@ -183,8 +163,8 @@ def test_optimal_controls_hit_the_ceiling_exactly():
 
 
 def test_optimal_controls_reproduce_the_ladder_unitary():
-    p = optimal_controls(_BASIS8)
-    u = unitary_from_controls(p, _BASIS8)
+    p = optimal_controls()
+    u = unitary_from_controls(p)
     target = full_unitary(*optimal_three_qubit_circuit())
     # Equal up to a global phase; align on the largest entry.
     idx = np.unravel_index(np.argmax(np.abs(target)), target.shape)
@@ -205,13 +185,13 @@ def test_optimal_controls_match_the_schur_logarithm():
     lift[np.argsort(angles)] = 2.0 * np.pi * (-1.0) ** np.arange(8)
     h = -(z * (angles + lift)) @ z.conj().T
     h -= np.trace(h) / 8 * np.eye(8)
-    reference = 0.5 * np.einsum("ij,aji->a", h, _BASIS8.matrices).real
-    assert np.max(np.abs(optimal_controls(_BASIS8) - reference)) < 1e-13
+    reference = 0.5 * np.einsum("ij,aji->a", h, _SU8).real
+    assert np.max(np.abs(optimal_controls() - reference)) < 1e-13
 
 
 def test_optimal_control_stats_agree_with_oracle():
-    p = optimal_controls(_BASIS8)
-    channel = channel_from_unitary(unitary_from_controls(p, _BASIS8))
+    p = optimal_controls()
+    channel = channel_from_unitary(unitary_from_controls(p))
     f, d = mc_stats(bloch_map_from_affine(*channel), SeededSampler(44), 20000)
     assert abs(f.value - 2.0 / 3.0) < 1e-10
     assert d.value < 1e-10
@@ -222,7 +202,7 @@ def test_fitness_against_oracle_for_random_controls():
     for child in sampler.split(20):
         p = child.uniform(-np.pi, np.pi, 63)
         avg_f, dev = _stats(p)
-        channel = channel_from_unitary(unitary_from_controls(p, _BASIS8))
+        channel = channel_from_unitary(unitary_from_controls(p))
         f, d = mc_stats(bloch_map_from_affine(*channel), child, 100000)
         assert abs(avg_f - f.value) < 5.0 * f.std_error
         assert abs(dev - d.value) < 5.0 * max(d.std_error, 1e-6)
@@ -334,8 +314,8 @@ def test_integer_de_settings_reject_bools_and_fractions(make, label):
 
 def test_run_feedback_trace_shape_and_determinism():
     config = DeConfig(max_iterations=40)
-    run_a = run_feedback(config, NoiseModel(0.0), _BASIS8, [7])
-    run_b = run_feedback(config, NoiseModel(0.0), _BASIS8, [7])
+    run_a = run_feedback(config, NoiseModel(0.0), [7])
+    run_b = run_feedback(config, NoiseModel(0.0), [7])
     assert run_a.avg_fidelity.shape == (41, 1)
     for name in ("avg_fidelity", "deviation", "fitness", "noise_injected", "population"):
         assert np.array_equal(getattr(run_a, name), getattr(run_b, name))
@@ -343,7 +323,7 @@ def test_run_feedback_trace_shape_and_determinism():
 
 
 def test_run_feedback_fitness_is_monotone_without_noise():
-    run = run_feedback(DeConfig(max_iterations=120), NoiseModel(0.0), _BASIS8, [8])
+    run = run_feedback(DeConfig(max_iterations=120), NoiseModel(0.0), [8])
     values = run.fitness[:, 0]
     assert np.all(values[1:] >= values[:-1])
     assert np.all(values <= 2.0 / 3.0 + 1e-9)
@@ -351,13 +331,13 @@ def test_run_feedback_fitness_is_monotone_without_noise():
 
 
 def test_run_feedback_improves_on_the_initial_population():
-    run = run_feedback(DeConfig(max_iterations=150), NoiseModel(0.0), _BASIS8, [9])
+    run = run_feedback(DeConfig(max_iterations=150), NoiseModel(0.0), [9])
     assert run.fitness[-1, 0] > run.fitness[0, 0] + 0.05
 
 
 def test_run_feedback_marks_injections():
     noise = NoiseModel(0.4, period=25)
-    run = run_feedback(DeConfig(max_iterations=60), noise, _BASIS8, [10])
+    run = run_feedback(DeConfig(max_iterations=60), noise, [10])
     assert np.flatnonzero(run.noise_injected).tolist() == [25, 50]
     for it in range(1, 61):
         if not run.noise_injected[it]:
@@ -366,43 +346,35 @@ def test_run_feedback_marks_injections():
 
 def test_run_feedback_single_injection_at_start():
     noise = NoiseModel(0.4, period=0)
-    run = run_feedback(DeConfig(max_iterations=30), noise, _BASIS8, [11])
+    run = run_feedback(DeConfig(max_iterations=30), noise, [11])
     assert run.noise_injected[0]
     assert not run.noise_injected[1:].any()
 
 
 def test_run_feedback_accepts_initial_population():
     config = DeConfig(max_iterations=5)
-    start = np.tile(optimal_controls(_BASIS8), (1, 10, 1))
-    run = run_feedback(config, NoiseModel(0.0), _BASIS8, [12], start)
+    start = np.tile(optimal_controls(), (1, 10, 1))
+    run = run_feedback(config, NoiseModel(0.0), [12], start)
     assert abs(run.fitness[0, 0] - 2.0 / 3.0) < 1e-12
     assert np.all(np.abs(run.fitness - 2.0 / 3.0) < 1e-12)
     with pytest.raises(ValueError):
-        run_feedback(config, NoiseModel(0.0), _BASIS8, [12], np.zeros((1, 3, 63)))
+        run_feedback(config, NoiseModel(0.0), [12], np.zeros((1, 3, 63)))
 
 
 def test_run_feedback_rejects_nonfinite_initial_population():
     config = DeConfig(max_iterations=1)
-    start = np.tile(optimal_controls(_BASIS8), (1, 10, 1))
+    start = np.tile(optimal_controls(), (1, 10, 1))
     start[0, 3, 5] = np.nan
     with pytest.raises(ValueError, match="finite") as info:
-        run_feedback(config, NoiseModel(0.0), _BASIS8, [13], start)
+        run_feedback(config, NoiseModel(0.0), [13], start)
     assert not isinstance(info.value, np.linalg.LinAlgError)
-
-
-def test_control_stats_reject_a_basis_that_is_not_su8():
-    basis4 = gell_mann_basis(4)
-    with pytest.raises(ValueError, match=r"su\(8\)"):
-        control_stats_batch(np.zeros((2, 15)), basis4)
-    with pytest.raises(ValueError, match=r"su\(8\)"):
-        run_feedback(DeConfig(max_iterations=1), NoiseModel(0.0), basis4, [1])
 
 
 def test_feedback_run_contract(tmp_path, monkeypatch):
     """Layout of the history, and the rows `optimize` writes from it."""
     seeds = [child.seed for child in SeededSampler(5).split(3)]
     noise = NoiseModel(0.3, period=7)
-    run = run_feedback(DeConfig(max_iterations=20), noise, _BASIS8, seeds)
+    run = run_feedback(DeConfig(max_iterations=20), noise, seeds)
     for name in ("avg_fidelity", "deviation", "fitness"):
         assert getattr(run, name).shape == (21, 3)
         assert getattr(run, name).dtype == np.float64
@@ -410,7 +382,7 @@ def test_feedback_run_contract(tmp_path, monkeypatch):
     assert run.population.shape == (3, 10, 63) and run.population.dtype == np.float64
     assert all(run.noise_injected[i] == noise.hits(i) for i in range(21))
     for k, seed in enumerate(seeds):
-        lone = run_feedback(DeConfig(max_iterations=20), noise, _BASIS8, [seed])
+        lone = run_feedback(DeConfig(max_iterations=20), noise, [seed])
         for name in ("avg_fidelity", "deviation", "fitness"):
             assert np.array_equal(getattr(run, name)[:, k], getattr(lone, name)[:, 0])
         assert np.array_equal(run.population[k], lone.population[0])
@@ -419,7 +391,7 @@ def test_feedback_run_contract(tmp_path, monkeypatch):
     argv = ["optimize", "--seed", "5", "--trials", "3", "--iters", "20", "--stride", "6"]
     assert main(argv + ["--format", "jsonl", "--out", "o.jsonl"]) == 0
     rows = [json.loads(line) for line in (tmp_path / "o.jsonl").read_text().splitlines()]
-    run = run_feedback(DeConfig(max_iterations=20), NoiseModel(0.0), _BASIS8, seeds)
+    run = run_feedback(DeConfig(max_iterations=20), NoiseModel(0.0), seeds)
     assert [row["iteration"] for row in rows] == [0, 6, 12, 18, 20]
     for row in rows:
         it = row["iteration"]
@@ -435,18 +407,18 @@ def test_feedback_run_contract(tmp_path, monkeypatch):
 def test_batch_control_stats_check_their_controls():
     sampler = SeededSampler(46)
     pop = sampler.uniform(-np.pi, np.pi, (4, 63))
-    avg_f, dev = control_stats_batch(pop, _BASIS8)
+    avg_f, dev = control_stats_batch(pop)
     for k in range(4):
         one_f, one_dev = _stats(pop[k])
         assert abs(one_f - avg_f[k]) < 1e-12
         assert abs(one_dev - dev[k]) < 1e-12
     with pytest.raises(ValueError, match="shape"):
-        control_stats_batch(pop[:, :62], _BASIS8)
+        control_stats_batch(pop[:, :62])
     with pytest.raises(ValueError, match="shape"):
-        control_stats_batch(pop[None], _BASIS8)
+        control_stats_batch(pop[None])
     pop[2, 0] = np.inf
     with pytest.raises(ValueError, match="finite"):
-        control_stats_batch(pop, _BASIS8)
+        control_stats_batch(pop)
 
 
 @pytest.mark.parametrize(
@@ -457,8 +429,8 @@ def test_batch_control_stats_check_their_controls():
 )
 def test_blocks_give_the_bits_of_one_call(n):
     pop = SeededSampler(47).uniform(-np.pi, np.pi, (n, 63))
-    avg_f, dev = control_stats_batch(pop, _BASIS8)
-    one_f, one_dev = control_stats_one_call(pop, _BASIS8)
+    avg_f, dev = control_stats_batch(pop)
+    one_f, one_dev = control_stats_one_call(pop)
     assert np.array_equal(avg_f, one_f) and np.array_equal(dev, one_dev)
 
 
@@ -467,50 +439,48 @@ def test_choi_route_matches_the_kraus_route():
     pop = np.concatenate(
         [
             sampler.uniform(-np.pi, np.pi, (2000, 63)),
-            optimal_controls(_BASIS8) + 0.05 * sampler.uniform(-np.pi, np.pi, (200, 63)),
+            optimal_controls() + 0.05 * sampler.uniform(-np.pi, np.pi, (200, 63)),
         ]
     )
-    avg_f, dev = control_stats_batch(pop, _BASIS8)
-    kraus_f, kraus_dev = control_stats_kraus(pop, _BASIS8)
+    avg_f, dev = control_stats_batch(pop)
+    kraus_f, kraus_dev = control_stats_kraus(pop)
     assert np.max(np.abs(avg_f - kraus_f)) <= 1e-15
     assert np.max(np.abs(dev - kraus_dev)) <= 1e-15
 
 
 def test_single_rows_give_the_bits_of_a_batch():
     pop = SeededSampler(51).uniform(-np.pi, np.pi, (40, 63))
-    avg_f, dev = control_stats_batch(pop, _BASIS8)
+    avg_f, dev = control_stats_batch(pop)
     for k in range(len(pop)):
-        one_f, one_dev = control_stats_batch(pop[k], _BASIS8)
+        one_f, one_dev = control_stats_batch(pop[k])
         assert one_f[0] == avg_f[k] and one_dev[0] == dev[k]
 
 
 @pytest.mark.parametrize("count", [1, 511, 512, 513, 4000])
 @pytest.mark.parametrize("strength", [0.0, 0.3])
 def test_noise_stats_give_the_bits_of_one_draw(count, strength):
-    controls = optimal_controls(_BASIS8)
+    controls = optimal_controls()
     noise = NoiseModel(strength)
     streamed, drawn = SeededSampler(52), SeededSampler(52)
-    avg_f, dev = noise_stats(controls, noise, streamed, count, _BASIS8)
-    one_f, one_dev = noise_stats_one_draw(controls, noise, drawn, count, _BASIS8)
+    avg_f, dev = noise_stats(controls, noise, streamed, count)
+    one_f, one_dev = noise_stats_one_draw(controls, noise, drawn, count)
     assert np.array_equal(avg_f, one_f) and np.array_equal(dev, one_dev)
     assert streamed.position == drawn.position == (63 * count if strength else 0)
     assert np.array_equal(streamed.random(5), drawn.random(5))
 
 
 def test_noise_stats_check_their_arguments():
-    controls = optimal_controls(_BASIS8)
-    avg_f, dev = noise_stats(controls, NoiseModel(0.2), SeededSampler(53), 0, _BASIS8)
+    controls = optimal_controls()
+    avg_f, dev = noise_stats(controls, NoiseModel(0.2), SeededSampler(53), 0)
     assert avg_f.shape == dev.shape == (0,)
     with pytest.raises(ValueError, match="shape"):
-        noise_stats(controls[None], NoiseModel(0.2), SeededSampler(53), 3, _BASIS8)
+        noise_stats(controls[None], NoiseModel(0.2), SeededSampler(53), 3)
     with pytest.raises(ValueError, match="count"):
-        noise_stats(controls, NoiseModel(0.2), SeededSampler(53), 2.0, _BASIS8)
-    with pytest.raises(ValueError, match="su\\(8\\)"):
-        noise_stats(np.zeros(3), NoiseModel(0.2), SeededSampler(53), 3, gell_mann_basis(2))
+        noise_stats(controls, NoiseModel(0.2), SeededSampler(53), 2.0)
 
 
 def test_zero_control_rows_give_empty_stats():
-    avg_f, dev = control_stats_batch(np.zeros((0, 63)), _BASIS8)
+    avg_f, dev = control_stats_batch(np.zeros((0, 63)))
     assert avg_f.shape == dev.shape == (0,)
     assert avg_f.dtype == dev.dtype == np.float64
 
@@ -520,7 +490,7 @@ def test_control_stats_peak_memory_stays_below_16_mib():
     pop = SeededSampler(48).uniform(-np.pi, np.pi, (50_000, 63))
     tracemalloc.start()
     try:
-        control_stats_batch(pop, _BASIS8)
+        control_stats_batch(pop)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -532,10 +502,10 @@ def test_control_stats_peak_memory_stays_below_16_mib():
 def test_lockstep_trials_equal_their_lone_runs(noise):
     seeds = [3, 17, 2**63 + 5]
     config = DeConfig(max_iterations=60)
-    run = run_feedback(config, noise, _BASIS8, seeds)
+    run = run_feedback(config, noise, seeds)
     assert run.fitness.shape == (61, len(seeds))
     for k, seed in enumerate(seeds):
-        lone = run_feedback(config, noise, _BASIS8, [seed])
+        lone = run_feedback(config, noise, [seed])
         for name in ("avg_fidelity", "deviation", "fitness"):
             assert np.array_equal(getattr(run, name)[:, k], getattr(lone, name)[:, 0])
         assert np.array_equal(run.noise_injected, lone.noise_injected)
@@ -544,8 +514,8 @@ def test_lockstep_trials_equal_their_lone_runs(noise):
 
 def test_lockstep_prefix_of_seeds_is_unchanged():
     config = DeConfig(max_iterations=40)
-    four = run_feedback(config, NoiseModel(0.0), _BASIS8, [1, 2, 3, 4])
-    two = run_feedback(config, NoiseModel(0.0), _BASIS8, [1, 2])
+    four = run_feedback(config, NoiseModel(0.0), [1, 2, 3, 4])
+    two = run_feedback(config, NoiseModel(0.0), [1, 2])
     for name in ("avg_fidelity", "deviation", "fitness"):
         assert np.array_equal(getattr(four, name)[:, :2], getattr(two, name))
     assert np.array_equal(four.noise_injected, two.noise_injected)
@@ -556,12 +526,12 @@ def test_unchanged_trial_vectors_are_not_evaluated(monkeypatch):
     rows = []
     original = unot.evolve.control_stats_batch
 
-    def counting(pop, basis):
+    def counting(pop):
         rows.append(len(pop))
-        return original(pop, basis)
+        return original(pop)
 
     monkeypatch.setattr(unot.evolve, "control_stats_batch", counting)
     config = DeConfig(crossover_rate=0.0, max_iterations=30)
-    run = run_feedback(config, NoiseModel(0.0), _BASIS8, [1, 2, 3])
+    run = run_feedback(config, NoiseModel(0.0), [1, 2, 3])
     assert rows == [3 * 10]
     assert run.avg_fidelity.shape == (31, 3)
