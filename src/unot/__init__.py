@@ -24,7 +24,7 @@ from .evolve import (
     run_feedback,
     unitary_from_controls,
 )
-from .fidelity import affine_stats_batch, one_qubit_stats_batch, three_qubit_avg_fidelity
+from .fidelity import affine_stats_batch, one_qubit_stats_batch
 from .oracle import McEstimate, SeededSampler, mc_stats, sample_bloch, sample_unitary
 from .rotation import rotation_batch, unitary_batch
 
@@ -51,7 +51,6 @@ __all__ = [
     "sample_bloch",
     "sample_unitary",
     "simulate_full",
-    "three_qubit_avg_fidelity",
     "unitary_batch",
     "unitary_from_controls",
     "weights_from_preps",

@@ -184,13 +184,18 @@ def _channel_parts_from_columns(cols: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def channel_from_unitary(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Affine Bloch parts (linear (3, 3), shift (3,)) of the qubit channel left
-    on the system after ancillas in |00> are discarded."""
+    """Affine Bloch parts, linear (n, 3, 3) and shift (n, 3), of the qubit
+    channels a batch of (n, 8, 8) unitaries leaves on the system after
+    ancillas in |00> are discarded: the Choi kernel the control paths run.
+
+    Each row's bits do not depend on n.  Raises ValueError for other shapes,
+    and RuntimeError when a row breaks Kraus completeness beyond 1e-9, NaN
+    rows included.
+    """
     u = np.asarray(u, dtype=complex)
-    if u.shape != (8, 8):
-        raise ValueError(f"expected an 8x8 matrix, got shape {u.shape}")
-    linear, shift = _channel_parts_from_columns(u[None][:, :, _CHANNEL_COLS])
-    return linear[0], shift[0]
+    if u.ndim != 3 or u.shape[1:] != (_DIM, _DIM):
+        raise ValueError(f"expected (n, 8, 8) unitaries, got shape {u.shape}")
+    return _channel_parts_from_columns(u[:, :, _CHANNEL_COLS])
 
 
 def _block_stats(count: int, block) -> tuple[np.ndarray, np.ndarray]:
@@ -336,8 +341,9 @@ class DeConfig:
 class FeedbackRun:
     """History of a lockstep feedback run, one column per trial.
 
-    `avg_fidelity`, `deviation` and `fitness` hold the best member's
-    (F, Delta, xi) after each iteration, shape (iterations + 1, trials);
+    `avg_fidelity` and `deviation` hold the best member's (F, Delta) after
+    each iteration, shape (iterations + 1, trials), and its fitness xi is
+    bitwise `avg_fidelity - deviation`;
     `noise_injected` flags the iterations that ended with an injection,
     shape (iterations + 1,); `population` is the final (trials, n, d)
     population.
@@ -345,7 +351,6 @@ class FeedbackRun:
 
     avg_fidelity: np.ndarray
     deviation: np.ndarray
-    fitness: np.ndarray
     noise_injected: np.ndarray
     population: np.ndarray
 
@@ -416,16 +421,15 @@ def run_feedback(
 
     rows = config.max_iterations + 1
     injected = np.array([noise.hits(it) for it in range(rows)], dtype=bool)
-    best_f, best_dev, best_fit = (np.empty((rows, t)) for _ in range(3))
+    best_f, best_dev = np.empty((rows, t)), np.empty((rows, t))
 
     def record(it: int) -> None:
-        best = np.arange(t), np.argmax(fit, axis=1)
-        best_f[it], best_dev[it], best_fit[it] = avg_f[best], dev[best], fit[best]
+        best = np.arange(t), np.argmax(avg_f - dev, axis=1)
+        best_f[it], best_dev[it] = avg_f[best], dev[best]
 
     if injected[0]:
         population = disturb(population)
     avg_f, dev = evaluate(population)
-    fit = avg_f - dev
     record(0)
     for iteration in range(1, rows):
         picks = np.stack([s.pick_distinct(n - 1, 3, (n,)) for s in samplers])
@@ -435,17 +439,14 @@ def run_feedback(
         changed = (draws <= config.crossover_rate).any(axis=-1)
         if changed.any():
             t_avg_f, t_dev = control_stats_batch(trial[changed])
-            t_fit = t_avg_f - t_dev
-            won = t_fit > fit[changed]
+            won = t_avg_f - t_dev > avg_f[changed] - dev[changed]
             better = np.zeros_like(changed)
             better[changed] = won
             population[better] = trial[better]
             avg_f[better] = t_avg_f[won]
             dev[better] = t_dev[won]
-            fit[better] = t_fit[won]
         if injected[iteration]:
             population = disturb(population)
             avg_f, dev = evaluate(population)
-            fit = avg_f - dev
         record(iteration)
-    return FeedbackRun(best_f, best_dev, best_fit, injected, population)
+    return FeedbackRun(best_f, best_dev, injected, population)

@@ -4,7 +4,8 @@ The figure of merit for a map E acting on Bloch vectors is the flip
 fidelity f[a] = (1 - a . r_out(a)) / 2 against the antipodal target state.
 Averaging f and f^2 over the uniform sphere gives the pair (F, Delta)
 computed here in closed form for single gates, stochastic mixtures of
-gates, affine Bloch channels, and three-qubit dilations.
+gates, and affine Bloch channels; a three-qubit dilation enters as the
+affine channel `evolve.channel_from_unitary` reads off its Choi matrix.
 
 `affine_stats_batch` is the one kernel for affine channels a -> M a + c:
 it maps a batch of (M, c) to arrays of (F, Delta); a gate mixture enters
@@ -19,7 +20,6 @@ __all__ = [
     "one_qubit_stats_batch",
     "pair_covariance_batch",
     "affine_stats_batch",
-    "three_qubit_avg_fidelity",
     "region_residual",
     "MAX_AVG_FIDELITY",
     "REGION_TOL",
@@ -37,7 +37,6 @@ DEVIATION_SLOPE = 1.0 / np.sqrt(5.0)
 REGION_TOL = 1e-9
 
 _STATS_TOL = 1e-12
-_UNITARY_TOL = 1e-8
 
 
 def _versine(angle):
@@ -109,22 +108,6 @@ def affine_stats_batch(linear: np.ndarray, shift: np.ndarray) -> tuple[np.ndarra
     if not np.all((avg_f >= -tol) & (avg_f <= 1.0 + tol) & (dev <= 0.5 + tol)):
         raise RuntimeError("channel statistics outside F in [0, 1], Delta <= 1/2")
     return avg_f, dev
-
-
-def three_qubit_avg_fidelity(u: np.ndarray) -> float:
-    """Average flip fidelity of an 8x8 unitary on system + two fresh ancillas.
-
-    Basis ordering puts the system qubit first (most significant bit), the
-    ancillas start in |00>.  In closed form
-    F = 2/3 - (1/6) sum_m |u[m, 0] + u[m + 4, 4]|^2, bounded by [0, 2/3].
-    """
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (8, 8):
-        raise ValueError(f"expected an 8x8 matrix, got shape {u.shape}")
-    if not np.all(np.abs(u @ u.conj().T - np.eye(8)) <= _UNITARY_TOL):
-        raise ValueError("matrix is not unitary within tolerance")
-    overlap = u[0:4, 0] + u[4:8, 4]
-    return MAX_AVG_FIDELITY - float(np.sum(np.abs(overlap) ** 2)) / 6.0
 
 
 def region_residual(avg_fidelity, deviation, qubit_count):

@@ -11,7 +11,10 @@ which the block-by-block `oracle.mc_stats` must match bit for bit, and
 which the block-by-block `evolve.control_stats_batch` must match bit for
 bit, and `noise_stats_one_draw` is `evolve.noise_stats` with all noise drawn
 at once.  `control_stats_kraus` reads the channel off Kraus operators
-instead of the Choi matrix, an independent route that agrees to roundoff.
+instead of the Choi matrix, an independent route that agrees to roundoff,
+and `three_qubit_avg_fidelity` is the closed form of F for the channel of
+an 8x8 unitary, which the Choi kernel `evolve.channel_from_unitary` must
+match.
 The control routes build their own su(8) generators, `_GENERATORS`, and
 never read the package's copy.
 """
@@ -131,6 +134,23 @@ def bloch_map_from_affine(linear, shift):
     linear = np.asarray(linear, dtype=float)
     shift = np.asarray(shift, dtype=float)
     return lambda a: a @ linear.T + shift
+
+
+def three_qubit_avg_fidelity(u) -> float:
+    """Average flip fidelity of an 8x8 unitary on system + two fresh ancillas.
+
+    The system qubit is the most significant bit and the ancillas start in
+    |00>.  In closed form F = 2/3 - (1/6) sum_m |u[m, 0] + u[m + 4, 4]|^2,
+    bounded by [0, 2/3].  The whole matrix is checked for unitarity, NaN
+    entries outside columns 0 and 4 included.
+    """
+    u = np.asarray(u, dtype=complex)
+    if u.shape != (8, 8):
+        raise ValueError(f"expected an 8x8 matrix, got shape {u.shape}")
+    if not np.all(np.abs(u @ u.conj().T - np.eye(8)) <= _UNITARY_TOL):
+        raise ValueError("matrix is not unitary within tolerance")
+    overlap = u[0:4, 0] + u[4:8, 4]
+    return 2.0 / 3.0 - float(np.sum(np.abs(overlap) ** 2)) / 6.0
 
 
 def mc_stats_one_draw(bloch_map, sampler, n_samples):

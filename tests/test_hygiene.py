@@ -3,8 +3,9 @@
 No import inside a function or class, no private name imported from a
 sibling module, every imported name used in its module or exported
 through that module's `__all__`, every `__all__` entry bound at module
-level, numpy as the only third-party import, and sibling imports that only
-reach down the module layering.  A subprocess checks that
+level, every public name referenced somewhere in the package unless the
+package re-exports it, numpy as the only third-party import, and sibling
+imports that only reach down the module layering.  A subprocess checks that
 running the command line loads no SciPy module and no `numpy.ma`, which
 `np.median` imports on first use (about 1 MB).
 """
@@ -95,6 +96,23 @@ def _module_level_names(tree: ast.Module) -> set[str]:
 def test_exported_names_are_bound_at_module_level(path):
     tree = _tree(path)
     assert sorted(_exported(tree) - _module_level_names(tree)) == []
+
+
+def _references(tree: ast.Module) -> set[str]:
+    # Names read as variables or attributes; definitions, assignment targets
+    # and the strings of `__all__` are not reads.
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_public_names_have_a_caller_or_are_re_exported(path):
+    referenced = set().union(*(_references(_tree(p)) for p in SOURCES))
+    re_exported = _exported(_tree(PACKAGE_DIR / "__init__.py"))
+    assert sorted(_exported(_tree(path)) - referenced - re_exported) == []
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

@@ -6,10 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from references import bloch_map_from_affine, mc_stats_one_draw, mixture_map, optimal_mixture
+from references import (
+    bloch_map_from_affine,
+    mc_stats_one_draw,
+    mixture_map,
+    optimal_mixture,
+    three_qubit_avg_fidelity,
+)
 
 from unot.circuit import full_unitary, optimal_three_qubit_circuit
-from unot.fidelity import affine_stats_batch, one_qubit_stats_batch, three_qubit_avg_fidelity
+from unot.fidelity import affine_stats_batch, one_qubit_stats_batch
 from unot.oracle import (
     _BLOCK_ROWS,
     RNG_ALGORITHM,
@@ -344,10 +350,17 @@ def test_mc_stats_rejects_non_finite_map_output(bad):
         mc_stats(bad_tail, SeededSampler(36), _BLOCK_ROWS + 5)
 
 
+# Sample counts at and around block boundaries: those of `_BLOCK_ROWS`, and
+# 8191-8193 and 24583, around 4 and 12 blocks of 2048 rows (and 1 and 3 of
+# 8192).
 @pytest.mark.parametrize(
     "n",
-    [2, 1000, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 7]
-    + [100_000],
+    list(
+        dict.fromkeys(
+            [2, 1000, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 7]
+            + [8191, 8192, 8193, 24583, 100_000]
+        )
+    ),
 )
 @pytest.mark.parametrize("kind", ["three-qubit", "affine"])
 def test_blocks_give_the_bits_of_one_draw(kind, n):
