@@ -32,11 +32,15 @@ __all__ = [
     "optimal_three_qubit_circuit",
     "misaligned_three_gate_map",
     "compensated_four_gate_map",
+    "MAX_TILT",
 ]
 
 _WEIGHT_TOL = 1e-12
 _DENSITY_TOL = 1e-10
 _EIGVAL_TOL = 1e-9
+
+# The misalignment maps take tilts alpha in [0, MAX_TILT).
+MAX_TILT = 0.3
 
 
 def _check_preps(prep_params) -> np.ndarray:
@@ -214,8 +218,8 @@ def _tilted_flip_maps(alpha, weights, signs) -> np.ndarray:
     # Bloch maps (n, 3, 3) of pi flips about x, y and about one axis per sign
     # in the y-z plane whose overlap with y is exactly sign * alpha.
     alpha = np.asarray(alpha, dtype=float)
-    if alpha.ndim != 1 or not np.all((alpha >= 0.0) & (alpha < 0.3)):
-        raise ValueError("alpha must be an (n,) array in [0, 0.3)")
+    if alpha.ndim != 1 or not np.all((alpha >= 0.0) & (alpha < MAX_TILT)):
+        raise ValueError(f"alpha must be an (n,) array in [0, {MAX_TILT})")
     tilted = [
         np.stack([np.zeros_like(alpha), sign * alpha, np.sqrt(1.0 - alpha * alpha)], -1)
         for sign in signs

@@ -3,11 +3,11 @@
 Subcommands map one-to-one onto the experiment drivers in
 `experiments.EXPERIMENTS`, which also gives each its help line.  Each
 subcommand takes `--out`, `--format` and `--config`, plus one flag per
-numeric setting its experiment reads, typed and described by
-`experiments.SETTING_TYPES`; a JSON config file may hold `out`, `format` and
-the experiment's settings, and no other key.  Settings resolve with flags
-taking precedence over the config file, which takes precedence over
-built-in defaults.  Exit codes: 0 on success, 1 when a verification or
+numeric setting its experiment reads, typed, described and given its
+interval by `experiments.SETTING_TYPES`; a JSON config file may hold `out`,
+`format` and the experiment's settings, and no other key.  Settings resolve
+with flags taking precedence over the config file, which takes precedence
+over built-in defaults.  Exit codes: 0 on success, 1 when a verification or
 invariant check fails or the run runs out of memory, 2 for invalid
 configuration, including a row file or config echo path that cannot be
 written (checked before the run).
@@ -50,8 +50,9 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--config", help="JSON config file")
         for name in experiment.settings:
             if name in SETTING_TYPES:
-                kind, text = SETTING_TYPES[name]
-                sub.add_argument("--" + name.replace("_", "-"), type=kind, help=text)
+                kind, interval, text = SETTING_TYPES[name]
+                flag = "--" + name.replace("_", "-")
+                sub.add_argument(flag, type=kind, help=f"{text}, in {interval}")
     return parser
 
 

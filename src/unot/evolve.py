@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numbers
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -29,6 +29,8 @@ from .oracle import SeededSampler
 from .rotation import PAULI
 
 __all__ = [
+    "SETTINGS",
+    "check_setting",
     "NoiseModel",
     "DeConfig",
     "FeedbackRun",
@@ -118,13 +120,45 @@ _COUNT, _DIM = _GENERATORS.shape[:2]
 _INTERLEAVED = _GENERATORS.view(float).reshape(_COUNT, -1)
 
 
-def _integer(value, label: str, low: int) -> int:
-    """`value` as an `int` of at least `low`; bools and non-integers raise."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-        raise ValueError(f"{label} must be an integer, got {value!r}")
-    if value < low:
-        raise ValueError(f"{label} must be at least {low}")
-    return int(value)
+# Type and interval of each numeric field of `DeConfig` and `NoiseModel`.
+SETTINGS = {
+    "population_size": (int, "[4, inf)"),
+    "differential_weight": (float, "(0, 2]"),
+    "crossover_rate": (float, "[0, 1]"),
+    "max_iterations": (int, "[0, inf)"),
+    "strength": (float, "[0, 1]"),
+    "period": (int, "[0, inf)"),
+}
+
+
+def check_setting(value, label: str, kind: type, interval: str):
+    """`value` as a setting of type `kind` (int or float) in `interval`, like
+    "(0, 2]", where a round bracket leaves its end out.  Bools, other types,
+    NaN and values outside raise a ValueError that names `label`.  An int
+    setting returns an `int`; a real keeps its type, a numpy real becomes the
+    Python number it holds.
+    """
+    number = numbers.Integral if kind is int else numbers.Real
+    if not isinstance(value, number) or isinstance(value, bool):
+        what = "an integer" if kind is int else "a real number"
+        raise ValueError(f"{label} must be {what}, got {value!r}")
+    low, high = (float(end) for end in interval[1:-1].split(", "))
+    above = low < value if interval[0] == "(" else low <= value
+    below = value < high if interval[-1] == ")" else value <= high
+    if not (above and below):
+        raise ValueError(f"{label} must lie in {interval}")
+    if kind is int:
+        return int(value)
+    return value.item() if isinstance(value, np.generic) else value
+
+
+def _check_fields(record) -> None:
+    """Check a frozen record's fields against `SETTINGS`; a None period passes."""
+    for item in fields(record):
+        value = getattr(record, item.name)
+        if value is not None or item.name != "period":
+            value = check_setting(value, item.name, *SETTINGS[item.name])
+            object.__setattr__(record, item.name, value)
 
 
 def _check_controls(p: np.ndarray, batch: bool) -> np.ndarray:
@@ -270,11 +304,7 @@ class NoiseModel:
     strength: float
     period: int | None = None
 
-    def __post_init__(self):
-        if not np.isfinite(self.strength) or not 0.0 <= self.strength <= 1.0:
-            raise ValueError("noise strength must lie in [0, 1]")
-        if self.period is not None:
-            object.__setattr__(self, "period", _integer(self.period, "period", 0))
+    __post_init__ = _check_fields
 
     def hits(self, iteration: int) -> bool:
         if self.period is None or self.strength == 0.0:
@@ -313,7 +343,7 @@ def noise_stats(
     so no (count, d) array exists.  Zero strength draws nothing.
     """
     controls = _check_controls(controls, batch=False)
-    count = _integer(count, "count", 0)
+    count = check_setting(count, "count", int, "[0, inf)")
 
     def block(start, m):
         return apply_noise(np.broadcast_to(controls, (m, _COUNT)), noise, sampler)
@@ -328,13 +358,7 @@ class DeConfig:
     crossover_rate: float = 0.03
     max_iterations: int = 1000
 
-    def __post_init__(self):
-        for label, low in (("population_size", 4), ("max_iterations", 0)):
-            object.__setattr__(self, label, _integer(getattr(self, label), label, low))
-        if not 0.0 < self.differential_weight <= 2.0:
-            raise ValueError("differential_weight must lie in (0, 2]")
-        if not 0.0 <= self.crossover_rate <= 1.0:
-            raise ValueError("crossover_rate must lie in [0, 1]")
+    __post_init__ = _check_fields
 
 
 @dataclass(frozen=True)

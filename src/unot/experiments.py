@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import json
-import numbers
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -17,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .circuit import (
+    MAX_TILT,
     bloch_from_density,
     compensated_four_gate_map,
     density_from_bloch,
@@ -26,9 +26,11 @@ from .circuit import (
     simulate_full,
 )
 from .evolve import (
+    SETTINGS,
     DeConfig,
     NoiseModel,
     channel_from_unitary,
+    check_setting,
     noise_stats,
     optimal_controls,
     run_feedback,
@@ -77,25 +79,25 @@ MIN_SAMPLES = 1000
 # (`Experiment.array_bytes`), and a config above this is rejected.
 MAX_ARRAY_BYTES = 2**30
 
-# Type and flag help of each numeric setting; only `eta` and `period` may
-# stay None.  The grids `eta_grid` and `alpha_grid` are config-file keys only.
+# Type, interval and flag help of each numeric setting; only `eta` and
+# `period` may stay None.  The DE and noise entries are the library's own
+# (`evolve.SETTINGS`), except `iters`: a run needs one iteration, while
+# `max_iterations` may be 0.  The grids `eta_grid` and `alpha_grid` are
+# config-file keys only, each value checked against its `_GRID_INTERVALS` entry.
 SETTING_TYPES = {
-    "seed": (int, "master RNG seed"),
-    "trials": (int, "number of repetitions"),
-    "samples": (int, f"Monte Carlo samples per estimate (at least {MIN_SAMPLES})"),
-    "npop": (int, "population size"),
-    "dweight": (float, "differential weight"),
-    "cr": (float, "crossover rate"),
-    "iters": (int, "iteration count"),
-    "stride": (int, "iterations between output rows"),
-    "eta": (float, "noise degree in [0, 1]"),
-    "period": (int, "iterations between injections"),
-    "tol_scale": (float, "multiply every verification budget by this factor"),
+    "seed": (int, f"[0, {2**64})", "master RNG seed"),
+    "trials": (int, "[1, inf)", "number of repetitions"),
+    "samples": (int, f"[{MIN_SAMPLES}, inf)", "Monte Carlo samples per estimate"),
+    "npop": (*SETTINGS["population_size"], "population size"),
+    "dweight": (*SETTINGS["differential_weight"], "differential weight"),
+    "cr": (*SETTINGS["crossover_rate"], "crossover rate"),
+    "iters": (int, "[1, inf)", "iteration count"),
+    "stride": (int, "[1, inf)", "iterations between output rows"),
+    "eta": (*SETTINGS["strength"], "noise degree"),
+    "period": (*SETTINGS["period"], "iterations between injections"),
+    "tol_scale": (float, "(0, inf)", "multiply every verification budget by this factor"),
 }
-
-
-def _is_number(value, kind=numbers.Real) -> bool:
-    return isinstance(value, kind) and not isinstance(value, bool)
+_GRID_INTERVALS = {"eta_grid": SETTING_TYPES["eta"][1], "alpha_grid": f"[0, {MAX_TILT})"}
 
 
 @dataclass
@@ -104,20 +106,19 @@ class ExperimentConfig:
 
     `trials` and `stride` default per experiment (`EXPERIMENTS`) when left
     as None; `eta` and `period` default to the experiment's own noise
-    protocol.  Every value is type-checked: integers reject bools and floats
-    and are stored as `int`, reals reject bools and numpy scalars among them
-    are stored as the Python number they hold, grids are lists of numbers
-    and `out` is a string.
+    protocol.  Every numeric setting and grid value goes through
+    `evolve.check_setting`: integers are stored as `int`, numpy reals as the
+    Python number they hold, grids as tuples of floats; `out` is a string.
     """
 
     name: str
     seed: int = 0
     trials: int | None = None
     samples: int = 100_000
-    npop: int = 10
-    dweight: float = 0.1
-    cr: float = 0.03
-    iters: int = 1000
+    npop: int = DeConfig.population_size
+    dweight: float = DeConfig.differential_weight
+    cr: float = DeConfig.crossover_rate
+    iters: int = DeConfig.max_iterations
     eta: float | None = None
     period: int | None = None
     out: str | None = None
@@ -138,54 +139,22 @@ class ExperimentConfig:
             self.trials = EXPERIMENTS[self.name].trials
         if self.stride is None:
             self.stride = EXPERIMENTS[self.name].stride
-        for label, (kind, _) in SETTING_TYPES.items():
+        for label, (kind, interval, _) in SETTING_TYPES.items():
             value = getattr(self, label)
-            if value is None and label in ("eta", "period"):
-                continue
-            if not _is_number(value, numbers.Integral if kind is int else numbers.Real):
-                what = "an integer" if kind is int else "a real number"
-                raise ValueError(f"{label} must be {what}, got {value!r}")
-            if kind is int:
-                setattr(self, label, int(value))
-            elif isinstance(value, np.generic):
-                setattr(self, label, value.item())
-        for label, inside, span in (
-            ("eta_grid", lambda e: 0.0 <= e <= 1.0, "[0, 1]"),
-            ("alpha_grid", lambda a: 0.0 < a < 0.3, "(0, 0.3)"),
-        ):
+            if value is not None or label not in ("eta", "period"):
+                setattr(self, label, check_setting(value, label, kind, interval))
+        for label, interval in _GRID_INTERVALS.items():
             grid = getattr(self, label)
             if grid is None:
                 continue
-            if not isinstance(grid, (list, tuple)) or not all(map(_is_number, grid)):
+            if not isinstance(grid, (list, tuple)):
                 raise ValueError(f"{label} must be a list of numbers, got {grid!r}")
             if not grid:
                 raise ValueError(f"{label} must not be empty")
-            if not all(map(inside, grid)):
-                raise ValueError(f"{label} values must lie in {span}")
-            setattr(self, label, tuple(float(v) for v in grid))
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
-        for label, value, low in (
-            ("trials", self.trials, 1),
-            ("samples", self.samples, MIN_SAMPLES),
-            ("npop", self.npop, 4),
-            ("iters", self.iters, 1),
-            ("stride", self.stride, 1),
-        ):
-            if value < low:
-                raise ValueError(f"{label} must be at least {low}")
-        if not 0.0 < self.dweight <= 2.0:
-            raise ValueError("dweight must lie in (0, 2]")
-        if not 0.0 <= self.cr <= 1.0:
-            raise ValueError("cr must lie in [0, 1]")
-        if self.eta is not None and not 0.0 <= self.eta <= 1.0:
-            raise ValueError("eta must lie in [0, 1]")
+            values = [check_setting(v, f"{label} value", float, interval) for v in grid]
+            setattr(self, label, tuple(map(float, values)))
         if self.eta is not None and self.eta_grid is not None:
             raise ValueError("eta and eta_grid cannot both be set")
-        if self.period is not None and self.period < 0:
-            raise ValueError("period must be nonnegative")
-        if not 0.0 < self.tol_scale < np.inf:
-            raise ValueError("tol_scale must be positive and finite")
         for label, size in EXPERIMENTS[self.name].array_bytes(self).items():
             if size > MAX_ARRAY_BYTES:
                 raise ValueError(

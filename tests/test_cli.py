@@ -325,6 +325,62 @@ def test_noise_sweep_eta_zero_row(tmp_path):
     assert float(rows[0]["std_delta"]) < 1e-13
 
 
+def test_compensate_accepts_zero_tilt(tmp_path):
+    out = tmp_path / "c.csv"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"alpha_grid": [0.0]}))
+    assert main(["compensate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    [row] = _read_csv(out)
+    assert float(row["deviation_three_gate"]) == 0.0
+
+
+@pytest.mark.parametrize(
+    "command, intervals",
+    [
+        (
+            "optimize",
+            {
+                "--seed": "[0, 18446744073709551616)",
+                "--trials": "[1, inf)",
+                "--npop": "[4, inf)",
+                "--dweight": "(0, 2]",
+                "--cr": "[0, 1]",
+                "--iters": "[1, inf)",
+                "--stride": "[1, inf)",
+            },
+        ),
+        (
+            "recover",
+            {
+                "--npop": "[4, inf)",
+                "--dweight": "(0, 2]",
+                "--cr": "[0, 1]",
+                "--iters": "[1, inf)",
+                "--eta": "[0, 1]",
+                "--period": "[0, inf)",
+            },
+        ),
+        (
+            "verify",
+            {
+                "--seed": "[0, 18446744073709551616)",
+                "--trials": "[1, inf)",
+                "--samples": "[1000, inf)",
+                "--tol-scale": "(0, inf)",
+            },
+        ),
+    ],
+    ids=["optimize", "recover", "verify"],
+)
+def test_help_shows_each_numeric_flags_interval(capsys, command, intervals):
+    assert main([command, "--help"]) == EXIT_OK
+    text = " ".join(capsys.readouterr().out.split())
+    for flag, interval in intervals.items():
+        metavar = flag[2:].replace("-", "_").upper()
+        entry = text.split(f" {flag} {metavar} ", 1)[1].split(" --", 1)[0]
+        assert entry.endswith(f", in {interval}")
+
+
 def test_optimize_writes_stride_rows(tmp_path):
     out = tmp_path / "o.csv"
     code = main(
@@ -392,7 +448,7 @@ _BOUNDARY = {
     "period": [-1],
     "tol_scale": [0.0, _INF, _NAN],
     "eta_grid": [[], [1.5], [0.1, True]],
-    "alpha_grid": [[0.0], [0.3], [_NAN]],
+    "alpha_grid": [[-1e-9], [0.3], [_NAN]],
 }
 _WRONG_TYPE = ["ten", True, [1], {"a": 1}]
 # Settings that keep a run small; each is pinned to a valid value first.

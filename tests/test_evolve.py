@@ -357,6 +357,36 @@ def test_integer_de_settings_reject_bools_and_fractions(make, label):
     assert type(value) is int and value == 10
 
 
+@pytest.mark.parametrize(
+    "make, label",
+    [
+        (DeConfig, "differential_weight"),
+        (DeConfig, "crossover_rate"),
+        (NoiseModel, "strength"),
+    ],
+    ids=["differential_weight", "crossover_rate", "strength"],
+)
+def test_real_de_settings_reject_bools_and_non_numbers(make, label):
+    for bad in (True, np.bool_(True), "0.1", None):
+        with pytest.raises(ValueError, match=f"{label} must be a real number"):
+            make(**{label: bad})
+    value = getattr(make(**{label: np.float64(0.5)}), label)
+    assert type(value) is float and value == 0.5
+
+
+def test_zero_iterations_run_in_the_library_but_not_on_the_command_line(
+    tmp_path, monkeypatch, capsys
+):
+    # The library may evaluate the initial population alone; a run needs one
+    # iteration.
+    run = run_feedback(DeConfig(max_iterations=0), NoiseModel(0.0), [3])
+    assert run.avg_fidelity.shape == run.deviation.shape == (1, 1)
+    monkeypatch.chdir(tmp_path)
+    assert main(["optimize", "--iters", "0"]) == 2
+    assert "iters" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_run_feedback_trace_shape_and_determinism():
     config = DeConfig(max_iterations=40)
     run_a = run_feedback(config, NoiseModel(0.0), [7])
