@@ -25,7 +25,7 @@ from .evolve import (
     unitary_from_controls,
 )
 from .fidelity import affine_stats_batch, one_qubit_stats_batch
-from .oracle import McEstimate, SeededSampler, mc_stats, sample_bloch, sample_unitary
+from .oracle import McEstimate, mc_stats, sample_bloch, sample_unitary
 from .rotation import rotation_batch, unitary_batch
 
 __version__ = "0.1.0"
@@ -35,7 +35,6 @@ __all__ = [
     "FeedbackRun",
     "McEstimate",
     "NoiseModel",
-    "SeededSampler",
     "affine_stats_batch",
     "channel_from_unitary",
     "compensated_four_gate_map",

@@ -25,7 +25,6 @@ import numpy as np
 
 from .circuit import full_unitary, optimal_three_qubit_circuit
 from .fidelity import affine_stats_batch
-from .oracle import SeededSampler
 from .rotation import PAULI
 
 __all__ = [
@@ -134,14 +133,19 @@ SETTINGS = {
 def check_setting(value, label: str, kind: type, interval: str):
     """`value` as a setting of type `kind` (int or float) in `interval`, like
     "(0, 2]", where a round bracket leaves its end out.  Bools, other types,
-    NaN and values outside raise a ValueError that names `label`.  An int
-    setting returns an `int`; a real keeps its type, a numpy real becomes the
-    Python number it holds.
+    NaN, reals too large for a float and values outside raise a ValueError
+    that names `label`.  An int setting returns an `int`; a real keeps its
+    type, a numpy real becomes the Python number it holds.
     """
     number = numbers.Integral if kind is int else numbers.Real
     if not isinstance(value, number) or isinstance(value, bool):
         what = "an integer" if kind is int else "a real number"
         raise ValueError(f"{label} must be {what}, got {value!r}")
+    if kind is float:
+        try:
+            float(value)
+        except OverflowError:
+            raise ValueError(f"{label} must fit in a float") from None
     low, high = (float(end) for end in interval[1:-1].split(", "))
     above = low < value if interval[0] == "(" else low <= value
     below = value < high if interval[-1] == ")" else value <= high
@@ -315,7 +319,7 @@ class NoiseModel:
 
 
 def apply_noise(
-    population: np.ndarray, noise: NoiseModel, sampler: SeededSampler
+    population: np.ndarray, noise: NoiseModel, rng: np.random.Generator
 ) -> np.ndarray:
     """Disturb every member: one fresh uniform [-pi, pi] vector each.
 
@@ -325,28 +329,28 @@ def apply_noise(
     population = np.asarray(population, dtype=float)
     if noise.strength == 0.0:
         return population.copy()
-    eps = sampler.uniform(-np.pi, np.pi, population.shape)
+    eps = rng.uniform(-np.pi, np.pi, population.shape)
     return population + noise.strength * eps
 
 
 def noise_stats(
     controls: np.ndarray,
     noise: NoiseModel,
-    sampler: SeededSampler,
+    rng: np.random.Generator,
     count: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(F, Delta) arrays of `count` noisy copies of one control vector.
 
     Bitwise `control_stats_batch(apply_noise(np.tile(controls, (count, 1)),
-    noise, sampler))`, and the stream moves as that one draw moves
-    it, but each block's noise is drawn just before the block is evaluated,
-    so no (count, d) array exists.  Zero strength draws nothing.
+    noise, rng))`, and the stream moves as that one draw moves it, but each
+    block's noise is drawn just before the block is evaluated, so no
+    (count, d) array exists.  Zero strength draws nothing.
     """
     controls = _check_controls(controls, batch=False)
     count = check_setting(count, "count", int, "[0, inf)")
 
     def block(start, m):
-        return apply_noise(np.broadcast_to(controls, (m, _COUNT)), noise, sampler)
+        return apply_noise(np.broadcast_to(controls, (m, _COUNT)), noise, rng)
 
     return _block_stats(count, block)
 
@@ -411,33 +415,35 @@ def run_feedback(
     """Run one feedback loop per seed, all trials advancing in lockstep.
 
     Column k of the returned history is trial k, which draws only from its
-    own sampler, seeded with `seeds[k]`, so it is bitwise the lone run of
-    that seed.  An `initial_population` replaces the first draw and has
-    shape (trials, n, d).
+    own generator, `np.random.default_rng(seeds[k])`, so it is bitwise the
+    lone run of that seed.  An `initial_population` replaces the first draw
+    and has shape (trials, n, d).
 
     Row 0 records the initial population; each later iteration runs one DE
     sweep and then applies any noise scheduled for it, so an injection row
     shows the raw disturbed values before the loop starts healing them.  A
-    sweep draws, per trial, `pick_distinct(n - 1, 3, (n,))` for the donors
-    and `random((n, d))` for the crossover mask.  Trial moves are built from
-    the pre-sweep population and committed together, so the history does
-    not depend on evaluation order.  Selection is strict: a trial vector
-    replaces its target only when its fitness improves, so one that took no
-    mutant component is not evaluated.
+    sweep makes one `random(n (n - 1) + n d)` call per trial: the first
+    n (n - 1) numbers are the (n, n - 1) donor keys, each member's picks the
+    first three places of its keys' ranking, and the rest are the (n, d)
+    crossover draws.  Trial moves are built from the pre-sweep population
+    and committed together, so the history does not depend on evaluation
+    order.  Selection is strict: a trial vector replaces its target only
+    when its fitness improves, so one that took no mutant component is not
+    evaluated.
     """
-    samplers = [SeededSampler(seed) for seed in seeds]
-    t, n, d = len(samplers), config.population_size, _COUNT
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    t, n, d = len(rngs), config.population_size, _COUNT
     if t == 0:
         raise ValueError("seeds must not be empty")
     if initial_population is None:
-        population = np.stack([s.uniform(-np.pi, np.pi, (n, d)) for s in samplers])
+        population = np.stack([rng.uniform(-np.pi, np.pi, (n, d)) for rng in rngs])
     else:
         population = np.array(initial_population, dtype=float)
         if population.shape != (t, n, d):
             raise ValueError(f"initial population must have shape ({t}, {n}, {d})")
 
     def disturb(population):
-        return np.stack([apply_noise(p, noise, s) for p, s in zip(population, samplers)])
+        return np.stack([apply_noise(p, noise, rng) for p, rng in zip(population, rngs)])
 
     def evaluate(population):
         avg_f, dev = control_stats_batch(population.reshape(t * n, d))
@@ -455,9 +461,11 @@ def run_feedback(
         population = disturb(population)
     avg_f, dev = evaluate(population)
     record(0)
+    keys = n * (n - 1)
     for iteration in range(1, rows):
-        picks = np.stack([s.pick_distinct(n - 1, 3, (n,)) for s in samplers])
-        draws = np.stack([s.random((n, d)) for s in samplers])
+        sweep = np.stack([rng.random(keys + n * d) for rng in rngs])
+        picks = np.argsort(sweep[:, :keys].reshape(t, n, n - 1), axis=-1)[..., :3]
+        draws = sweep[:, keys:].reshape(t, n, d)
         mutant = de_mutate(population, config.differential_weight, picks)
         trial = de_crossover(population, mutant, config.crossover_rate, draws)
         changed = (draws <= config.crossover_rate).any(axis=-1)

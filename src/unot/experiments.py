@@ -46,13 +46,13 @@ from .fidelity import (
 )
 from .oracle import (
     RNG_ALGORITHM,
-    SeededSampler,
     bloch_map_from_three_qubit_unitary,
     mc_stats,
     sample_bloch,
     sample_gates,
     sample_ladders,
     sample_unitary,
+    spawn_seeds,
 )
 from .rotation import rotation_batch, rotation_trace
 
@@ -253,7 +253,7 @@ def _linear_stats(linear: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return affine_stats_batch(linear, np.zeros((len(linear), 3)))
 
 
-def _sample_mixtures(sampler: SeededSampler, counts) -> np.ndarray:
+def _sample_mixtures(rng: np.random.Generator, counts) -> np.ndarray:
     """Bloch maps (n, 3, 3) of random mixtures of counts[i] gates.
 
     Mixture by mixture, the gates are drawn first and then uniform weights,
@@ -266,8 +266,8 @@ def _sample_mixtures(sampler: SeededSampler, counts) -> np.ndarray:
     axes[..., 2] = 1.0
     weights = np.zeros((len(counts), width))
     for row, count in enumerate(counts):
-        angles[row, :count], axes[row, :count] = sample_gates(sampler, count)
-        w = sampler.random(count)  # = uniform(0, 1) bitwise
+        angles[row, :count], axes[row, :count] = sample_gates(rng, count)
+        w = rng.random(count)  # = uniform(0, 1) bitwise
         weights[row, :count] = w / w.sum()
     return mixture_linear(weights, rotation_batch(angles, axes))
 
@@ -282,7 +282,8 @@ def _worst(*residuals) -> float:
 def _verify_families(config: ExperimentConfig):
     scale = config.tol_scale
     n = config.trials
-    sub = SeededSampler(config.seed).split(8)
+    seeds = spawn_seeds(config.seed, 8)
+    sub = [np.random.default_rng(seed) for seed in seeds]
 
     # Trace identities of the rotation representation.
     angles, axes = sample_gates(sub[0], n)
@@ -341,7 +342,7 @@ def _verify_families(config: ExperimentConfig):
     # Three-qubit ceiling and oracle agreement for Haar unitaries, F read
     # off the Choi kernel the searches run.  Each child draws its unitary and
     # then its samples.
-    children = sub[6].split(20)
+    children = [np.random.default_rng(seed) for seed in spawn_seeds(seeds[6], 20)]
     unitaries = np.stack([sample_unitary(child, 8) for child in children])
     f, _ = affine_stats_batch(*channel_from_unitary(unitaries))
     worst_sigma = 0.0
@@ -394,11 +395,11 @@ def run_verify(config: ExperimentConfig) -> ExperimentResult:
 
 
 def run_tradeoff(config: ExperimentConfig) -> ExperimentResult:
-    sampler = SeededSampler(config.seed)
+    rng = np.random.default_rng(config.seed)
     rows = []
     violations = 0
     for qubit_count in (1, 2, 3):
-        ladders = sample_ladders(sampler, qubit_count, config.trials)
+        ladders = sample_ladders(rng, qubit_count, config.trials)
         f, d = _linear_stats(ladder_linear(*ladders))
         inside = region_residual(f, d, qubit_count) <= REGION_TOL
         violations += int(np.count_nonzero(~inside))
@@ -427,8 +428,9 @@ def run_noise_sweep(config: ExperimentConfig) -> ExperimentResult:
     else:
         grid = tuple(np.arange(0.0, 1.0 + 1e-9, 0.05))
     rows = []
-    for eta, child in zip(grid, SeededSampler(config.seed).split(len(grid))):
-        f, d = noise_stats(p_star, NoiseModel(eta, period=None), child, config.trials)
+    for eta, seed in zip(grid, spawn_seeds(config.seed, len(grid))):
+        noise = NoiseModel(eta, period=None)
+        f, d = noise_stats(p_star, noise, np.random.default_rng(seed), config.trials)
         stats = {k: float(v) for k, v in _summary(f, d).items()}
         rows.append({"eta": float(eta), **stats, "trials": config.trials})
     report = [
@@ -467,7 +469,7 @@ def _search(config: ExperimentConfig, noises):
     Delta arrays of the trials.
     """
     de_config = DeConfig(config.npop, config.dweight, config.cr, config.iters)
-    seeds = [child.seed for child in SeededSampler(config.seed).split(config.trials)]
+    seeds = spawn_seeds(config.seed, config.trials)
     iterations = [*range(0, config.iters, config.stride), config.iters]
     for noise in noises:
         run = run_feedback(de_config, noise, seeds)

@@ -2,19 +2,20 @@
 
 Closed-form fidelity statistics in this package are always checkable
 against direct sampling: draw Bloch vectors uniformly on the sphere, push
-them through the channel, and average the pointwise flip fidelity.  The
-sampler wraps numpy's PCG64 generator so every estimate is reproducible
-from a single integer seed.
+them through the channel, and average the pointwise flip fidelity.  Every
+draw comes from a numpy `Generator` (PCG64) the caller passes in, so every
+estimate is reproducible from a single integer seed; `spawn_seeds` derives
+the independent child seeds of a run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "SeededSampler",
+    "spawn_seeds",
     "McEstimate",
     "sample_bloch",
     "sample_unitary",
@@ -40,58 +41,17 @@ _TWO_PI = 2.0 * np.pi
 _BLOCK_ROWS = 2048
 
 
-@dataclass
-class SeededSampler:
-    """Reproducible random source: same seed, same draw sequence.
-
-    `position` counts scalar draws consumed, so two samplers with equal
-    seed and position produce identical futures.
-    """
-
-    seed: int
-    position: int = field(default=0, init=False)
-
-    def __post_init__(self):
-        seed = int(self.seed)
-        if not 0 <= seed < 2**64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
-        self.seed = seed
-        self._rng = np.random.default_rng(seed)
-
-    def standard_normal(self, size) -> np.ndarray:
-        out = self._rng.standard_normal(size)
-        self.position += out.size
-        return out
-
-    def uniform(self, low: float, high: float, size) -> np.ndarray:
-        out = self._rng.uniform(low, high, size)
-        self.position += out.size
-        return out
-
-    def random(self, size) -> np.ndarray:
-        out = self._rng.random(size)
-        self.position += out.size
-        return out
-
-    def pick_distinct(self, pool_size: int, count: int, shape: tuple = ()) -> np.ndarray:
-        """Draw `count` distinct indices from range(pool_size), once per cell
-        of `shape`: an array of shape `shape + (count,)`.
-
-        Each cell ranks `pool_size` uniform keys and keeps the first `count`
-        positions of the ranking, so it consumes `pool_size` draws.
-        """
-        if not 0 <= count <= pool_size:
-            raise ValueError("count must lie in [0, pool_size]")
-        keys = self.random(tuple(shape) + (pool_size,))
-        return np.argsort(keys, axis=-1)[..., :count]
-
-    def split(self, count: int) -> list["SeededSampler"]:
-        """Derive independent child samplers, deterministic in the seed."""
-        children = np.random.SeedSequence(self.seed).spawn(count)
-        return [
-            SeededSampler(int(child.generate_state(1, dtype=np.uint64)[0]))
-            for child in children
-        ]
+def spawn_seeds(seed: int, count: int) -> list[int]:
+    """`count` independent child seeds of `seed`, deterministic in it: the
+    first 64-bit word of each child of `np.random.SeedSequence(seed)`.
+    Raises ValueError for a seed outside [0, 2**64)."""
+    seed = int(seed)
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must fit in an unsigned 64-bit integer")
+    return [
+        int(child.generate_state(1, dtype=np.uint64)[0])
+        for child in np.random.SeedSequence(seed).spawn(count)
+    ]
 
 
 @dataclass(frozen=True)
@@ -111,13 +71,13 @@ class McEstimate:
             raise ValueError("n_samples must be positive")
 
 
-def sample_bloch(sampler: SeededSampler, count: int) -> np.ndarray:
+def sample_bloch(rng: np.random.Generator, count: int) -> np.ndarray:
     """`count` uniform points on the unit sphere, shape (count, 3), via
     normalized Gaussian triples."""
     count = int(count)
     if count < 1:
         raise ValueError("count must be positive")
-    return _unit_rows(sampler.standard_normal((count, 3)))
+    return _unit_rows(rng.standard_normal((count, 3)))
 
 
 def _unit_rows(v: np.ndarray) -> np.ndarray:
@@ -126,7 +86,7 @@ def _unit_rows(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def sample_unitary(sampler: SeededSampler, dim: int) -> np.ndarray:
+def sample_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Haar-random unitary from a QR-decomposed complex Ginibre matrix.
 
     The R factor's diagonal phases are divided out so the distribution is
@@ -135,25 +95,25 @@ def sample_unitary(sampler: SeededSampler, dim: int) -> np.ndarray:
     if dim < 1:
         raise ValueError("dim must be positive")
     z = (
-        sampler.standard_normal((dim, dim))
-        + 1.0j * sampler.standard_normal((dim, dim))
+        rng.standard_normal((dim, dim))
+        + 1.0j * rng.standard_normal((dim, dim))
     ) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     return q * (d / np.abs(d))
 
 
-def sample_gates(sampler: SeededSampler, count: int) -> tuple[np.ndarray, np.ndarray]:
+def sample_gates(rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
     """`count` random gates as arrays: angles (count,) uniform in [0, 2*pi)
     and axes (count, 3) uniform on the sphere, drawn as `count` one-qubit
     ladders (which have no preparations), so exactly as `count` calls of
-    `sample_gates(sampler, 1)` draw them."""
-    _, angles, axes = sample_ladders(sampler, 1, count)
+    `sample_gates(rng, 1)` draw them."""
+    _, angles, axes = sample_ladders(rng, 1, count)
     return angles[:, 0], axes[:, 0]
 
 
 def sample_ladders(
-    sampler: SeededSampler, qubit_count: int, count: int
+    rng: np.random.Generator, qubit_count: int, count: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`count` random ladders as arrays: preparations (count, qubit_count - 1)
     uniform in [0, 1], gate angles (count, qubit_count) uniform in [0, 2*pi)
@@ -162,7 +122,7 @@ def sample_ladders(
     Circuit by circuit, the preparations are drawn first and then the gates
     one at a time, each its angle and then its axis's Gaussian triple: a
     batch consumes the stream exactly as `count` calls of
-    `sample_ladders(sampler, qubit_count, 1)`.  Only the axis normalization
+    `sample_ladders(rng, qubit_count, 1)`.  Only the axis normalization
     runs once.
     """
     if qubit_count < 1:
@@ -174,15 +134,15 @@ def sample_ladders(
     axes = np.empty((count, qubit_count, 3))
     for i in range(count):
         if qubit_count > 1:  # an empty draw consumes no numbers, only time
-            preps[i] = sampler.random(qubit_count - 1)  # = uniform(0, 1) bitwise
+            preps[i] = rng.random(qubit_count - 1)  # = uniform(0, 1) bitwise
         for k in range(qubit_count):
-            angles[i, k] = sampler.random(1)[0] * _TWO_PI  # = uniform(0, 2 pi) bitwise
-            axes[i, k] = sampler.standard_normal((1, 3))[0]
+            angles[i, k] = rng.random(1)[0] * _TWO_PI  # = uniform(0, 2 pi) bitwise
+            axes[i, k] = rng.standard_normal((1, 3))[0]
     return preps, angles, _unit_rows(axes)
 
 
 def mc_stats(
-    bloch_map, sampler: SeededSampler, n_samples: int
+    bloch_map, rng: np.random.Generator, n_samples: int
 ) -> tuple[McEstimate, McEstimate]:
     """Monte-Carlo (F, Delta) of a channel given by its Bloch-vector action.
 
@@ -202,7 +162,7 @@ def mc_stats(
     f = np.empty(n)
     for start in range(0, n, _BLOCK_ROWS):
         m = min(_BLOCK_ROWS, n - start)
-        a = sample_bloch(sampler, m)
+        a = sample_bloch(rng, m)
         out = np.asarray(bloch_map(a), dtype=float)
         if out.shape != (m, 3):
             raise ValueError(f"bloch_map returned shape {out.shape}, expected ({m}, 3)")

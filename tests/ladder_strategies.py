@@ -1,6 +1,6 @@
 """Hypothesis strategies for ladder circuits, shared by the property tests.
 
-Circuits are drawn directly rather than through the seeded sampler, so
+Circuits are drawn directly rather than from a seeded generator, so
 shrinking reaches edge cases such as preparations at exactly 0 or 1.  A
 ladder is drawn as the arrays (preps (q - 1,), angles (q,), axes (q, 3))
 that `circuit.full_unitary` takes.

@@ -15,6 +15,8 @@ instead of the Choi matrix, an independent route that agrees to roundoff,
 and `three_qubit_avg_fidelity` is the closed form of F for the channel of
 an 8x8 unitary, which the Choi kernel `evolve.channel_from_unitary` must
 match.
+`feedback_one_trial` is one seed's `evolve.run_feedback`, member by member,
+in the random-stream order the README documents.
 The control routes build their own su(8) generators, `_GENERATORS`, and
 never read the package's copy.
 """
@@ -153,12 +155,12 @@ def three_qubit_avg_fidelity(u) -> float:
     return 2.0 / 3.0 - float(np.sum(np.abs(overlap) ** 2)) / 6.0
 
 
-def mc_stats_one_draw(bloch_map, sampler, n_samples):
+def mc_stats_one_draw(bloch_map, rng, n_samples):
     """`oracle.mc_stats` with all n Bloch vectors drawn and mapped at once."""
     n = int(n_samples)
     if n < 2:
         raise ValueError("need at least two samples")
-    a = sample_bloch(sampler, n)
+    a = sample_bloch(rng, n)
     out = np.asarray(bloch_map(a), dtype=float)
     if out.shape != (n, 3):
         raise ValueError(f"bloch_map returned shape {out.shape}, expected ({n}, 3)")
@@ -229,8 +231,65 @@ def control_stats_kraus(pop):
     return affine_stats_batch(linear, shift)
 
 
-def noise_stats_one_draw(controls, noise, sampler, count):
+def noise_stats_one_draw(controls, noise, rng, count):
     """`evolve.noise_stats` as one tiled (count, d) population, disturbed in
     one draw and evaluated in one call."""
-    pop = apply_noise(np.tile(controls, (count, 1)), noise, sampler)
+    pop = apply_noise(np.tile(controls, (count, 1)), noise, rng)
     return control_stats_one_call(pop)
+
+
+def feedback_one_trial(config, noise, seed):
+    """One seed's feedback run as a plain per-member loop: the best member's
+    (F, Delta) after each iteration, shapes (iterations + 1,), and the final
+    (n, d) population.
+
+    Its generator draws the initial population, then per sweep one
+    `random(n (n - 1) + n d)` split into the (n, n - 1) donor keys and the
+    (n, d) crossover draws, and after a sweep the noise scheduled for that
+    iteration.  Member i's donors are the first three places of its keys'
+    ranking, those >= i shifted up by one; a trial is built from the
+    pre-sweep population, evaluated only if it took a mutant component, and
+    replaces member i only if its fitness is strictly higher.
+    """
+    rng = np.random.default_rng(seed)
+    n, d = config.population_size, 63
+    population = rng.uniform(-np.pi, np.pi, (n, d))
+
+    def disturb(population):
+        return population + noise.strength * rng.uniform(-np.pi, np.pi, (n, d))
+
+    def evaluate(population):
+        stats = [control_stats_one_call(member[None]) for member in population]
+        return np.array([f[0] for f, _ in stats]), np.array([dv[0] for _, dv in stats])
+
+    best_f, best_dev = [], []
+
+    def record():
+        best = np.argmax(avg_f - dev)
+        best_f.append(avg_f[best])
+        best_dev.append(dev[best])
+
+    if noise.hits(0):
+        population = disturb(population)
+    avg_f, dev = evaluate(population)
+    record()
+    for iteration in range(1, config.max_iterations + 1):
+        sweep = rng.random(n * (n - 1) + n * d)
+        keys = sweep[: n * (n - 1)].reshape(n, n - 1)
+        draws = sweep[n * (n - 1) :].reshape(n, d)
+        before = population.copy()
+        for i in range(n):
+            a, b, c = (k + (k >= i) for k in np.argsort(keys[i])[:3])
+            mutant = before[a] + config.differential_weight * (before[b] - before[c])
+            take = draws[i] <= config.crossover_rate
+            if not take.any():
+                continue
+            trial = np.where(take, mutant, before[i])
+            t_f, t_dev = control_stats_one_call(trial[None])
+            if t_f[0] - t_dev[0] > avg_f[i] - dev[i]:
+                population[i], avg_f[i], dev[i] = trial, t_f[0], t_dev[0]
+        if noise.hits(iteration):
+            population = disturb(population)
+            avg_f, dev = evaluate(population)
+        record()
+    return np.array(best_f), np.array(best_dev), population

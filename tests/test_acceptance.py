@@ -40,20 +40,20 @@ from unot.fidelity import (
     region_residual,
 )
 from unot.oracle import (
-    SeededSampler,
     bloch_map_from_three_qubit_unitary,
     mc_stats,
     sample_bloch,
     sample_gates,
     sample_ladders,
     sample_unitary,
+    spawn_seeds,
 )
 from unot.rotation import rotation_batch, rotation_trace
 
 
 def test_01_single_gates_sit_on_the_deviation_line():
     start = time.perf_counter()
-    angles, _ = sample_gates(SeededSampler(101), 1000)
+    angles, _ = sample_gates(np.random.default_rng(101), 1000)
     avg_f, dev = one_qubit_stats_batch(angles)
     assert np.max(np.abs(dev - avg_f * DEVIATION_SLOPE)) < 1e-12
     assert time.perf_counter() - start < 1.0
@@ -65,7 +65,8 @@ def test_02_optimal_mixture_analytic_and_oracle():
     avg_f, dev = linear_stats(linear)
     assert abs(avg_f - 2.0 / 3.0) < 1e-12
     assert dev < 1e-12
-    f, d = mc_stats(bloch_map_from_affine(linear, np.zeros(3)), SeededSampler(102), 100_000)
+    bloch_map = bloch_map_from_affine(linear, np.zeros(3))
+    f, d = mc_stats(bloch_map, np.random.default_rng(102), 100_000)
     assert abs(f.value - 0.667) <= 0.005
     assert d.value < 0.005
     assert time.perf_counter() - start < 5.0
@@ -73,7 +74,7 @@ def test_02_optimal_mixture_analytic_and_oracle():
 
 def test_03_three_qubit_ceiling_and_oracle_agreement():
     start = time.perf_counter()
-    for child in SeededSampler(103).split(100):
+    for child in map(np.random.default_rng, spawn_seeds(103, 100)):
         u = sample_unitary(child, 8)
         closed = three_qubit_avg_fidelity(u)
         assert closed <= 2.0 / 3.0 + 1e-10
@@ -84,9 +85,9 @@ def test_03_three_qubit_ceiling_and_oracle_agreement():
 
 def test_04_random_circuits_respect_their_regions():
     start = time.perf_counter()
-    sampler = SeededSampler(104)
+    rng = np.random.default_rng(104)
     for qubit_count in (1, 2, 3):
-        linear = ladder_linear(*sample_ladders(sampler, qubit_count, 1000))
+        linear = ladder_linear(*sample_ladders(rng, qubit_count, 1000))
         avg_f, dev = affine_stats_batch(linear, np.zeros((1000, 3)))
         assert np.all(region_residual(avg_f, dev, qubit_count) <= REGION_TOL)
     assert time.perf_counter() - start < 30.0
@@ -94,14 +95,14 @@ def test_04_random_circuits_respect_their_regions():
 
 def test_05_full_simulation_equals_reduced_map():
     start = time.perf_counter()
-    sampler = SeededSampler(105)
+    rng = np.random.default_rng(105)
     for i in range(200):
-        ladder = sample_ladders(sampler, 1 + i % 4, 1)
+        ladder = sample_ladders(rng, 1 + i % 4, 1)
         circuit = tuple(a[0] for a in ladder)
         linear = ladder_linear(*ladder)[0]
         for _ in range(10):
-            radius = float(sampler.uniform(0.0, 1.0, 1)[0]) ** (1.0 / 3.0)
-            a = radius * sample_bloch(sampler, 1)[0]
+            radius = float(rng.uniform(0.0, 1.0, 1)[0]) ** (1.0 / 3.0)
+            a = radius * sample_bloch(rng, 1)[0]
             full = bloch_from_density(simulate_full(*circuit, density_from_bloch(a)))
             assert np.max(np.abs(full - linear @ a)) < 1e-10
     assert time.perf_counter() - start < 60.0
@@ -109,15 +110,15 @@ def test_05_full_simulation_equals_reduced_map():
 
 def test_06_covariance_bounds_hold_and_are_tight():
     start = time.perf_counter()
-    sampler = SeededSampler(106)
-    angles, axes = sample_gates(sampler, 2000)
+    rng = np.random.default_rng(106)
+    angles, axes = sample_gates(rng, 2000)
     c = pair_covariance_batch((angles[0::2], axes[0::2]), (angles[1::2], axes[1::2]))
     _, dev = one_qubit_stats_batch(angles)
     d_k, d_l = dev[0::2], dev[1::2]
     assert np.all(c <= d_k * d_l + 1e-12)
     assert np.all(c >= -0.5 * d_k * d_l - 1e-12)
     # Parallel axes reach the upper bound, orthogonal axes the lower one.
-    angles = sampler.uniform(0.0, 2.0 * np.pi, 200)
+    angles = rng.uniform(0.0, 2.0 * np.pi, 200)
     _, dev = one_qubit_stats_batch(angles)
     d_k, d_l = dev[0::2], dev[1::2]
     z, x = np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])
@@ -131,7 +132,7 @@ def test_06_covariance_bounds_hold_and_are_tight():
 def test_07_noise_degradation_band_at_one_tenth():
     start = time.perf_counter()
     population = np.tile(optimal_controls(), (1000, 1))
-    population = apply_noise(population, NoiseModel(0.1), SeededSampler(424242))
+    population = apply_noise(population, NoiseModel(0.1), np.random.default_rng(424242))
     avg_f, dev = control_stats_batch(population)
     assert 0.615 <= avg_f.mean() <= 0.651
     assert 0.068 <= dev.mean() <= 0.122
@@ -176,7 +177,7 @@ def test_10_fourth_gate_compensates_a_tilted_axis():
 
 def test_11_rotation_trace_identities():
     start = time.perf_counter()
-    angles, axes = sample_gates(SeededSampler(111), 1000)
+    angles, axes = sample_gates(np.random.default_rng(111), 1000)
     r = rotation_batch(angles, axes)
     tr = np.trace(r, axis1=1, axis2=2)
     assert np.max(np.abs(tr - (2.0 * np.cos(angles) + 1.0))) < 1e-12

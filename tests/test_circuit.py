@@ -27,7 +27,7 @@ from unot.circuit import (
     weights_from_preps,
 )
 from unot.fidelity import affine_stats_batch
-from unot.oracle import SeededSampler, sample_bloch, sample_gates, sample_ladders
+from unot.oracle import sample_bloch, sample_gates, sample_ladders
 from unot.rotation import rotation_batch, unitary_batch
 
 _X, _Y, _Z = np.eye(3)
@@ -36,9 +36,9 @@ _FLIPS = (np.full(2, np.pi), np.array([_X, _X]))
 _THREE_FLIPS = (np.full(3, np.pi), np.array([_X, _X, _X]))
 
 
-def _first_ladder(sampler, qubit_count):
+def _first_ladder(rng, qubit_count):
     """(preps, angles, axes) of one ladder drawn by `sample_ladders`."""
-    return tuple(a[0] for a in sample_ladders(sampler, qubit_count, 1))
+    return tuple(a[0] for a in sample_ladders(rng, qubit_count, 1))
 
 
 def _tilt_stats(maps):
@@ -108,12 +108,12 @@ def test_circuit_route_to_optimal_map_is_near_exact():
 
 
 def test_full_simulation_agrees_with_reduced_map():
-    sampler = SeededSampler(31)
+    rng = np.random.default_rng(31)
     for qubit_count in (1, 2, 3, 4):
-        ladder = _first_ladder(sampler, qubit_count)
+        ladder = _first_ladder(rng, qubit_count)
         mixture = stochastic_map_from_circuit(*ladder)
         for _ in range(5):
-            a = sample_bloch(sampler, 1)[0] * float(sampler.uniform(0.0, 1.0, 1)[0])
+            a = sample_bloch(rng, 1)[0] * float(rng.uniform(0.0, 1.0, 1)[0])
             rho = density_from_bloch(a)
             direct = simulate_full(*ladder, rho)
             reduced = apply_density(*mixture, rho)
@@ -129,7 +129,7 @@ def test_optimal_circuit_output_for_computational_input():
 
 
 def test_full_unitary_dimensions_and_unitarity():
-    u = full_unitary(*_first_ladder(SeededSampler(8), 3))
+    u = full_unitary(*_first_ladder(np.random.default_rng(8), 3))
     assert u.shape == (8, 8)
     assert np.max(np.abs(u @ u.conj().T - np.eye(8))) < 1e-12
 
@@ -140,9 +140,9 @@ def test_optimal_circuit_reaches_the_ceiling():
 
 
 def test_density_bloch_round_trip():
-    sampler = SeededSampler(12)
+    rng = np.random.default_rng(12)
     for _ in range(20):
-        a = sample_bloch(sampler, 1)[0] * float(sampler.uniform(0.0, 1.0, 1)[0])
+        a = sample_bloch(rng, 1)[0] * float(rng.uniform(0.0, 1.0, 1)[0])
         rho = density_from_bloch(a)
         check_density(rho)
         assert np.max(np.abs(bloch_from_density(rho) - a)) < 1e-12
@@ -221,7 +221,7 @@ def test_optimal_circuit_ladder_is_minus_identity_over_three():
 
 
 def test_ladder_linear_rows_are_independent():
-    preps, angles, axes = sample_ladders(SeededSampler(6), 3, 30)
+    preps, angles, axes = sample_ladders(np.random.default_rng(6), 3, 30)
     batch = ladder_linear(preps, angles, axes)
     for i in range(30):
         one = ladder_linear(preps[i : i + 1], angles[i : i + 1], axes[i : i + 1])
@@ -230,7 +230,7 @@ def test_ladder_linear_rows_are_independent():
 
 @pytest.mark.parametrize("bad", [1.5, -0.25, np.nan])
 def test_ladder_linear_rejects_preparations_outside_the_unit_interval(bad):
-    preps, angles, axes = sample_ladders(SeededSampler(2), 3, 4)
+    preps, angles, axes = sample_ladders(np.random.default_rng(2), 3, 4)
     preps[2, 1] = bad
     with pytest.raises(ValueError):
         ladder_linear(preps, angles, axes)
@@ -239,7 +239,7 @@ def test_ladder_linear_rejects_preparations_outside_the_unit_interval(bad):
 
 
 def test_ladder_linear_rejects_bad_gates_and_shapes():
-    preps, angles, axes = sample_ladders(SeededSampler(2), 3, 4)
+    preps, angles, axes = sample_ladders(np.random.default_rng(2), 3, 4)
     with pytest.raises(ValueError):
         ladder_linear(preps[:, :1], angles, axes)
     axes[1, 2] *= 1.001
@@ -248,14 +248,14 @@ def test_ladder_linear_rejects_bad_gates_and_shapes():
 
 
 def test_weights_from_preps_rows_match_single_calls():
-    preps = SeededSampler(3).uniform(0.0, 1.0, (20, 3))
+    preps = np.random.default_rng(3).uniform(0.0, 1.0, (20, 3))
     batch = weights_from_preps(preps)
     assert np.array_equal(batch, np.array([weights_from_preps(p) for p in preps]))
     assert np.array_equal(weights_from_preps(()), [1.0])
 
 
 def test_mixture_linear_is_the_gate_order_sum():
-    angles, axes = sample_gates(SeededSampler(4), 5)
+    angles, axes = sample_gates(np.random.default_rng(4), 5)
     weights = np.array([0.1, 0.3, 0.2, 0.25, 0.15])
     rotations = rotation_batch(angles, axes)
     expected = sum(w * r for w, r in zip(weights, rotations))
@@ -266,16 +266,16 @@ def test_mixture_linear_is_the_gate_order_sum():
     assert np.array_equal(mixture_linear(padded_weights[None], padded[None])[0], expected)
 
 
-def _density_stack(sampler, count):
-    radii = sampler.uniform(0.0, 1.0, count)
-    return np.array([density_from_bloch(r * sample_bloch(sampler, 1)[0]) for r in radii])
+def _density_stack(rng, count):
+    radii = rng.uniform(0.0, 1.0, count)
+    return np.array([density_from_bloch(r * sample_bloch(rng, 1)[0]) for r in radii])
 
 
 @pytest.mark.parametrize("qubit_count", [1, 2, 3, 4])
 def test_simulate_full_on_a_stack_equals_single_calls(qubit_count):
-    sampler = SeededSampler(40 + qubit_count)
-    ladder = _first_ladder(sampler, qubit_count)
-    rho = _density_stack(sampler, 10)
+    rng = np.random.default_rng(40 + qubit_count)
+    ladder = _first_ladder(rng, qubit_count)
+    rho = _density_stack(rng, 10)
     single = np.array([simulate_full(*ladder, r) for r in rho])
     assert np.array_equal(simulate_full(*ladder, rho), single)
     mixture = stochastic_map_from_circuit(*ladder)
@@ -286,8 +286,8 @@ def test_simulate_full_on_a_stack_equals_single_calls(qubit_count):
 
 
 def test_density_from_bloch_on_a_stack_equals_single_calls():
-    sampler = SeededSampler(15)
-    bloch = sampler.uniform(0.0, 1.0, (12, 1)) * sample_bloch(sampler, 12)
+    rng = np.random.default_rng(15)
+    bloch = rng.uniform(0.0, 1.0, (12, 1)) * sample_bloch(rng, 12)
     single = np.array([density_from_bloch(a) for a in bloch])
     assert np.array_equal(density_from_bloch(bloch), single)
     assert np.array_equal(density_from_bloch(bloch.reshape(3, 4, 3)), single.reshape(3, 4, 2, 2))
@@ -307,9 +307,9 @@ def test_density_from_bloch_on_a_stack_equals_single_calls():
     ],
 )
 def test_simulate_full_rejects_a_bad_density_in_a_stack(bad):
-    sampler = SeededSampler(9)
-    ladder = _first_ladder(sampler, 3)
-    rho = _density_stack(sampler, 5)
+    rng = np.random.default_rng(9)
+    ladder = _first_ladder(rng, 3)
+    rho = _density_stack(rng, 5)
     rho[3] = np.array(bad, dtype=complex)
     with pytest.raises(ValueError):
         simulate_full(*ladder, rho)

@@ -170,6 +170,18 @@ def test_deeply_nested_config_exits_two(tmp_path, monkeypatch, capsys, text):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["deep.json"]
 
 
+def test_real_setting_beyond_float_range_exits_two(tmp_path, monkeypatch, capsys):
+    # An integer too large for a float passed the (0, inf) check and then
+    # overflowed in the verify budgets.
+    monkeypatch.chdir(tmp_path)
+    Path("big.json").write_text('{"tol_scale": 1' + "0" * 400 + "}")
+    argv = ["verify", "--trials", "10", "--samples", "1000", "--config", "big.json"]
+    assert main(argv) == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: tol_scale ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["big.json"]
+
+
 def test_missing_config_file_is_rejected(tmp_path):
     code = main(["tradeoff", "--config", str(tmp_path / "nope.json")])
     assert code == EXIT_BAD_CONFIG
@@ -299,7 +311,7 @@ def test_a_nan_unitary_exits_one_without_traceback(tmp_path, monkeypatch, capsys
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(
         "unot.experiments.sample_unitary",
-        lambda sampler, dim: np.full((dim, dim), np.nan, dtype=complex),
+        lambda rng, dim: np.full((dim, dim), np.nan, dtype=complex),
     )
     code = main(["verify", "--trials", "30", "--samples", "1000", "--out", "x.csv"])
     assert code == EXIT_FAILURE
@@ -446,7 +458,7 @@ _BOUNDARY = {
     "stride": [0],
     "eta": [-0.01, 1.01, _NAN],
     "period": [-1],
-    "tol_scale": [0.0, _INF, _NAN],
+    "tol_scale": [0.0, _INF, _NAN, 10**400],
     "eta_grid": [[], [1.5], [0.1, True]],
     "alpha_grid": [[-1e-9], [0.3], [_NAN]],
 }

@@ -3,6 +3,7 @@
 import functools
 import json
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from references import (
     bloch_map_from_affine,
     control_stats_kraus,
     control_stats_one_call,
+    feedback_one_trial,
     mixture_map,
     noise_stats_one_draw,
     stochastic_map_from_circuit,
@@ -28,6 +30,7 @@ from unot.evolve import (
     NoiseModel,
     apply_noise,
     channel_from_unitary,
+    check_setting,
     control_stats_batch,
     de_crossover,
     de_mutate,
@@ -38,7 +41,7 @@ from unot.evolve import (
     unitary_from_controls,
 )
 from unot.fidelity import affine_stats_batch
-from unot.oracle import SeededSampler, mc_stats, sample_ladders, sample_unitary
+from unot.oracle import mc_stats, sample_ladders, sample_unitary, spawn_seeds
 from unot.rotation import PAULI
 
 _SU8 = gell_mann_basis(8)
@@ -81,15 +84,15 @@ def test_interleaved_generators_give_h_and_are_read_only():
     assert np.array_equal(_INTERLEAVED.view(complex).reshape(63, 8, 8), _SU8)
     assert not _GENERATORS.flags.writeable
     assert not _INTERLEAVED.flags.writeable
-    p = SeededSampler(54).uniform(-np.pi, np.pi, (5, 63))
+    p = np.random.default_rng(54).uniform(-np.pi, np.pi, (5, 63))
     h = (p @ _INTERLEAVED).view(complex).reshape(5, 8, 8)
     assert np.max(np.abs(h - np.einsum("na,aij->nij", p, _SU8))) < 1e-13
 
 
 def test_unitary_from_controls_matches_expm():
-    sampler = SeededSampler(40)
+    rng = np.random.default_rng(40)
     for _ in range(5):
-        p = sampler.uniform(-np.pi, np.pi, 63)
+        p = rng.uniform(-np.pi, np.pi, 63)
         u = unitary_from_controls(p)
         h = np.einsum("a,aij->ij", p, _SU8)
         assert np.max(np.abs(u - expm(-1.0j * h))) < 1e-11
@@ -123,7 +126,8 @@ def test_channel_of_system_bit_flip():
 
 @pytest.mark.parametrize("count", [1, 2, 20])
 def test_channel_rows_are_bitwise_their_one_row_calls(count):
-    unitaries = np.stack([sample_unitary(c, 8) for c in SeededSampler(47).split(count)])
+    rngs = map(np.random.default_rng, spawn_seeds(47, count))
+    unitaries = np.stack([sample_unitary(rng, 8) for rng in rngs])
     linear, shift = channel_from_unitary(unitaries)
     assert linear.shape == (count, 3, 3) and shift.shape == (count, 3)
     for k in range(count):
@@ -133,7 +137,8 @@ def test_channel_rows_are_bitwise_their_one_row_calls(count):
 
 
 def test_kernel_fidelity_matches_the_closed_form():
-    unitaries = np.stack([sample_unitary(c, 8) for c in SeededSampler(48).split(200)])
+    rngs = map(np.random.default_rng, spawn_seeds(48, 200))
+    unitaries = np.stack([sample_unitary(rng, 8) for rng in rngs])
     avg_f, _ = affine_stats_batch(*channel_from_unitary(unitaries))
     closed = np.array([three_qubit_avg_fidelity(u) for u in unitaries])
     assert np.max(np.abs(avg_f - closed)) <= 1e-15
@@ -155,9 +160,9 @@ def test_kernel_fidelity_ceiling_markers():
 
 
 def test_channel_route_matches_reduced_map_route():
-    sampler = SeededSampler(41)
+    rng = np.random.default_rng(41)
     for _ in range(10):
-        ladder = tuple(a[0] for a in sample_ladders(sampler, 3, 1))
+        ladder = tuple(a[0] for a in sample_ladders(rng, 3, 1))
         linear, shift = _channel(full_unitary(*ladder))
         reduced = mixture_map(*stochastic_map_from_circuit(*ladder))
         assert np.max(np.abs(linear - reduced)) < 1e-10
@@ -165,8 +170,8 @@ def test_channel_route_matches_reduced_map_route():
 
 
 def test_kraus_completeness_holds_for_haar_unitaries():
-    sampler = SeededSampler(42)
-    unitaries = np.stack([sample_unitary(sampler, 8) for _ in range(100)])
+    rng = np.random.default_rng(42)
+    unitaries = np.stack([sample_unitary(rng, 8) for _ in range(100)])
     avg_f, _ = affine_stats_batch(*channel_from_unitary(unitaries))
     assert np.all((0.0 <= avg_f) & (avg_f <= 1.0))
 
@@ -193,9 +198,9 @@ def test_fitness_of_embedded_system_flip():
 
 
 def test_fitness_never_beats_the_ceiling():
-    sampler = SeededSampler(43)
+    rng = np.random.default_rng(43)
     for _ in range(200):
-        p = sampler.uniform(-np.pi, np.pi, 63)
+        p = rng.uniform(-np.pi, np.pi, 63)
         assert _fitness(p) <= 2.0 / 3.0 + 1e-9
 
 
@@ -237,14 +242,13 @@ def test_optimal_controls_match_the_schur_logarithm():
 def test_optimal_control_stats_agree_with_oracle():
     p = optimal_controls()
     channel = _channel(unitary_from_controls(p))
-    f, d = mc_stats(bloch_map_from_affine(*channel), SeededSampler(44), 20000)
+    f, d = mc_stats(bloch_map_from_affine(*channel), np.random.default_rng(44), 20000)
     assert abs(f.value - 2.0 / 3.0) < 1e-10
     assert d.value < 1e-10
 
 
 def test_fitness_against_oracle_for_random_controls():
-    sampler = SeededSampler(45)
-    for child in sampler.split(20):
+    for child in map(np.random.default_rng, spawn_seeds(45, 20)):
         p = child.uniform(-np.pi, np.pi, 63)
         avg_f, dev = _stats(p)
         channel = _channel(unitary_from_controls(p))
@@ -273,23 +277,29 @@ def test_noise_model_validation_and_schedule():
 
 
 def test_apply_noise_zero_strength_is_exact():
-    population = SeededSampler(46).uniform(-np.pi, np.pi, (6, 63))
-    sampler = SeededSampler(47)
-    out = apply_noise(population, NoiseModel(0.0), sampler)
+    population = np.random.default_rng(46).uniform(-np.pi, np.pi, (6, 63))
+    rng = np.random.default_rng(47)
+    out = apply_noise(population, NoiseModel(0.0), rng)
     assert np.array_equal(out, population)
-    assert sampler.position == 0
+    assert rng.bit_generator.state == np.random.default_rng(47).bit_generator.state
 
 
 def test_apply_noise_shift_is_bounded():
     population = np.zeros((5, 63))
-    out = apply_noise(population, NoiseModel(0.3), SeededSampler(48))
+    out = apply_noise(population, NoiseModel(0.3), np.random.default_rng(48))
     assert np.max(np.abs(out)) <= 0.3 * np.pi
     assert np.max(np.abs(out)) > 0.0
 
 
+def _ranked_picks(rng, shape, pool):
+    # Three distinct indices from range(pool) per cell of `shape`, as a sweep
+    # takes them: the first three places of the ranking of `pool` keys.
+    return np.argsort(rng.random((*shape, pool)), axis=-1)[..., :3]
+
+
 def test_de_mutate_arithmetic():
     population = np.arange(24.0).reshape(3, 4, 2)
-    picks = SeededSampler(49).pick_distinct(3, 3, (3, 4))
+    picks = _ranked_picks(np.random.default_rng(49), (3, 4), 3)
     mutant = de_mutate(population, 0.1, picks)
     assert mutant.shape == population.shape
     for t in range(3):
@@ -305,7 +315,7 @@ def test_de_mutate_donors_are_distinct_and_not_the_member():
     # e_a + 0.5 (e_b - e_c) shows its donors: 1 at a, 0.5 at b, -0.5 at c.
     trials, n = 50, 10
     population = np.tile(np.eye(n), (trials, 1, 1))
-    picks = SeededSampler(52).pick_distinct(n - 1, 3, (trials, n))
+    picks = _ranked_picks(np.random.default_rng(52), (trials, n), n - 1)
     mutant = de_mutate(population, 0.5, picks)
     for t in range(trials):
         for i in range(n):
@@ -315,20 +325,97 @@ def test_de_mutate_donors_are_distinct_and_not_the_member():
 
 
 def test_de_crossover_rate_statistics():
-    sampler = SeededSampler(50)
+    rng = np.random.default_rng(50)
     target = np.zeros((10, 1000, 63))
     mutant = np.ones((10, 1000, 63))
-    trial = de_crossover(target, mutant, 0.5, sampler.random(target.shape))
+    trial = de_crossover(target, mutant, 0.5, rng.random(target.shape))
     assert abs(trial.sum(axis=-1).mean() - 31.5) < 1.0
 
 
 def test_de_crossover_extremes():
-    sampler = SeededSampler(51)
+    rng = np.random.default_rng(51)
     target = np.zeros((4, 10, 63))
     mutant = np.ones((4, 10, 63))
-    draws = sampler.random(target.shape)
+    draws = rng.random(target.shape)
     assert np.all(de_crossover(target, mutant, 0.0, draws).sum(axis=-1) == 0.0)
     assert np.all(de_crossover(target, mutant, 1.0, draws).sum(axis=-1) == 63.0)
+
+
+def _sweep_draws(monkeypatch, config, seeds):
+    """The picks (sweeps, trials, n, 3) and crossover draws (sweeps, trials,
+    n, d) that `run_feedback` hands to `de_mutate` and `de_crossover`."""
+    picks, draws = [], []
+    mutate, crossover = unot.evolve.de_mutate, unot.evolve.de_crossover
+
+    def recording_mutate(population, weight, p):
+        picks.append(p.copy())
+        return mutate(population, weight, p)
+
+    def recording_crossover(target, mutant, rate, d):
+        draws.append(d.copy())
+        return crossover(target, mutant, rate, d)
+
+    monkeypatch.setattr(unot.evolve, "de_mutate", recording_mutate)
+    monkeypatch.setattr(unot.evolve, "de_crossover", recording_crossover)
+    run_feedback(config, NoiseModel(0.0), seeds)
+    return np.stack(picks), np.stack(draws)
+
+
+def test_de_donors_are_distinct_in_range_and_not_the_member(monkeypatch):
+    n = 10
+    picks, _ = _sweep_draws(monkeypatch, DeConfig(n, max_iterations=100), [2, 3])
+    assert picks.shape == (100, 2, n, 3)
+    assert picks.min() >= 0 and picks.max() < n - 1
+    ordered = np.sort(picks, axis=-1)
+    assert np.all(ordered[..., 1:] != ordered[..., :-1])
+    donors = np.where(picks >= np.arange(n)[:, None], picks + 1, picks)
+    assert np.all(donors != np.arange(n)[:, None])
+
+
+def test_de_donor_slots_are_uniform(monkeypatch):
+    # Crossover rate 0 takes no mutant component, so nothing is evaluated.
+    n, sweeps = 10, 2000
+    config = DeConfig(n, crossover_rate=0.0, max_iterations=sweeps)
+    picks, _ = _sweep_draws(monkeypatch, config, [7])
+    picks = picks.reshape(sweeps * n, 3)
+    p = 1.0 / (n - 1)
+    band = 5.0 * np.sqrt(len(picks) * p * (1.0 - p))
+    for slot in range(3):
+        counts = np.bincount(picks[:, slot], minlength=n - 1)
+        assert np.all(np.abs(counts - len(picks) * p) <= band)
+
+
+@pytest.mark.parametrize("n", [4, 10])
+def test_de_sweep_draws_n_minus_one_keys_per_member(monkeypatch, n):
+    # Each sweep reads n - 1 keys per member and then the (n, d) crossover
+    # draws: bitwise what a fresh generator gives after the population.
+    config = DeConfig(n, max_iterations=30)
+    picks, draws = _sweep_draws(monkeypatch, config, [6])
+    rng = np.random.default_rng(6)
+    rng.uniform(-np.pi, np.pi, (n, 63))
+    for sweep in range(30):
+        keys = rng.random((n, n - 1))
+        assert np.array_equal(picks[sweep, 0], np.argsort(keys, axis=-1)[:, :3])
+        assert np.array_equal(draws[sweep, 0], rng.random((n, 63)))
+
+
+@pytest.mark.parametrize(
+    "noise",
+    [NoiseModel(0.0), NoiseModel(0.5, period=0), NoiseModel(0.5, period=7)],
+    ids=["no-noise", "period-0", "period-7"],
+)
+def test_run_feedback_follows_the_documented_draw_order(noise):
+    config = DeConfig(crossover_rate=0.1, max_iterations=40)
+    run = run_feedback(config, noise, [11])
+    avg_f, dev, population = feedback_one_trial(config, noise, 11)
+    assert np.array_equal(run.avg_fidelity[:, 0], avg_f)
+    assert np.array_equal(run.deviation[:, 0], dev)
+    assert np.array_equal(run.population[0], population)
+
+
+def test_run_feedback_rejects_a_negative_seed():
+    with pytest.raises(ValueError):
+        run_feedback(DeConfig(max_iterations=1), NoiseModel(0.0), [-1])
 
 
 def test_de_config_validation():
@@ -372,6 +459,16 @@ def test_real_de_settings_reject_bools_and_non_numbers(make, label):
             make(**{label: bad})
     value = getattr(make(**{label: np.float64(0.5)}), label)
     assert type(value) is float and value == 0.5
+
+
+def test_real_settings_reject_values_a_float_cannot_hold():
+    for huge in (10**400, -(10**400), Fraction(10**400, 3)):
+        with pytest.raises(ValueError, match="strength must fit in a float"):
+            check_setting(huge, "strength", float, "[0, 1]")
+        with pytest.raises(ValueError, match="differential_weight must fit in a float"):
+            DeConfig(differential_weight=huge)
+    # An integer a float can hold is kept as given.
+    assert check_setting(10**300, "tol_scale", float, "(0, inf)") == 10**300
 
 
 def test_zero_iterations_run_in_the_library_but_not_on_the_command_line(
@@ -450,7 +547,7 @@ def test_run_feedback_rejects_nonfinite_initial_population():
 
 def test_feedback_run_contract(tmp_path, monkeypatch):
     """Layout of the history, and the rows `optimize` writes from it."""
-    seeds = [child.seed for child in SeededSampler(5).split(3)]
+    seeds = spawn_seeds(5, 3)
     noise = NoiseModel(0.3, period=7)
     run = run_feedback(DeConfig(max_iterations=20), noise, seeds)
     for name in ("avg_fidelity", "deviation"):
@@ -483,8 +580,8 @@ def test_feedback_run_contract(tmp_path, monkeypatch):
 
 
 def test_batch_control_stats_check_their_controls():
-    sampler = SeededSampler(46)
-    pop = sampler.uniform(-np.pi, np.pi, (4, 63))
+    rng = np.random.default_rng(46)
+    pop = rng.uniform(-np.pi, np.pi, (4, 63))
     avg_f, dev = control_stats_batch(pop)
     for k in range(4):
         one_f, one_dev = _stats(pop[k])
@@ -506,18 +603,18 @@ def test_batch_control_stats_check_their_controls():
     + [3 * _BLOCK_ROWS + 7, 6 * _BLOCK_ROWS + 7],
 )
 def test_blocks_give_the_bits_of_one_call(n):
-    pop = SeededSampler(47).uniform(-np.pi, np.pi, (n, 63))
+    pop = np.random.default_rng(47).uniform(-np.pi, np.pi, (n, 63))
     avg_f, dev = control_stats_batch(pop)
     one_f, one_dev = control_stats_one_call(pop)
     assert np.array_equal(avg_f, one_f) and np.array_equal(dev, one_dev)
 
 
 def test_choi_route_matches_the_kraus_route():
-    sampler = SeededSampler(50)
+    rng = np.random.default_rng(50)
     pop = np.concatenate(
         [
-            sampler.uniform(-np.pi, np.pi, (2000, 63)),
-            optimal_controls() + 0.05 * sampler.uniform(-np.pi, np.pi, (200, 63)),
+            rng.uniform(-np.pi, np.pi, (2000, 63)),
+            optimal_controls() + 0.05 * rng.uniform(-np.pi, np.pi, (200, 63)),
         ]
     )
     avg_f, dev = control_stats_batch(pop)
@@ -527,7 +624,7 @@ def test_choi_route_matches_the_kraus_route():
 
 
 def test_single_rows_give_the_bits_of_a_batch():
-    pop = SeededSampler(51).uniform(-np.pi, np.pi, (40, 63))
+    pop = np.random.default_rng(51).uniform(-np.pi, np.pi, (40, 63))
     avg_f, dev = control_stats_batch(pop)
     for k in range(len(pop)):
         one_f, one_dev = control_stats_batch(pop[k])
@@ -539,22 +636,25 @@ def test_single_rows_give_the_bits_of_a_batch():
 def test_noise_stats_give_the_bits_of_one_draw(count, strength):
     controls = optimal_controls()
     noise = NoiseModel(strength)
-    streamed, drawn = SeededSampler(52), SeededSampler(52)
+    streamed, drawn = np.random.default_rng(52), np.random.default_rng(52)
     avg_f, dev = noise_stats(controls, noise, streamed, count)
     one_f, one_dev = noise_stats_one_draw(controls, noise, drawn, count)
     assert np.array_equal(avg_f, one_f) and np.array_equal(dev, one_dev)
-    assert streamed.position == drawn.position == (63 * count if strength else 0)
+    assert streamed.bit_generator.state == drawn.bit_generator.state
+    if not strength:
+        fresh = np.random.default_rng(52)
+        assert streamed.bit_generator.state == fresh.bit_generator.state
     assert np.array_equal(streamed.random(5), drawn.random(5))
 
 
 def test_noise_stats_check_their_arguments():
     controls = optimal_controls()
-    avg_f, dev = noise_stats(controls, NoiseModel(0.2), SeededSampler(53), 0)
+    avg_f, dev = noise_stats(controls, NoiseModel(0.2), np.random.default_rng(53), 0)
     assert avg_f.shape == dev.shape == (0,)
     with pytest.raises(ValueError, match="shape"):
-        noise_stats(controls[None], NoiseModel(0.2), SeededSampler(53), 3)
+        noise_stats(controls[None], NoiseModel(0.2), np.random.default_rng(53), 3)
     with pytest.raises(ValueError, match="count"):
-        noise_stats(controls, NoiseModel(0.2), SeededSampler(53), 2.0)
+        noise_stats(controls, NoiseModel(0.2), np.random.default_rng(53), 2.0)
 
 
 def test_zero_control_rows_give_empty_stats():
@@ -565,7 +665,7 @@ def test_zero_control_rows_give_empty_stats():
 
 def test_control_stats_peak_memory_stays_below_16_mib():
     # Building every row's full unitary at once peaks at about 4.3 KB a row.
-    pop = SeededSampler(48).uniform(-np.pi, np.pi, (50_000, 63))
+    pop = np.random.default_rng(48).uniform(-np.pi, np.pi, (50_000, 63))
     tracemalloc.start()
     try:
         control_stats_batch(pop)

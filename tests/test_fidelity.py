@@ -21,7 +21,7 @@ from unot.fidelity import (
     pair_covariance_batch,
     region_residual,
 )
-from unot.oracle import SeededSampler, sample_bloch, sample_gates, sample_unitary
+from unot.oracle import sample_bloch, sample_gates, sample_unitary
 from unot.rotation import PAULI, rotation_batch
 
 _X, _Y, _Z = np.eye(3)
@@ -72,8 +72,8 @@ def test_second_moment_of_full_flip_quadratic_form():
 
 
 def test_second_moment_against_direct_haar_average():
-    sampler = SeededSampler(41)
-    points = sample_bloch(sampler, 1_000_000)
+    rng = np.random.default_rng(41)
+    points = sample_bloch(rng, 1_000_000)
     r = rotation_batch(np.pi, _X)
     quad = np.einsum("ni,ij,nj->n", points, r, points)
     assert abs((quad**2).mean() - 7.0 / 15.0) < 2e-3
@@ -108,7 +108,7 @@ def test_near_identity_gates_keep_full_relative_precision(angle):
 
 
 def test_batch_closed_forms_equal_single_gate_calls():
-    angles, axes = sample_gates(SeededSampler(27), 400)
+    angles, axes = sample_gates(np.random.default_rng(27), 400)
     gates = list(zip(angles, axes))
     f, d = one_qubit_stats_batch(angles)
     single = [_one_qubit_stats(a) for a in angles]
@@ -215,10 +215,10 @@ def test_generic_two_qubit_channels_obey_floor_and_ceiling_only():
     property of stochastic maps, which is why region checks apply to
     ladder reductions rather than to arbitrary channels."""
     sig = np.stack(PAULI)
-    sampler = SeededSampler(777)
+    rng = np.random.default_rng(777)
     above_line = 0
     for _ in range(300):
-        u = sample_unitary(sampler, 4)
+        u = sample_unitary(rng, 4)
         kraus = np.transpose(u.reshape(2, 2, 2, 2)[:, :, :, 0], (1, 0, 2))
         sandwich = np.einsum("mab,jbc,mdc->jad", kraus, sig, kraus.conj())
         linear = 0.5 * np.einsum("iab,jba->ij", sig, sandwich).real

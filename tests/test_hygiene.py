@@ -4,8 +4,9 @@ No import inside a function or class, no private name imported from a
 sibling module, every imported name used in its module or exported
 through that module's `__all__`, every `__all__` entry bound at module
 level, every public name referenced somewhere in the package unless the
-package re-exports it, numpy as the only third-party import, and sibling
-imports that only reach down the module layering.  A subprocess checks that
+package re-exports it, numpy as the only third-party import, sibling
+imports that only reach down the module layering, and no draw from numpy's
+global random state.  A subprocess checks that
 running the command line loads no SciPy module and no `numpy.ma`, which
 `np.median` imports on first use (about 1 MB).
 """
@@ -124,6 +125,50 @@ def test_numpy_is_the_only_third_party_import(path):
         elif node.level == 0:
             roots.add(node.module.split(".")[0])
     assert sorted(roots - sys.stdlib_module_names - {"numpy"}) == []
+
+
+# The only `numpy.random` names the package may read: every draw comes from
+# a `Generator` passed in or built from a seed, so a rerun from the seed is
+# byte-identical.  A draw from the global state, `np.random.random(...)`,
+# would break that.
+ALLOWED_RANDOM = {"default_rng", "SeedSequence", "Generator"}
+
+
+def _numpy_random_names(tree: ast.Module) -> list[str]:
+    """Every name read off `numpy.random` in `tree`, "" for the bare module."""
+    aliases = {
+        alias.asname or alias.name
+        for node in _imports(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name == "numpy"
+    }
+    parents = {
+        child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)
+    }
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith(
+            "numpy.random"
+        ):
+            names.extend(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names.extend("" for a in node.names if a.name.startswith("numpy.random"))
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr == "random"
+            and isinstance(node.value, ast.Name)
+            and node.value.id in aliases
+        ):
+            parent = parents.get(node)
+            attribute = isinstance(parent, ast.Attribute) and parent.value is node
+            names.append(parent.attr if attribute else "")
+    return names
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_draws_come_from_passed_in_generators(path):
+    assert sorted(set(_numpy_random_names(_tree(path))) - ALLOWED_RANDOM) == []
 
 
 # The modules from the bottom layer up; each may import only earlier ones.

@@ -20,13 +20,13 @@ from unot.oracle import (
     _BLOCK_ROWS,
     RNG_ALGORITHM,
     McEstimate,
-    SeededSampler,
     bloch_map_from_three_qubit_unitary,
     mc_stats,
     sample_bloch,
     sample_gates,
     sample_ladders,
     sample_unitary,
+    spawn_seeds,
 )
 from unot.rotation import rotation_batch
 
@@ -38,140 +38,109 @@ def test_rng_algorithm_label():
 
 
 def test_sampler_is_reproducible():
-    a = SeededSampler(99).standard_normal((4, 4))
-    b = SeededSampler(99).standard_normal((4, 4))
-    assert np.array_equal(a, b)
-
-
-def test_sampler_position_counts_scalar_draws():
-    sampler = SeededSampler(1)
-    assert sampler.position == 0
-    sampler.uniform(0.0, 1.0, 10)
-    assert sampler.position == 10
-    sampler.standard_normal((2, 3))
-    assert sampler.position == 16
+    # The same seed gives the same draws and leaves the same generator state.
+    a, b = np.random.default_rng(99), np.random.default_rng(99)
+    assert np.array_equal(sample_bloch(a, 16), sample_bloch(b, 16))
+    assert np.array_equal(sample_unitary(a, 4), sample_unitary(b, 4))
+    assert a.bit_generator.state == b.bit_generator.state
 
 
 def test_split_children_are_deterministic_and_distinct():
-    first = [child.seed for child in SeededSampler(5).split(4)]
-    second = [child.seed for child in SeededSampler(5).split(4)]
+    first = spawn_seeds(5, 4)
+    second = spawn_seeds(5, 4)
     assert first == second
     assert len(set(first)) == 4
-    parent_draw = SeededSampler(5).uniform(0.0, 1.0, 3)
-    child_draw = SeededSampler(first[0]).uniform(0.0, 1.0, 3)
+    # The children every row file since numpy-pcg64/de-v2 was seeded from.
+    assert first == [
+        15658875773272509128,
+        6924645418555453511,
+        1725439304048894018,
+        13230002727910310950,
+    ]
+    parent_draw = np.random.default_rng(5).uniform(0.0, 1.0, 3)
+    child_draw = np.random.default_rng(first[0]).uniform(0.0, 1.0, 3)
     assert not np.allclose(parent_draw, child_draw)
 
 
-def test_pick_distinct_values():
-    sampler = SeededSampler(2)
-    for _ in range(100):
-        picks = sampler.pick_distinct(9, 3)
-        assert len(set(picks.tolist())) == 3
-        assert picks.min() >= 0 and picks.max() < 9
-
-
-def test_pick_distinct_consumes_one_key_per_pool_member():
-    sampler = SeededSampler(6)
-    picks = sampler.pick_distinct(9, 3, (10,))
-    assert picks.shape == (10, 3)
-    assert sampler.position == 10 * 9
-    sampler.pick_distinct(9, 3)
-    assert sampler.position == 10 * 9 + 9
-    sampler.pick_distinct(5, 2, (2, 3))
-    assert sampler.position == 10 * 9 + 9 + 2 * 3 * 5
-
-
-def test_pick_distinct_slots_are_uniform():
-    rows = 20_000
-    picks = SeededSampler(7).pick_distinct(9, 3, (rows,))
-    p = 1.0 / 9.0
-    band = 5.0 * np.sqrt(rows * p * (1.0 - p))
-    for slot in range(3):
-        counts = np.bincount(picks[:, slot], minlength=9)
-        assert np.all(np.abs(counts - rows * p) <= band)
-    assert np.all(np.sort(picks, axis=1)[:, 1:] != np.sort(picks, axis=1)[:, :-1])
-
-
 def test_bloch_samples_sit_on_the_sphere():
-    points = sample_bloch(SeededSampler(3), 2000)
+    points = sample_bloch(np.random.default_rng(3), 2000)
     norms = np.linalg.norm(points, axis=1)
     assert np.max(np.abs(norms - 1.0)) < 1e-12
     assert np.max(np.abs(points.mean(axis=0))) < 0.05
 
 
 def test_haar_unitaries_are_unitary():
-    sampler = SeededSampler(4)
+    rng = np.random.default_rng(4)
     for dim in (2, 4, 8):
-        u = sample_unitary(sampler, dim)
+        u = sample_unitary(rng, dim)
         assert np.max(np.abs(u @ u.conj().T - np.eye(dim))) < 1e-12
 
 
 def test_haar_spectrum_has_no_phase_preference():
-    sampler = SeededSampler(14)
+    rng = np.random.default_rng(14)
     phases = []
     for _ in range(300):
-        phases.extend(np.angle(np.linalg.eigvals(sample_unitary(sampler, 4))))
+        phases.extend(np.angle(np.linalg.eigvals(sample_unitary(rng, 4))))
     assert abs(np.mean(np.cos(phases))) < 0.05
     assert abs(np.mean(np.sin(phases))) < 0.05
 
 
 def test_sample_gate_ranges():
-    angles, axes = sample_gates(SeededSampler(6), 50)
+    angles, axes = sample_gates(np.random.default_rng(6), 50)
     assert np.all((angles >= 0.0) & (angles < 2.0 * np.pi))
     assert np.max(np.abs(np.linalg.norm(axes, axis=1) - 1.0)) < 1e-12
 
 
 def test_sample_ladder_circuit_shapes():
-    preps, angles, axes = sample_ladders(SeededSampler(7), 4, 1)
+    preps, angles, axes = sample_ladders(np.random.default_rng(7), 4, 1)
     assert (preps.shape, angles.shape, axes.shape) == ((1, 3), (1, 4), (1, 4, 3))
     assert np.all((preps >= 0.0) & (preps <= 1.0))
 
 
 def test_sample_gates_draw_one_gate_at_a_time():
     # The stream of one gate: its angle, then the Gaussian triple of its axis.
-    reference = SeededSampler(21)
+    reference = np.random.default_rng(21)
     expected = []
     for _ in range(50):
         angle = reference.uniform(0.0, 2.0 * np.pi, 1)[0]
         triple = reference.standard_normal((1, 3))
         expected.append((angle, triple[0] / np.linalg.norm(triple, axis=1)[0]))
-    sampler = SeededSampler(21)
-    angles, axes = sample_gates(sampler, 50)
+    rng = np.random.default_rng(21)
+    angles, axes = sample_gates(rng, 50)
     assert np.array_equal(angles, [a for a, _ in expected])
     assert np.array_equal(axes, np.array([x for _, x in expected]))
-    assert sampler.position == reference.position == 200
+    assert rng.bit_generator.state == reference.bit_generator.state
 
 
 def test_sample_gates_equal_single_gate_draws():
-    batch, single = SeededSampler(8), SeededSampler(8)
+    batch, single = np.random.default_rng(8), np.random.default_rng(8)
     angles, axes = sample_gates(batch, 300)
     gates = [sample_gates(single, 1) for _ in range(300)]
     assert np.array_equal(angles, [a[0] for a, _ in gates])
     assert np.array_equal(axes, np.array([x[0] for _, x in gates]))
-    assert batch.position == single.position
-    assert np.array_equal(batch.random(4), single.random(4))
+    assert batch.bit_generator.state == single.bit_generator.state
 
 
 @pytest.mark.parametrize("qubit_count", [1, 2, 3, 4])
 def test_sample_ladders_equal_single_circuit_draws(qubit_count):
-    batch, single = SeededSampler(13), SeededSampler(13)
+    batch, single = np.random.default_rng(13), np.random.default_rng(13)
     preps, angles, axes = sample_ladders(batch, qubit_count, 40)
     rows = [sample_ladders(single, qubit_count, 1) for _ in range(40)]
     assert preps.shape == (40, qubit_count - 1)
     for got, part in zip((preps, angles, axes), zip(*rows)):
         assert np.array_equal(got, np.concatenate(part))
-    assert batch.position == single.position
+    assert batch.bit_generator.state == single.bit_generator.state
 
 
 def test_batch_draws_reject_bad_counts():
-    sampler = SeededSampler(0)
+    rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        sample_gates(sampler, 0)
+        sample_gates(rng, 0)
     with pytest.raises(ValueError):
-        sample_ladders(sampler, 0, 3)
+        sample_ladders(rng, 0, 3)
     with pytest.raises(ValueError):
-        sample_ladders(sampler, 2, 0)
-    assert sampler.position == 0
+        sample_ladders(rng, 2, 0)
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
 def test_mc_estimate_fields():
@@ -188,7 +157,7 @@ def test_mc_estimate_fields():
 
 def test_identity_channel_statistics_vanish():
     ident = bloch_map_from_affine(np.eye(3), _ZERO_SHIFT)
-    f, d = mc_stats(ident, SeededSampler(21), 5000)
+    f, d = mc_stats(ident, np.random.default_rng(21), 5000)
     assert abs(f.value) < 1e-15
     assert abs(d.value) < 1e-15
 
@@ -197,7 +166,8 @@ def test_mc_agrees_with_closed_form_for_a_gate():
     angle = np.pi / 2.0
     rotation = rotation_batch(angle, [1.0, 0.0, 0.0])
     exact_f, exact_d = one_qubit_stats_batch(angle)
-    f, d = mc_stats(bloch_map_from_affine(rotation, _ZERO_SHIFT), SeededSampler(22), 40000)
+    bloch_map = bloch_map_from_affine(rotation, _ZERO_SHIFT)
+    f, d = mc_stats(bloch_map, np.random.default_rng(22), 40000)
     assert abs(f.value - exact_f) < 5.0 * f.std_error
     assert abs(f.value - exact_f) < 0.01
     assert abs(d.value - exact_d) < 0.01
@@ -205,15 +175,14 @@ def test_mc_agrees_with_closed_form_for_a_gate():
 
 def test_optimal_map_oracle_is_flat():
     bloch_map = bloch_map_from_affine(mixture_map(*optimal_mixture()), _ZERO_SHIFT)
-    f, d = mc_stats(bloch_map, SeededSampler(23), 20000)
+    f, d = mc_stats(bloch_map, np.random.default_rng(23), 20000)
     assert abs(f.value - 2.0 / 3.0) < 1e-12
     assert d.value < 1e-12
     assert f.std_error < 1e-12
 
 
 def test_three_qubit_unitary_oracle_matches_closed_form():
-    sampler = SeededSampler(24)
-    for child in sampler.split(5):
+    for child in map(np.random.default_rng, spawn_seeds(24, 5)):
         u = sample_unitary(child, 8)
         closed = three_qubit_avg_fidelity(u)
         f, _ = mc_stats(bloch_map_from_three_qubit_unitary(u), child, 30000)
@@ -222,7 +191,8 @@ def test_three_qubit_unitary_oracle_matches_closed_form():
 
 def test_three_qubit_oracle_on_the_optimal_circuit():
     u = full_unitary(*optimal_three_qubit_circuit())
-    f, d = mc_stats(bloch_map_from_three_qubit_unitary(u), SeededSampler(25), 30000)
+    bloch_map = bloch_map_from_three_qubit_unitary(u)
+    f, d = mc_stats(bloch_map, np.random.default_rng(25), 30000)
     assert abs(f.value - 2.0 / 3.0) < 1e-12
     assert d.value < 1e-12
 
@@ -230,15 +200,17 @@ def test_three_qubit_oracle_on_the_optimal_circuit():
 def test_mc_standard_error_shrinks_with_samples():
     rotation = rotation_batch(2.0, [0.0, 1.0, 0.0])
     bloch_map = bloch_map_from_affine(rotation, _ZERO_SHIFT)
-    f_small, _ = mc_stats(bloch_map, SeededSampler(26), 2000)
-    f_large, _ = mc_stats(bloch_map, SeededSampler(26), 32000)
+    f_small, _ = mc_stats(bloch_map, np.random.default_rng(26), 2000)
+    f_large, _ = mc_stats(bloch_map, np.random.default_rng(26), 32000)
     assert f_large.std_error < f_small.std_error
     assert f_small.n_samples == 2000
 
 
 def test_seed_must_be_unsigned():
-    with pytest.raises(ValueError):
-        SeededSampler(-1)
+    for bad in (-1, 2**64):
+        with pytest.raises(ValueError, match="unsigned 64-bit"):
+            spawn_seeds(bad, 2)
+    assert spawn_seeds(2**64 - 1, 2) == [14031750673298188677, 15591386231082554480]
 
 
 def _trig_map(u):
@@ -277,14 +249,14 @@ def _ring(z, count=16):
 
 _MAP_UNITARIES = [
     full_unitary(*optimal_three_qubit_circuit()),
-    *(sample_unitary(child, 8) for child in SeededSampler(31).split(4)),
+    *(sample_unitary(np.random.default_rng(seed), 8) for seed in spawn_seeds(31, 4)),
 ]
 
 
 @pytest.mark.parametrize(
     "points",
     [
-        pytest.param(sample_bloch(SeededSampler(32), 5000), id="drawn"),
+        pytest.param(sample_bloch(np.random.default_rng(32), 5000), id="drawn"),
         pytest.param(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]), id="poles"),
         pytest.param(_ring(0.0), id="equator"),
         pytest.param(
@@ -313,11 +285,11 @@ def test_three_qubit_map_rejects_other_shapes():
 
 
 def test_mc_standard_errors_follow_the_moment_formulas():
-    u = sample_unitary(SeededSampler(33), 8)
+    u = sample_unitary(np.random.default_rng(33), 8)
     bloch_map = bloch_map_from_three_qubit_unitary(u)
     n = 20_000
-    f_est, d_est = mc_stats(bloch_map, SeededSampler(34), n)
-    a = sample_bloch(SeededSampler(34), n)
+    f_est, d_est = mc_stats(bloch_map, np.random.default_rng(34), n)
+    a = sample_bloch(np.random.default_rng(34), n)
     f = 0.5 * (1.0 - np.sum(a * bloch_map(a), axis=1))
     centered = f - f.mean()
     m2 = np.mean(centered**2)
@@ -331,10 +303,10 @@ def test_mc_standard_errors_follow_the_moment_formulas():
 def test_mc_stats_checks_sample_count_and_map_shape():
     ident = bloch_map_from_affine(np.eye(3), _ZERO_SHIFT)
     with pytest.raises(ValueError):
-        mc_stats(ident, SeededSampler(35), 1)
+        mc_stats(ident, np.random.default_rng(35), 1)
     # One output row for all inputs would broadcast silently without the check.
     with pytest.raises(ValueError):
-        mc_stats(lambda a: a[:1], SeededSampler(35), 100)
+        mc_stats(lambda a: a[:1], np.random.default_rng(35), 100)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -347,7 +319,7 @@ def test_mc_stats_rejects_non_finite_map_output(bad):
         return out
 
     with pytest.raises(RuntimeError, match="non-finite"):
-        mc_stats(bad_tail, SeededSampler(36), _BLOCK_ROWS + 5)
+        mc_stats(bad_tail, np.random.default_rng(36), _BLOCK_ROWS + 5)
 
 
 # Sample counts at and around block boundaries: those of `_BLOCK_ROWS`, and
@@ -365,24 +337,24 @@ def test_mc_stats_rejects_non_finite_map_output(bad):
 @pytest.mark.parametrize("kind", ["three-qubit", "affine"])
 def test_blocks_give_the_bits_of_one_draw(kind, n):
     if kind == "three-qubit":
-        u = sample_unitary(SeededSampler(37), 8)
+        u = sample_unitary(np.random.default_rng(37), 8)
         bloch_map = bloch_map_from_three_qubit_unitary(u)
     else:
-        u = sample_unitary(SeededSampler(37), 4)
+        u = sample_unitary(np.random.default_rng(37), 4)
         bloch_map = bloch_map_from_affine(*_stinespring_channel(u, 0.8))
-    streamed, one_draw = SeededSampler(38), SeededSampler(38)
+    streamed, one_draw = np.random.default_rng(38), np.random.default_rng(38)
     assert mc_stats(bloch_map, streamed, n) == mc_stats_one_draw(bloch_map, one_draw, n)
-    assert streamed.position == one_draw.position == 3 * n
+    assert streamed.bit_generator.state == one_draw.bit_generator.state
 
 
 def test_mc_stats_peak_memory_stays_below_64_bytes_per_sample():
     # The one-draw form peaks at about 272 bytes per sample on this map.
-    u = sample_unitary(SeededSampler(39), 8)
+    u = sample_unitary(np.random.default_rng(39), 8)
     bloch_map = bloch_map_from_three_qubit_unitary(u)
     n = 200_000
     tracemalloc.start()
     try:
-        mc_stats(bloch_map, SeededSampler(40), n)
+        mc_stats(bloch_map, np.random.default_rng(40), n)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -415,10 +387,11 @@ def _stinespring_channel(u, damping):
     samples=st.integers(1000, 20_000),
 )
 def test_affine_closed_form_within_five_sigma_of_the_oracle(seed, damping, samples):
-    u = sample_unitary(SeededSampler(seed), 4)
+    u = sample_unitary(np.random.default_rng(seed), 4)
     linear, shift = _stinespring_channel(u, damping)
     exact_f, exact_d = affine_stats_batch(linear[None], shift[None])
-    f, d = mc_stats(bloch_map_from_affine(linear, shift), SeededSampler(seed + 1), samples)
+    bloch_map = bloch_map_from_affine(linear, shift)
+    f, d = mc_stats(bloch_map, np.random.default_rng(seed + 1), samples)
     # The floor covers channels with a flat fidelity, whose standard errors are 0.
     assert abs(f.value - exact_f[0]) <= 5.0 * f.std_error + 1e-12
     assert abs(d.value - exact_d[0]) <= 5.0 * d.std_error + 1e-12
@@ -427,7 +400,7 @@ def test_affine_closed_form_within_five_sigma_of_the_oracle(seed, damping, sampl
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(seed=st.integers(0, 2**32), samples=st.integers(1000, 20_000))
 def test_three_qubit_closed_form_within_five_sigma_of_the_oracle(seed, samples):
-    u = sample_unitary(SeededSampler(seed), 8)
+    u = sample_unitary(np.random.default_rng(seed), 8)
     bloch_map = bloch_map_from_three_qubit_unitary(u)
-    f, _ = mc_stats(bloch_map, SeededSampler(seed + 1), samples)
+    f, _ = mc_stats(bloch_map, np.random.default_rng(seed + 1), samples)
     assert abs(f.value - three_qubit_avg_fidelity(u)) <= 5.0 * f.std_error

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from references import gate_from_unitary, rotation_from_unitary
 
-from unot.oracle import SeededSampler, sample_gates
+from unot.oracle import sample_gates
 from unot.rotation import rotation_batch, rotation_trace, unitary_batch
 
 _Z = np.array([0.0, 0.0, 1.0])
@@ -85,7 +85,7 @@ def test_angles_are_kept_and_only_the_unitary_sees_a_full_turn():
     # turn, which is why angles are never reduced modulo 2 pi.
     assert np.max(np.abs(_rotation(-np.pi / 2.0, _Z) - _rotation(1.5 * np.pi, _Z))) < 1e-12
     assert np.max(np.abs(_rotation(2.0 * np.pi, _Z) - np.eye(3))) < 1e-15
-    angles, axes = sample_gates(SeededSampler(13), 50)
+    angles, axes = sample_gates(np.random.default_rng(13), 50)
     turned = unitary_batch(angles + 2.0 * np.pi, axes)
     assert np.max(np.abs(turned + unitary_batch(angles, axes))) < 1e-14
 
@@ -142,7 +142,7 @@ def test_trace_values_at_marker_angles():
 
 
 def test_rotation_batch_equals_single_gates_bitwise():
-    angles, axes = sample_gates(SeededSampler(19), 2000)
+    angles, axes = sample_gates(np.random.default_rng(19), 2000)
     single = [_rotation(a, x) for a, x in zip(angles, axes)]
     assert np.array_equal(rotation_batch(angles, axes), np.array(single))
     # Leading dimensions are kept.
@@ -169,7 +169,7 @@ def test_rotation_batch_rejects_what_a_gate_rejects(angles, axes):
 
 
 def test_unitary_batch_rows_equal_single_gates_bitwise():
-    angles, axes = sample_gates(SeededSampler(21), 200)
+    angles, axes = sample_gates(np.random.default_rng(21), 200)
     batch = unitary_batch(angles.reshape(20, 10), axes.reshape(20, 10, 3))
     single = [unitary_batch(a, x) for a, x in zip(angles, axes)]
     assert np.array_equal(batch.reshape(200, 2, 2), np.array(single))
