@@ -157,9 +157,11 @@ class ExperimentConfig:
             raise ValueError("eta and eta_grid cannot both be set")
         for label, size in EXPERIMENTS[self.name].array_bytes(self).items():
             if size > MAX_ARRAY_BYTES:
+                # Tenths in integer arithmetic: a size may exceed any float.
+                tenths = (10 * size + 2**29) >> 30
                 raise ValueError(
                     f"{label} too large: an array of the run would take "
-                    f"{size / 2**30:.1f} GiB, above the "
+                    f"{tenths // 10}.{tenths % 10} GiB, above the "
                     f"{MAX_ARRAY_BYTES / 2**30:g} GiB ceiling"
                 )
 
@@ -256,20 +258,19 @@ def _linear_stats(linear: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _sample_mixtures(rng: np.random.Generator, counts) -> np.ndarray:
     """Bloch maps (n, 3, 3) of random mixtures of counts[i] gates.
 
-    Mixture by mixture, the gates are drawn first and then uniform weights,
-    normalized to sum 1.  Shorter mixtures are padded with zero-weight
-    identity gates, which add nothing to the gate-order sum.
+    With width = max(counts), all n * width gates are drawn first, row by
+    row, and then one (n, width) array of uniform weights.  Mixture i keeps
+    its first counts[i] weights, normalized to sum 1; the gates past its
+    count get weight 0 and add nothing to the gate-order sum.
     """
-    width = max(counts)
-    angles = np.zeros((len(counts), width))
-    axes = np.zeros((len(counts), width, 3))
-    axes[..., 2] = 1.0
-    weights = np.zeros((len(counts), width))
-    for row, count in enumerate(counts):
-        angles[row, :count], axes[row, :count] = sample_gates(rng, count)
-        w = rng.random(count)  # = uniform(0, 1) bitwise
-        weights[row, :count] = w / w.sum()
-    return mixture_linear(weights, rotation_batch(angles, axes))
+    counts = np.asarray(counts)
+    shape = (len(counts), int(counts.max()))
+    angles, axes = sample_gates(rng, shape[0] * shape[1])
+    weights = rng.random(shape)
+    weights[np.arange(shape[1]) >= counts[:, None]] = 0.0
+    weights /= weights.sum(axis=1, keepdims=True)
+    rotations = rotation_batch(angles, axes).reshape(*shape, 3, 3)
+    return mixture_linear(weights, rotations)
 
 
 def _worst(*residuals) -> float:
@@ -354,19 +355,19 @@ def _verify_families(config: ExperimentConfig):
     yield "three-qubit-ceiling", _worst(0.0, f - MAX_AVG_FIDELITY, -f), 1e-10 * scale
     yield "three-qubit-oracle-agreement", worst_sigma, 5.0 * scale
 
-    # Full-space simulation agrees with the reduced Bloch map the drivers use.
+    # Full-space simulation agrees with the reduced Bloch map the drivers use,
+    # on 50 ladders of one to four qubits and 10 points of the Bloch ball
+    # each: the ladders of each qubit count, the directions, then the radii.
     s = sub[7]
+    ladders = [sample_ladders(s, q, k) for q, k in ((1, 13), (2, 13), (3, 12), (4, 12))]
+    points = sample_bloch(s, 500)
+    points *= s.random((500, 1)) ** (1.0 / 3.0)  # = uniform(0, 1) bitwise
+    circuits = [circuit for ladder in ladders for circuit in zip(*ladder)]
+    linear = np.concatenate([ladder_linear(*ladder) for ladder in ladders])
     worst = 0.0
-    for i in range(50):
-        preps, angles, axes = sample_ladders(s, 1 + i % 4, 1)
-        bloch = np.empty((10, 3))
-        for k in range(10):
-            radius = float(s.random(1)[0]) ** (1.0 / 3.0)  # = uniform(0, 1) bitwise
-            bloch[k] = radius * sample_bloch(s, 1)[0]
-        rho = density_from_bloch(bloch)
-        full = bloch_from_density(simulate_full(preps[0], angles[0], axes[0], rho))
-        reduced = bloch @ ladder_linear(preps, angles, axes)[0].T
-        worst = _worst(worst, np.abs(full - reduced))
+    for circuit, m, bloch in zip(circuits, linear, points.reshape(50, 10, 3)):
+        full = bloch_from_density(simulate_full(*circuit, density_from_bloch(bloch)))
+        worst = _worst(worst, np.abs(full - bloch @ m.T))
     yield "circuit-map-equivalence", worst, 1e-10 * scale
 
 

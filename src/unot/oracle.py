@@ -10,6 +10,7 @@ the independent child seeds of a run.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,7 @@ __all__ = [
     "bloch_map_from_three_qubit_unitary",
 ]
 
-RNG_ALGORITHM = "numpy-pcg64/de-v2"
+RNG_ALGORITHM = "numpy-pcg64/de-v2/arrays-v1"
 
 _TWO_PI = 2.0 * np.pi
 
@@ -44,8 +45,9 @@ _BLOCK_ROWS = 2048
 def spawn_seeds(seed: int, count: int) -> list[int]:
     """`count` independent child seeds of `seed`, deterministic in it: the
     first 64-bit word of each child of `np.random.SeedSequence(seed)`.
-    Raises ValueError for a seed outside [0, 2**64)."""
-    seed = int(seed)
+    Raises TypeError for a seed that is not an integer and ValueError for
+    one outside [0, 2**64)."""
+    seed = operator.index(seed)
     if not 0 <= seed < 2**64:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
     return [
@@ -73,8 +75,8 @@ class McEstimate:
 
 def sample_bloch(rng: np.random.Generator, count: int) -> np.ndarray:
     """`count` uniform points on the unit sphere, shape (count, 3), via
-    normalized Gaussian triples."""
-    count = int(count)
+    normalized Gaussian triples.  `count` must be an integer."""
+    count = operator.index(count)
     if count < 1:
         raise ValueError("count must be positive")
     return _unit_rows(rng.standard_normal((count, 3)))
@@ -106,8 +108,7 @@ def sample_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
 def sample_gates(rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
     """`count` random gates as arrays: angles (count,) uniform in [0, 2*pi)
     and axes (count, 3) uniform on the sphere, drawn as `count` one-qubit
-    ladders (which have no preparations), so exactly as `count` calls of
-    `sample_gates(rng, 1)` draw them."""
+    ladders (which have no preparations): all angles, then all axes."""
     _, angles, axes = sample_ladders(rng, 1, count)
     return angles[:, 0], axes[:, 0]
 
@@ -119,26 +120,18 @@ def sample_ladders(
     uniform in [0, 1], gate angles (count, qubit_count) uniform in [0, 2*pi)
     and axes (count, qubit_count, 3) uniform on the sphere.
 
-    Circuit by circuit, the preparations are drawn first and then the gates
-    one at a time, each its angle and then its axis's Gaussian triple: a
-    batch consumes the stream exactly as `count` calls of
-    `sample_ladders(rng, qubit_count, 1)`.  Only the axis normalization
-    runs once.
+    Three draws, in this order: the preparations, `random` of their shape
+    (bitwise `uniform(0, 1)`; no number for one qubit), the angles as
+    2 pi times `random` of theirs (bitwise `uniform(0, 2 pi)`), and the
+    axes' Gaussian triples, normalized in place.
     """
     if qubit_count < 1:
         raise ValueError("qubit_count must be at least 1")
     if count < 1:
         raise ValueError("count must be positive")
-    preps = np.empty((count, qubit_count - 1))
-    angles = np.empty((count, qubit_count))
-    axes = np.empty((count, qubit_count, 3))
-    for i in range(count):
-        if qubit_count > 1:  # an empty draw consumes no numbers, only time
-            preps[i] = rng.random(qubit_count - 1)  # = uniform(0, 1) bitwise
-        for k in range(qubit_count):
-            angles[i, k] = rng.random(1)[0] * _TWO_PI  # = uniform(0, 2 pi) bitwise
-            axes[i, k] = rng.standard_normal((1, 3))[0]
-    return preps, angles, _unit_rows(axes)
+    preps = rng.random((count, qubit_count - 1))
+    angles = rng.random((count, qubit_count)) * _TWO_PI
+    return preps, angles, _unit_rows(rng.standard_normal((count, qubit_count, 3)))
 
 
 def mc_stats(
@@ -154,9 +147,9 @@ def mc_stats(
     pointwise fidelities.  A non-finite map output raises RuntimeError.
     Delta is the population standard deviation of the pointwise fidelities;
     its standard error comes from the delta method applied to the sample
-    variance.
+    variance.  `n_samples` must be an integer.
     """
-    n = int(n_samples)
+    n = operator.index(n_samples)
     if n < 2:
         raise ValueError("need at least two samples")
     f = np.empty(n)

@@ -16,7 +16,8 @@ and `three_qubit_avg_fidelity` is the closed form of F for the channel of
 an 8x8 unitary, which the Choi kernel `evolve.channel_from_unitary` must
 match.
 `feedback_one_trial` is one seed's `evolve.run_feedback`, member by member,
-in the random-stream order the README documents.
+and `ladders_array_draws` is `oracle.sample_ladders`, in the random-stream
+orders the README documents.
 The control routes build their own su(8) generators, `_GENERATORS`, and
 never read the package's copy.
 """
@@ -153,6 +154,17 @@ def three_qubit_avg_fidelity(u) -> float:
         raise ValueError("matrix is not unitary within tolerance")
     overlap = u[0:4, 0] + u[4:8, 4]
     return 2.0 / 3.0 - float(np.sum(np.abs(overlap) ** 2)) / 6.0
+
+
+def ladders_array_draws(rng, qubit_count, count):
+    """(preps, angles, axes) of `count` ladders, as three array draws: the
+    (count, qubit_count - 1) preparations uniform in [0, 1), the
+    (count, qubit_count) angles uniform in [0, 2 pi), and the
+    (count, qubit_count, 3) Gaussian triples of the axes, normalized."""
+    preps = rng.uniform(0.0, 1.0, (count, qubit_count - 1))
+    angles = rng.uniform(0.0, 2.0 * np.pi, (count, qubit_count))
+    triples = rng.standard_normal((count, qubit_count, 3))
+    return preps, angles, triples / np.linalg.norm(triples, axis=2, keepdims=True)
 
 
 def mc_stats_one_draw(bloch_map, rng, n_samples):

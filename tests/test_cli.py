@@ -182,6 +182,17 @@ def test_real_setting_beyond_float_range_exits_two(tmp_path, monkeypatch, capsys
     assert sorted(p.name for p in tmp_path.iterdir()) == ["big.json"]
 
 
+@pytest.mark.parametrize("command", ["optimize", "verify", "noise-sweep", "tradeoff"])
+def test_count_beyond_float_range_exits_two(tmp_path, monkeypatch, capsys, command):
+    # The ceiling message must not convert the array size to a float.
+    monkeypatch.chdir(tmp_path)
+    Path("big.json").write_text('{"trials": 1' + "0" * 400 + "}")
+    assert main([command, "--config", "big.json"]) == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "GiB ceiling" in err and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["big.json"]
+
+
 def test_missing_config_file_is_rejected(tmp_path):
     code = main(["tradeoff", "--config", str(tmp_path / "nope.json")])
     assert code == EXIT_BAD_CONFIG
@@ -449,7 +460,7 @@ _VALID = {
 # Values just outside each setting's range.
 _BOUNDARY = {
     "seed": [-1, 2**64],
-    "trials": [0, -3],
+    "trials": [0, -3, 10**400],
     "samples": [999],
     "npop": [3],
     "dweight": [0.0, 2.0000001, _NAN],

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import unot.experiments
-from unot.circuit import ladder_linear
+from unot.circuit import ladder_linear, mixture_linear
 from unot.experiments import (
     EXPERIMENTS,
     MAX_ARRAY_BYTES,
@@ -17,6 +17,8 @@ from unot.experiments import (
     write_config_echo,
     write_rows,
 )
+from unot.oracle import sample_gates
+from unot.rotation import rotation_batch
 
 
 def test_defaults_resolve_per_experiment():
@@ -65,7 +67,7 @@ def test_echo_dict_is_complete(tmp_path):
     echo = ExperimentConfig("tradeoff", seed=5).echo_dict()
     assert echo["experiment"] == "tradeoff"
     assert echo["seed"] == 5
-    assert echo["rng_algorithm"] == "numpy-pcg64/de-v2"
+    assert echo["rng_algorithm"] == "numpy-pcg64/de-v2/arrays-v1"
     assert echo["trials"] == 1000
     config = ExperimentConfig(
         "recover", seed=np.int64(5), period=np.int64(7), out=str(tmp_path / "r.csv")
@@ -133,6 +135,20 @@ def test_verify_checks_the_ladder_map_the_drivers_use(monkeypatch):
     assert not result.ok
 
 
+def test_mixture_maps_do_not_depend_on_the_gates_past_their_count():
+    # All 4 x 5 gates are drawn, row by row, then the (4, 5) weights; each
+    # mixture's map is that of its own first gates and weights alone.
+    counts = [2, 5, 3, 1]
+    maps = unot.experiments._sample_mixtures(np.random.default_rng(9), counts)
+    rng = np.random.default_rng(9)
+    rotations = rotation_batch(*sample_gates(rng, 20)).reshape(4, 5, 3, 3)
+    weights = rng.random((4, 5))
+    for row, count in enumerate(counts):
+        w = weights[row, :count] / weights[row, :count].sum()
+        own = mixture_linear(w[None], rotations[row, None, :count])
+        assert np.array_equal(maps[row], own[0])
+
+
 def test_verify_fails_with_corrupted_tolerances():
     config = ExperimentConfig("verify", trials=30, samples=2000, tol_scale=1e-8)
     result = run_experiment(config)
@@ -189,6 +205,16 @@ def test_largest_array_estimate_meets_the_ceiling_exactly():
             ExperimentConfig(name, iters=largest + 1, trials=20)
     for name in EXPERIMENTS:
         ExperimentConfig(name)
+
+
+def test_ceiling_message_holds_counts_too_large_for_a_float():
+    # The GiB figure must not pass through a float, which overflows at 2**1024.
+    for name in ("optimize", "verify", "noise-sweep", "tradeoff"):
+        with pytest.raises(ValueError, match=r"trials too large: .* \d{380,}\.\d GiB"):
+            ExperimentConfig(name, trials=10**400)
+    # The figure is rounded to the nearest tenth.
+    with pytest.raises(ValueError, match=r"take 1\.5 GiB, above the 1 GiB ceiling"):
+        ExperimentConfig("verify", samples=3 * 2**30 // 16)
 
 
 def test_noise_sweep_peak_memory_stays_below_16_mib():

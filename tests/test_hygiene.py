@@ -5,8 +5,9 @@ sibling module, every imported name used in its module or exported
 through that module's `__all__`, every `__all__` entry bound at module
 level, every public name referenced somewhere in the package unless the
 package re-exports it, numpy as the only third-party import, sibling
-imports that only reach down the module layering, and no draw from numpy's
-global random state.  A subprocess checks that
+imports that only reach down the module layering, no draw from numpy's
+global random state, and no draw of a single value or row by a literal
+count.  A subprocess checks that
 running the command line loads no SciPy module and no `numpy.ma`, which
 `np.median` imports on first use (about 1 MB).
 """
@@ -169,6 +170,46 @@ def _numpy_random_names(tree: ast.Module) -> list[str]:
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_draws_come_from_passed_in_generators(path):
     assert sorted(set(_numpy_random_names(_tree(path))) - ALLOWED_RANDOM) == []
+
+
+# Drawing calls by name, with the position and keyword of their count or
+# shape.  Each sampled array is drawn in one call, so none of them may draw
+# one value or one leading row by literal, as `random(1)`,
+# `standard_normal((1, 3))`, `sample_bloch(rng, 1)` or
+# `sample_ladders(rng, q, 1)` would inside a loop.
+DRAW_COUNTS = {
+    "random": (0, "size"),
+    "standard_normal": (0, "size"),
+    "uniform": (2, "size"),
+    "integers": (2, "size"),
+    "sample_bloch": (1, "count"),
+    "sample_gates": (1, "count"),
+    "sample_ladders": (2, "count"),
+}
+
+
+def _one_row_draws(tree: ast.Module) -> list[str]:
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "attr", getattr(node.func, "id", None))
+        if name not in DRAW_COUNTS:
+            continue
+        position, keyword = DRAW_COUNTS[name]
+        sizes = node.args[position : position + 1]
+        sizes += [k.value for k in node.keywords if k.arg == keyword]
+        size = sizes[0] if sizes else None
+        if isinstance(size, ast.Tuple) and size.elts:
+            size = size.elts[0]
+        if isinstance(size, ast.Constant) and size.value == 1:
+            found.append(f"line {node.lineno}: {name}")
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_draw_of_one_value_by_literal(path):
+    assert _one_row_draws(_tree(path)) == []
 
 
 # The modules from the bottom layer up; each may import only earlier ones.

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from references import (
     bloch_map_from_affine,
+    ladders_array_draws,
     mc_stats_one_draw,
     mixture_map,
     optimal_mixture,
@@ -34,7 +35,7 @@ _ZERO_SHIFT = np.zeros(3)
 
 
 def test_rng_algorithm_label():
-    assert RNG_ALGORITHM == "numpy-pcg64/de-v2"
+    assert RNG_ALGORITHM == "numpy-pcg64/de-v2/arrays-v1"
 
 
 def test_sampler_is_reproducible():
@@ -97,39 +98,24 @@ def test_sample_ladder_circuit_shapes():
     assert np.all((preps >= 0.0) & (preps <= 1.0))
 
 
-def test_sample_gates_draw_one_gate_at_a_time():
-    # The stream of one gate: its angle, then the Gaussian triple of its axis.
-    reference = np.random.default_rng(21)
-    expected = []
-    for _ in range(50):
-        angle = reference.uniform(0.0, 2.0 * np.pi, 1)[0]
-        triple = reference.standard_normal((1, 3))
-        expected.append((angle, triple[0] / np.linalg.norm(triple, axis=1)[0]))
-    rng = np.random.default_rng(21)
+def test_sample_gates_draw_arrays_in_the_documented_order():
+    # Gates are one-qubit ladders: all angles, then all axes.
+    rng, reference = np.random.default_rng(21), np.random.default_rng(21)
     angles, axes = sample_gates(rng, 50)
-    assert np.array_equal(angles, [a for a, _ in expected])
-    assert np.array_equal(axes, np.array([x for _, x in expected]))
+    _, expected_angles, expected_axes = ladders_array_draws(reference, 1, 50)
+    assert np.array_equal(angles, expected_angles[:, 0])
+    assert np.array_equal(axes, expected_axes[:, 0])
     assert rng.bit_generator.state == reference.bit_generator.state
 
 
-def test_sample_gates_equal_single_gate_draws():
-    batch, single = np.random.default_rng(8), np.random.default_rng(8)
-    angles, axes = sample_gates(batch, 300)
-    gates = [sample_gates(single, 1) for _ in range(300)]
-    assert np.array_equal(angles, [a[0] for a, _ in gates])
-    assert np.array_equal(axes, np.array([x[0] for _, x in gates]))
-    assert batch.bit_generator.state == single.bit_generator.state
-
-
 @pytest.mark.parametrize("qubit_count", [1, 2, 3, 4])
-def test_sample_ladders_equal_single_circuit_draws(qubit_count):
-    batch, single = np.random.default_rng(13), np.random.default_rng(13)
-    preps, angles, axes = sample_ladders(batch, qubit_count, 40)
-    rows = [sample_ladders(single, qubit_count, 1) for _ in range(40)]
-    assert preps.shape == (40, qubit_count - 1)
-    for got, part in zip((preps, angles, axes), zip(*rows)):
-        assert np.array_equal(got, np.concatenate(part))
-    assert batch.bit_generator.state == single.bit_generator.state
+def test_sample_ladders_draw_arrays_in_the_documented_order(qubit_count):
+    rng, reference = np.random.default_rng(13), np.random.default_rng(13)
+    drawn = sample_ladders(rng, qubit_count, 40)
+    assert drawn[0].shape == (40, qubit_count - 1)
+    for got, expected in zip(drawn, ladders_array_draws(reference, qubit_count, 40)):
+        assert np.array_equal(got, expected)
+    assert rng.bit_generator.state == reference.bit_generator.state
 
 
 def test_batch_draws_reject_bad_counts():
@@ -204,6 +190,31 @@ def test_mc_standard_error_shrinks_with_samples():
     f_large, _ = mc_stats(bloch_map, np.random.default_rng(26), 32000)
     assert f_large.std_error < f_small.std_error
     assert f_small.n_samples == 2000
+
+
+def test_spawn_seeds_rejects_a_seed_that_is_not_an_integer():
+    # A float seed must not be truncated to the seeds of its integer part.
+    for bad in (1.9, 1.0, "1"):
+        with pytest.raises(TypeError):
+            spawn_seeds(bad, 2)
+    assert spawn_seeds(np.uint64(5), 4) == spawn_seeds(5, 4)
+
+
+def test_sample_bloch_rejects_a_count_that_is_not_an_integer():
+    rng = np.random.default_rng(0)
+    for bad in (2.5, 2.0):
+        with pytest.raises(TypeError):
+            sample_bloch(rng, bad)
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+    assert sample_bloch(rng, np.int64(2)).shape == (2, 3)
+
+
+def test_mc_stats_rejects_a_sample_count_that_is_not_an_integer():
+    ident = bloch_map_from_affine(np.eye(3), _ZERO_SHIFT)
+    with pytest.raises(TypeError):
+        mc_stats(ident, np.random.default_rng(0), 1000.7)
+    f, _ = mc_stats(ident, np.random.default_rng(0), np.int64(1000))
+    assert f.n_samples == 1000
 
 
 def test_seed_must_be_unsigned():
