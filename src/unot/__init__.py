@@ -11,7 +11,6 @@ from .circuit import (
     misaligned_three_gate_map,
     mixture_linear,
     optimal_three_qubit_circuit,
-    simulate_full,
     weights_from_preps,
 )
 from .evolve import (
@@ -49,7 +48,6 @@ __all__ = [
     "run_feedback",
     "sample_bloch",
     "sample_unitary",
-    "simulate_full",
     "unitary_batch",
     "unitary_from_controls",
     "weights_from_preps",

@@ -25,10 +25,6 @@ __all__ = [
     "mixture_linear",
     "ladder_linear",
     "full_unitary",
-    "simulate_full",
-    "density_from_bloch",
-    "bloch_from_density",
-    "check_density",
     "optimal_three_qubit_circuit",
     "misaligned_three_gate_map",
     "compensated_four_gate_map",
@@ -36,8 +32,6 @@ __all__ = [
 ]
 
 _WEIGHT_TOL = 1e-12
-_DENSITY_TOL = 1e-10
-_EIGVAL_TOL = 1e-9
 
 # The misalignment maps take tilts alpha in [0, MAX_TILT).
 MAX_TILT = 0.3
@@ -130,71 +124,6 @@ def full_unitary(preps, angles, axes) -> np.ndarray:
         )
         u = layer @ u
     return u
-
-
-def simulate_full(preps, angles, axes, rho_in: np.ndarray) -> np.ndarray:
-    """Run one ladder on `rho_in` (x) |0...0><0...0| and trace out ancillas.
-
-    The ladder is given as in `full_unitary`.  `rho_in` may be one density
-    matrix or a stack (..., 2, 2); the ladder unitary is built once for the
-    whole stack.
-    """
-    rho_in = check_density(rho_in)
-    u = full_unitary(preps, angles, axes)
-    anc_dim = len(u) // 2
-    anc = np.zeros((anc_dim, anc_dim), dtype=complex)
-    anc[0, 0] = 1.0
-    rho = np.kron(rho_in, anc)
-    rho = u @ rho @ u.conj().T
-    blocks = rho.reshape(rho_in.shape[:-2] + (2, anc_dim, 2, anc_dim))
-    return np.einsum("...imjm->...ij", blocks)
-
-
-def check_density(rho: np.ndarray) -> np.ndarray:
-    """Validate a qubit density matrix, or a stack (..., 2, 2) of them, and
-    return it as a complex array."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape[-2:] != (2, 2):
-        raise ValueError(f"density matrix must be 2x2, got {rho.shape}")
-    # Each check is written so that a NaN fails it, before `eigvalsh` sees one.
-    if not np.max(np.abs(rho - rho.conj().swapaxes(-1, -2))) <= _DENSITY_TOL:
-        raise ValueError("density matrix must be Hermitian within 1e-10")
-    trace = np.trace(rho, axis1=-2, axis2=-1).real
-    if not np.max(np.abs(trace - 1.0)) <= _DENSITY_TOL:
-        raise ValueError("density matrix must have unit trace within 1e-10")
-    if not np.min(np.linalg.eigvalsh(rho)) >= -_EIGVAL_TOL:
-        raise ValueError("density matrix must be positive semidefinite")
-    return rho
-
-
-def density_from_bloch(bloch: np.ndarray) -> np.ndarray:
-    """Density matrix (I + a . sigma) / 2 of a Bloch vector with |a| <= 1, or
-    matrices (..., 2, 2) of vectors (..., 3)."""
-    a = np.asarray(bloch, dtype=float)
-    if a.shape[-1:] != (3,):
-        raise ValueError(f"bloch vectors must have trailing dimension 3, got {a.shape}")
-    if not np.all(np.linalg.norm(a, axis=-1) <= 1.0 + _DENSITY_TOL):  # NaN fails too
-        raise ValueError("bloch vector must have norm at most 1")
-    x, y, z = a[..., 0], a[..., 1], a[..., 2]
-    rho = np.empty(a.shape[:-1] + (2, 2), dtype=complex)
-    rho[..., 0, 0] = 1.0 + z
-    rho[..., 0, 1] = x - 1.0j * y
-    rho[..., 1, 0] = x + 1.0j * y
-    rho[..., 1, 1] = 1.0 - z
-    return 0.5 * rho
-
-
-def bloch_from_density(rho: np.ndarray) -> np.ndarray:
-    """Bloch vector of a qubit density matrix, or vectors (..., 3) of a stack."""
-    rho = check_density(rho)
-    return np.stack(
-        [
-            2.0 * rho[..., 1, 0].real,
-            2.0 * rho[..., 1, 0].imag,
-            (rho[..., 0, 0] - rho[..., 1, 1]).real,
-        ],
-        axis=-1,
-    )
 
 
 _X_AXIS, _Y_AXIS, _Z_AXIS = np.eye(3)

@@ -46,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     for command, experiment in EXPERIMENTS.items():
         sub = subs.add_parser(command, help=experiment.help)
         sub.add_argument("--out", help="output file path")
-        sub.add_argument("--format", dest="fmt", choices=FORMATS, help="output format")
+        sub.add_argument("--format", choices=FORMATS, help="output format")
         sub.add_argument("--config", help="JSON config file")
         for name in experiment.settings:
             if name in SETTING_TYPES:
@@ -72,11 +72,11 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
                     f"config key {key!r} is not a setting of {args.command} "
                     f"(allowed: {', '.join(keys)})"
                 )
-            merged["fmt" if key == "format" else key] = value
+            merged[key] = value
     for name, value in vars(args).items():
         if name not in ("command", "config") and value is not None:
             merged[name] = value
-    config = ExperimentConfig(name=args.command, **merged)
+    config = ExperimentConfig(experiment=args.command, **merged)
     for path in (config.output_path(), config.echo_path()):
         if path.is_dir() or not os.access(path.parent, os.W_OK | os.X_OK):
             raise ValueError(
@@ -104,7 +104,7 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-    write_rows(config.output_path(), result.fieldnames, result.rows, config.fmt)
+    write_rows(config.output_path(), result.fieldnames, result.rows, config.format)
     echo_path = write_config_echo(config)
     for line in result.report:
         print(line)

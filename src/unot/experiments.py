@@ -17,13 +17,11 @@ import numpy as np
 
 from .circuit import (
     MAX_TILT,
-    bloch_from_density,
     compensated_four_gate_map,
-    density_from_bloch,
+    full_unitary,
     ladder_linear,
     misaligned_three_gate_map,
     mixture_linear,
-    simulate_full,
 )
 from .evolve import (
     SETTINGS,
@@ -46,7 +44,7 @@ from .fidelity import (
 )
 from .oracle import (
     RNG_ALGORITHM,
-    bloch_map_from_three_qubit_unitary,
+    bloch_map_from_unitary,
     mc_stats,
     sample_bloch,
     sample_gates,
@@ -111,7 +109,7 @@ class ExperimentConfig:
     Python number they hold, grids as tuples of floats; `out` is a string.
     """
 
-    name: str
+    experiment: str
     seed: int = 0
     trials: int | None = None
     samples: int = 100_000
@@ -122,23 +120,23 @@ class ExperimentConfig:
     eta: float | None = None
     period: int | None = None
     out: str | None = None
-    fmt: str = "csv"
+    format: str = "csv"
     stride: int | None = None
     tol_scale: float = 1.0
     eta_grid: tuple[float, ...] | None = None
     alpha_grid: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.name not in EXPERIMENTS:
-            raise ValueError(f"unknown experiment {self.name!r}")
-        if self.fmt not in FORMATS:
-            raise ValueError(f"format must be one of {FORMATS}, got {self.fmt!r}")
+        if self.experiment not in EXPERIMENTS:
+            raise ValueError(f"unknown experiment {self.experiment!r}")
+        if self.format not in FORMATS:
+            raise ValueError(f"format must be one of {FORMATS}, got {self.format!r}")
         if self.out is not None and not isinstance(self.out, str):
             raise ValueError(f"out must be a string, got {self.out!r}")
         if self.trials is None:
-            self.trials = EXPERIMENTS[self.name].trials
+            self.trials = EXPERIMENTS[self.experiment].trials
         if self.stride is None:
-            self.stride = EXPERIMENTS[self.name].stride
+            self.stride = EXPERIMENTS[self.experiment].stride
         for label, (kind, interval, _) in SETTING_TYPES.items():
             value = getattr(self, label)
             if value is not None or label not in ("eta", "period"):
@@ -155,7 +153,7 @@ class ExperimentConfig:
             setattr(self, label, tuple(map(float, values)))
         if self.eta is not None and self.eta_grid is not None:
             raise ValueError("eta and eta_grid cannot both be set")
-        for label, size in EXPERIMENTS[self.name].array_bytes(self).items():
+        for label, size in EXPERIMENTS[self.experiment].array_bytes(self).items():
             if size > MAX_ARRAY_BYTES:
                 # Tenths in integer arithmetic: a size may exceed any float.
                 tenths = (10 * size + 2**29) >> 30
@@ -166,7 +164,7 @@ class ExperimentConfig:
                 )
 
     def output_path(self) -> Path:
-        return Path(self.out or f"{self.name}.{self.fmt}")
+        return Path(self.out or f"{self.experiment}.{self.format}")
 
     def echo_path(self) -> Path:
         """Where the config echo is written: next to the output file."""
@@ -177,8 +175,7 @@ class ExperimentConfig:
         echo = {}
         for item in fields(self):
             value = getattr(self, item.name)
-            key = {"name": "experiment", "fmt": "format"}.get(item.name, item.name)
-            echo[key] = list(value) if isinstance(value, tuple) else value
+            echo[item.name] = list(value) if isinstance(value, tuple) else value
         echo["out"] = str(self.output_path())
         echo["rng_algorithm"] = RNG_ALGORITHM
         return echo
@@ -348,7 +345,7 @@ def _verify_families(config: ExperimentConfig):
     f, _ = affine_stats_batch(*channel_from_unitary(unitaries))
     worst_sigma = 0.0
     for u, child, f_u in zip(unitaries, children, f):
-        est_f, _ = mc_stats(bloch_map_from_three_qubit_unitary(u), child, config.samples)
+        est_f, _ = mc_stats(bloch_map_from_unitary(u), child, config.samples)
         worst_sigma = _worst(
             worst_sigma, abs(f_u - est_f.value) / max(est_f.std_error, 1e-15)
         )
@@ -356,18 +353,21 @@ def _verify_families(config: ExperimentConfig):
     yield "three-qubit-oracle-agreement", worst_sigma, 5.0 * scale
 
     # Full-space simulation agrees with the reduced Bloch map the drivers use,
-    # on 50 ladders of one to four qubits and 10 points of the Bloch ball
-    # each: the ladders of each qubit count, the directions, then the radii.
+    # on 50 ladders of one to four qubits and 10 points r n of the Bloch ball
+    # each: the ladders of each qubit count, the directions n, then the radii
+    # r.  The state-vector map takes pure states only, so a point goes in as
+    # the mixture (1 + r) / 2 of n and (1 - r) / 2 of -n.
     s = sub[7]
     ladders = [sample_ladders(s, q, k) for q, k in ((1, 13), (2, 13), (3, 12), (4, 12))]
-    points = sample_bloch(s, 500)
-    points *= s.random((500, 1)) ** (1.0 / 3.0)  # = uniform(0, 1) bitwise
+    directions = sample_bloch(s, 500).reshape(50, 10, 3)
+    radii = s.random((50, 10, 1)) ** (1.0 / 3.0)  # = uniform(0, 1) bitwise
     circuits = [circuit for ladder in ladders for circuit in zip(*ladder)]
     linear = np.concatenate([ladder_linear(*ladder) for ladder in ladders])
     worst = 0.0
-    for circuit, m, bloch in zip(circuits, linear, points.reshape(50, 10, 3)):
-        full = bloch_from_density(simulate_full(*circuit, density_from_bloch(bloch)))
-        worst = _worst(worst, np.abs(full - bloch @ m.T))
+    for circuit, m, n_dir, r in zip(circuits, linear, directions, radii):
+        act = bloch_map_from_unitary(full_unitary(*circuit))
+        full = 0.5 * (1.0 + r) * act(n_dir) + 0.5 * (1.0 - r) * act(-n_dir)
+        worst = _worst(worst, np.abs(full - (r * n_dir) @ m.T))
     yield "circuit-map-equivalence", worst, 1e-10 * scale
 
 
@@ -599,4 +599,4 @@ EXPERIMENTS = {
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    return EXPERIMENTS[config.name].run(config)
+    return EXPERIMENTS[config.experiment].run(config)

@@ -23,7 +23,7 @@ __all__ = [
     "sample_gates",
     "sample_ladders",
     "mc_stats",
-    "bloch_map_from_three_qubit_unitary",
+    "bloch_map_from_unitary",
 ]
 
 RNG_ALGORITHM = "numpy-pcg64/de-v2/arrays-v1"
@@ -176,19 +176,22 @@ def mc_stats(
     return McEstimate(mean, se_mean, n), McEstimate(std, se_std, n)
 
 
-def bloch_map_from_three_qubit_unitary(u: np.ndarray) -> "callable":
-    """Bloch action of an 8x8 unitary on system (x) |00>, by state vectors.
+def bloch_map_from_unitary(u: np.ndarray) -> "callable":
+    """Bloch action of a (2^q, 2^q) unitary on system (x) |0...0>, by state
+    vectors, the system qubit as most significant bit (q >= 1).
 
     Independent of any Kraus or affine reduction: each unit Bloch vector
     becomes a pure system state, (1 + z, x + iy) / sqrt(2 (1 + z)) for z >= 0
     and the phase-equivalent (x - iy, 1 - z) / sqrt(2 (1 - z)) for z < 0, the
-    joint state is evolved, and the reduced system Bloch vector is read off
-    the 2x2 marginal.
+    joint state is evolved through columns 0 and 2^(q - 1) of `u`, and the
+    reduced system Bloch vector is read off the 2x2 marginal.
     """
     u = np.asarray(u, dtype=complex)
-    if u.shape != (8, 8):
-        raise ValueError(f"expected an 8x8 matrix, got shape {u.shape}")
-    columns = u[:, [0, 4]].T
+    dim = u.shape[0] if u.ndim == 2 else 0
+    if u.shape != (dim, dim) or dim < 2 or dim & (dim - 1):
+        raise ValueError(f"expected a (2^q, 2^q) matrix, got shape {u.shape}")
+    half = dim // 2
+    columns = u[:, [0, half]].T
 
     def act(a: np.ndarray) -> np.ndarray:
         a = np.atleast_2d(np.asarray(a, dtype=float))
@@ -201,8 +204,8 @@ def bloch_map_from_three_qubit_unitary(u: np.ndarray) -> "callable":
         )
         parts /= np.sqrt(2.0 * (1.0 + np.abs(z)))[:, None]
         psi = parts.view(complex) @ columns
-        rho10 = np.einsum("nm,nm->n", psi[:, 4:], psi[:, :4].conj())
-        halves = psi.view(float).reshape(-1, 2, 8)
+        rho10 = np.einsum("nm,nm->n", psi[:, half:], psi[:, :half].conj())
+        halves = psi.view(float).reshape(-1, 2, dim)
         norms = np.einsum("nsk,nsk->ns", halves, halves)
         return np.stack(
             [2.0 * rho10.real, 2.0 * rho10.imag, norms[:, 0] - norms[:, 1]], axis=1

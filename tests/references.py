@@ -15,6 +15,8 @@ instead of the Choi matrix, an independent route that agrees to roundoff,
 and `three_qubit_avg_fidelity` is the closed form of F for the channel of
 an 8x8 unitary, which the Choi kernel `evolve.channel_from_unitary` must
 match.
+`ball_action` feeds points of the Bloch ball to a map of pure states as
+mixtures of two antipodal pure states.
 `feedback_one_trial` is one seed's `evolve.run_feedback`, member by member,
 and `ladders_array_draws` is `oracle.sample_ladders`, in the random-stream
 orders the README documents.
@@ -26,7 +28,7 @@ import itertools
 
 import numpy as np
 
-from unot.circuit import check_density, mixture_linear, weights_from_preps
+from unot.circuit import mixture_linear, weights_from_preps
 from unot.evolve import apply_noise, gell_mann_basis
 from unot.fidelity import affine_stats_batch
 from unot.oracle import McEstimate, sample_bloch
@@ -123,13 +125,15 @@ def linear_stats(linear) -> tuple[float, float]:
     return float(avg_f[0]), float(dev[0])
 
 
-def apply_density(weights, angles, axes, rho) -> np.ndarray:
-    """Apply a gate mixture to a density matrix or a stack (..., 2, 2) of them."""
-    rho = check_density(rho)
-    out = np.zeros_like(rho)
-    for w, u in zip(weights, unitary_batch(angles, axes)):
-        out += w * (u @ rho @ u.conj().T)
-    return out
+def ball_action(act, points) -> np.ndarray:
+    """Output Bloch vectors (m, 3) of ball points (m, 3), or of one (3,),
+    under `act`, a map of pure states such as `oracle.bloch_map_from_unitary`
+    returns: a point r n goes in as the mixture (1 + r) / 2 of n and
+    (1 - r) / 2 of -n, with n = z at the centre."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    r = np.linalg.norm(points, axis=1, keepdims=True)
+    n = np.where(r > 0.0, points / np.where(r > 0.0, r, 1.0), [0.0, 0.0, 1.0])
+    return 0.5 * (1.0 + r) * act(n) + 0.5 * (1.0 - r) * act(-n)
 
 
 def bloch_map_from_affine(linear, shift):

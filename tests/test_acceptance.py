@@ -8,20 +8,20 @@ import time
 
 import numpy as np
 from references import (
+    ball_action,
     bloch_map_from_affine,
     linear_stats,
     mixture_map,
     optimal_mixture,
+    stochastic_map_from_circuit,
     three_qubit_avg_fidelity,
 )
 
 from unot.circuit import (
-    bloch_from_density,
     compensated_four_gate_map,
-    density_from_bloch,
+    full_unitary,
     ladder_linear,
     misaligned_three_gate_map,
-    simulate_full,
 )
 from unot.evolve import (
     DeConfig,
@@ -40,7 +40,7 @@ from unot.fidelity import (
     region_residual,
 )
 from unot.oracle import (
-    bloch_map_from_three_qubit_unitary,
+    bloch_map_from_unitary,
     mc_stats,
     sample_bloch,
     sample_gates,
@@ -78,7 +78,7 @@ def test_03_three_qubit_ceiling_and_oracle_agreement():
         u = sample_unitary(child, 8)
         closed = three_qubit_avg_fidelity(u)
         assert closed <= 2.0 / 3.0 + 1e-10
-        f, _ = mc_stats(bloch_map_from_three_qubit_unitary(u), child, 100_000)
+        f, _ = mc_stats(bloch_map_from_unitary(u), child, 100_000)
         assert abs(closed - f.value) <= 5.0 * f.std_error
     assert time.perf_counter() - start < 60.0
 
@@ -99,11 +99,12 @@ def test_05_full_simulation_equals_reduced_map():
     for i in range(200):
         ladder = sample_ladders(rng, 1 + i % 4, 1)
         circuit = tuple(a[0] for a in ladder)
-        linear = ladder_linear(*ladder)[0]
+        act = bloch_map_from_unitary(full_unitary(*circuit))
+        linear = mixture_map(*stochastic_map_from_circuit(*circuit))
         for _ in range(10):
             radius = float(rng.uniform(0.0, 1.0, 1)[0]) ** (1.0 / 3.0)
             a = radius * sample_bloch(rng, 1)[0]
-            full = bloch_from_density(simulate_full(*circuit, density_from_bloch(a)))
+            full = ball_action(act, a)[0]
             assert np.max(np.abs(full - linear @ a)) < 1e-10
     assert time.perf_counter() - start < 60.0
 

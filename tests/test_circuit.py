@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from ladder_strategies import bloch_vectors, ladder_circuits
 from references import (
-    apply_density,
+    ball_action,
     linear_stats,
     mixture_map,
     optimal_mixture,
@@ -14,20 +14,16 @@ from references import (
 )
 
 from unot.circuit import (
-    bloch_from_density,
-    check_density,
     compensated_four_gate_map,
-    density_from_bloch,
     full_unitary,
     ladder_linear,
     misaligned_three_gate_map,
     mixture_linear,
     optimal_three_qubit_circuit,
-    simulate_full,
     weights_from_preps,
 )
 from unot.fidelity import affine_stats_batch
-from unot.oracle import sample_bloch, sample_gates, sample_ladders
+from unot.oracle import bloch_map_from_unitary, sample_bloch, sample_gates, sample_ladders
 from unot.rotation import rotation_batch, unitary_batch
 
 _X, _Y, _Z = np.eye(3)
@@ -75,8 +71,6 @@ def test_ladder_circuit_validation():
         full_unitary(np.array([1.5]), *_FLIPS)
     with pytest.raises(ValueError):
         full_unitary(np.zeros(0), np.zeros(0), np.zeros((0, 3)))
-    with pytest.raises(ValueError):
-        simulate_full(np.array([0.5]), *_THREE_FLIPS, np.eye(2) / 2.0)
 
 
 def test_optimal_circuit_reduces_to_three_axis_flips():
@@ -107,25 +101,30 @@ def test_circuit_route_to_optimal_map_is_near_exact():
     assert dev < 1e-8
 
 
+def _full_space_map(ladder):
+    # Bloch action of the ladder's unitary on system (x) |0...0>.
+    return bloch_map_from_unitary(full_unitary(*ladder))
+
+
 def test_full_simulation_agrees_with_reduced_map():
     rng = np.random.default_rng(31)
     for qubit_count in (1, 2, 3, 4):
         ladder = _first_ladder(rng, qubit_count)
-        mixture = stochastic_map_from_circuit(*ladder)
+        act = _full_space_map(ladder)
+        reduced = mixture_map(*stochastic_map_from_circuit(*ladder))
         for _ in range(5):
             a = sample_bloch(rng, 1)[0] * float(rng.uniform(0.0, 1.0, 1)[0])
-            rho = density_from_bloch(a)
-            direct = simulate_full(*ladder, rho)
-            reduced = apply_density(*mixture, rho)
-            check_density(direct)
-            assert np.max(np.abs(direct - reduced)) < 1e-10
+            direct = ball_action(act, a)[0]
+            assert np.max(np.abs(direct - reduced @ a)) < 1e-10
 
 
 def test_optimal_circuit_output_for_computational_input():
-    rho = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    out = simulate_full(*optimal_three_qubit_circuit(), rho)
-    expected = np.diag([1.0 / 3.0, 2.0 / 3.0]).astype(complex)
-    assert np.max(np.abs(out - expected)) < 1e-12
+    # |0><0| leaves as diag(1/3, 2/3): Bloch vector (0, 0, 1) -> (0, 0, -1/3).
+    circuit = optimal_three_qubit_circuit()
+    out = _full_space_map(circuit)(_Z)[0]
+    reduced = mixture_map(*stochastic_map_from_circuit(*circuit)) @ _Z
+    assert np.max(np.abs(out - [0.0, 0.0, -1.0 / 3.0])) < 1e-12
+    assert np.max(np.abs(out - reduced)) < 1e-12
 
 
 def test_full_unitary_dimensions_and_unitarity():
@@ -137,22 +136,6 @@ def test_full_unitary_dimensions_and_unitarity():
 def test_optimal_circuit_reaches_the_ceiling():
     u = full_unitary(*optimal_three_qubit_circuit())
     assert abs(three_qubit_avg_fidelity(u) - 2.0 / 3.0) < 1e-12
-
-
-def test_density_bloch_round_trip():
-    rng = np.random.default_rng(12)
-    for _ in range(20):
-        a = sample_bloch(rng, 1)[0] * float(rng.uniform(0.0, 1.0, 1)[0])
-        rho = density_from_bloch(a)
-        check_density(rho)
-        assert np.max(np.abs(bloch_from_density(rho) - a)) < 1e-12
-
-
-def test_check_density_rejects_bad_matrices():
-    with pytest.raises(ValueError):
-        check_density(np.array([[0.9, 0.0], [0.0, 0.0]], dtype=complex))
-    with pytest.raises(ValueError):
-        check_density(np.array([[1.5, 0.0], [0.0, -0.5]], dtype=complex))
 
 
 def test_misaligned_map_deviation_grows_linearly():
@@ -197,9 +180,9 @@ def test_tilt_angle_bounds():
 @settings(deadline=None)
 @given(circuit=ladder_circuits(), bloch=bloch_vectors)
 def test_full_simulation_matches_reduced_map(circuit, bloch):
-    rho = density_from_bloch(bloch)
-    reduced = apply_density(*stochastic_map_from_circuit(*circuit), rho)
-    assert np.max(np.abs(simulate_full(*circuit, rho) - reduced)) < 1e-10
+    direct = ball_action(_full_space_map(circuit), bloch)[0]
+    reduced = mixture_map(*stochastic_map_from_circuit(*circuit)) @ bloch
+    assert np.max(np.abs(direct - reduced)) < 1e-10
 
 
 def _ladder_arrays(circuit):
@@ -266,72 +249,17 @@ def test_mixture_linear_is_the_gate_order_sum():
     assert np.array_equal(mixture_linear(padded_weights[None], padded[None])[0], expected)
 
 
-def _density_stack(rng, count):
-    radii = rng.uniform(0.0, 1.0, count)
-    return np.array([density_from_bloch(r * sample_bloch(rng, 1)[0]) for r in radii])
-
-
-@pytest.mark.parametrize("qubit_count", [1, 2, 3, 4])
-def test_simulate_full_on_a_stack_equals_single_calls(qubit_count):
-    rng = np.random.default_rng(40 + qubit_count)
-    ladder = _first_ladder(rng, qubit_count)
-    rho = _density_stack(rng, 10)
-    single = np.array([simulate_full(*ladder, r) for r in rho])
-    assert np.array_equal(simulate_full(*ladder, rho), single)
-    mixture = stochastic_map_from_circuit(*ladder)
-    assert np.array_equal(
-        apply_density(*mixture, rho), np.array([apply_density(*mixture, r) for r in rho])
-    )
-    assert np.array_equal(bloch_from_density(rho), [bloch_from_density(r) for r in rho])
-
-
-def test_density_from_bloch_on_a_stack_equals_single_calls():
-    rng = np.random.default_rng(15)
-    bloch = rng.uniform(0.0, 1.0, (12, 1)) * sample_bloch(rng, 12)
-    single = np.array([density_from_bloch(a) for a in bloch])
-    assert np.array_equal(density_from_bloch(bloch), single)
-    assert np.array_equal(density_from_bloch(bloch.reshape(3, 4, 3)), single.reshape(3, 4, 2, 2))
-    bloch[5] *= 1.01 / np.linalg.norm(bloch[5])
-    with pytest.raises(ValueError):
-        density_from_bloch(bloch)
-    with pytest.raises(ValueError):
-        density_from_bloch(bloch[:, :2])
-
-
-@pytest.mark.parametrize(
-    "bad",
-    [
-        pytest.param([[0.5, 0.2], [0.0, 0.5]], id="non-hermitian"),
-        pytest.param([[1.5, 0.0], [0.0, -0.5]], id="non-psd"),
-        pytest.param([[0.9, 0.0], [0.0, 0.0]], id="trace"),
-    ],
-)
-def test_simulate_full_rejects_a_bad_density_in_a_stack(bad):
-    rng = np.random.default_rng(9)
-    ladder = _first_ladder(rng, 3)
-    rho = _density_stack(rng, 5)
-    rho[3] = np.array(bad, dtype=complex)
-    with pytest.raises(ValueError):
-        simulate_full(*ladder, rho)
-    with pytest.raises(ValueError):
-        check_density(rho)
-
-
 @pytest.mark.parametrize(
     "build",
     [
         lambda: mixture_linear([[np.nan, np.nan]], rotation_batch(*_FLIPS)[None]),
         lambda: mixture_linear([[np.nan, 1.0]], rotation_batch(*_FLIPS)[None]),
-        lambda: density_from_bloch([np.nan, 0.0, 0.0]),
-        lambda: check_density(np.full((2, 2), np.nan)),
         lambda: full_unitary([np.nan], *_FLIPS),
         lambda: weights_from_preps([0.5, np.nan]),
         lambda: rotation_batch(np.nan, _X),
         lambda: unitary_batch(1.0, [np.nan, 0.0, 1.0]),
     ],
-    ids=[
-        "weights", "one-weight", "bloch", "density", "ladder", "preps", "angle", "axis"
-    ],
+    ids=["weights", "one-weight", "ladder", "preps", "angle", "axis"],
 )
 def test_validators_reject_nan(build):
     with pytest.raises(ValueError):

@@ -277,7 +277,11 @@ def test_memory_error_exits_one_without_traceback(tmp_path, monkeypatch, capsys)
             id="three-qubit",
         ),
         pytest.param(
-            {"bloch_from_density": lambda rho: np.full((len(rho), 3), np.nan)},
+            {
+                "full_unitary": lambda preps, angles, axes: np.full(
+                    (2 ** len(angles),) * 2, np.nan, dtype=complex
+                )
+            },
             {"circuit-map-equivalence"},
             id="circuit-map",
         ),
@@ -305,7 +309,7 @@ def test_non_finite_oracle_output_exits_one_without_traceback(
 ):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(
-        "unot.experiments.bloch_map_from_three_qubit_unitary",
+        "unot.experiments.bloch_map_from_unitary",
         lambda u: lambda a: np.full(a.shape, np.nan),
     )
     code = main(["verify", "--trials", "30", "--samples", "1000", "--out", "x.csv"])

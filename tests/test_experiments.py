@@ -3,6 +3,7 @@
 import csv
 import json
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -27,14 +28,14 @@ def test_defaults_resolve_per_experiment():
     assert ExperimentConfig("optimize").stride == 20
     assert ExperimentConfig("recover").stride == 1
     assert str(ExperimentConfig("noise-sweep").output_path()) == "noise-sweep.csv"
-    assert str(ExperimentConfig("verify", fmt="jsonl").output_path()) == "verify.jsonl"
+    assert str(ExperimentConfig("verify", format="jsonl").output_path()) == "verify.jsonl"
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig("bogus")
     with pytest.raises(ValueError):
-        ExperimentConfig("verify", fmt="yaml")
+        ExperimentConfig("verify", format="yaml")
     with pytest.raises(ValueError):
         ExperimentConfig("verify", trials=0)
     with pytest.raises(ValueError):
@@ -65,7 +66,11 @@ def test_config_validation():
 
 def test_echo_dict_is_complete(tmp_path):
     echo = ExperimentConfig("tradeoff", seed=5).echo_dict()
+    # Every field is echoed under its own name, which is its config-file key.
+    keys = {item.name for item in fields(ExperimentConfig)}
+    assert set(echo) == keys | {"rng_algorithm"}
     assert echo["experiment"] == "tradeoff"
+    assert echo["format"] == "csv"
     assert echo["seed"] == 5
     assert echo["rng_algorithm"] == "numpy-pcg64/de-v2/arrays-v1"
     assert echo["trials"] == 1000

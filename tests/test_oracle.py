@@ -21,7 +21,7 @@ from unot.oracle import (
     _BLOCK_ROWS,
     RNG_ALGORITHM,
     McEstimate,
-    bloch_map_from_three_qubit_unitary,
+    bloch_map_from_unitary,
     mc_stats,
     sample_bloch,
     sample_gates,
@@ -171,13 +171,13 @@ def test_three_qubit_unitary_oracle_matches_closed_form():
     for child in map(np.random.default_rng, spawn_seeds(24, 5)):
         u = sample_unitary(child, 8)
         closed = three_qubit_avg_fidelity(u)
-        f, _ = mc_stats(bloch_map_from_three_qubit_unitary(u), child, 30000)
+        f, _ = mc_stats(bloch_map_from_unitary(u), child, 30000)
         assert abs(f.value - closed) < 5.0 * f.std_error
 
 
 def test_three_qubit_oracle_on_the_optimal_circuit():
     u = full_unitary(*optimal_three_qubit_circuit())
-    bloch_map = bloch_map_from_three_qubit_unitary(u)
+    bloch_map = bloch_map_from_unitary(u)
     f, d = mc_stats(bloch_map, np.random.default_rng(25), 30000)
     assert abs(f.value - 2.0 / 3.0) < 1e-12
     assert d.value < 1e-12
@@ -225,10 +225,11 @@ def test_seed_must_be_unsigned():
 
 
 def _trig_map(u):
-    """Reference Bloch action of an 8x8 unitary on system (x) |00>: the
-    amplitudes (cos(theta/2), exp(i phi) sin(theta/2)) from the polar angles,
-    and the full 2x2 marginal from a complex contraction."""
-    col0, col4 = u[:, 0], u[:, 4]
+    """Reference Bloch action of a (2^q, 2^q) unitary on system (x) |0...0>:
+    the amplitudes (cos(theta/2), exp(i phi) sin(theta/2)) from the polar
+    angles, and the full 2x2 marginal from a complex contraction."""
+    half = len(u) // 2
+    col0, col1 = u[:, 0], u[:, half]
 
     def act(a):
         a = np.atleast_2d(np.asarray(a, dtype=float))
@@ -236,8 +237,8 @@ def _trig_map(u):
         phi = np.arctan2(a[:, 1], a[:, 0])
         amp0 = np.cos(0.5 * theta)
         amp1 = np.exp(1.0j * phi) * np.sin(0.5 * theta)
-        psi = amp0[:, None] * col0[None, :] + amp1[:, None] * col4[None, :]
-        blocks = psi.reshape(-1, 2, 4)
+        psi = amp0[:, None] * col0[None, :] + amp1[:, None] * col1[None, :]
+        blocks = psi.reshape(-1, 2, half)
         rho = np.einsum("nsm,ntm->nst", blocks, blocks.conj())
         return np.stack(
             [
@@ -258,9 +259,15 @@ def _ring(z, count=16):
     return np.stack([radius * np.cos(phi), radius * np.sin(phi), np.full(count, z)], axis=1)
 
 
+# The optimal circuit and Haar 8x8 unitaries, then the unitaries of random
+# ladders of one to four qubits (2x2 to 16x16).
 _MAP_UNITARIES = [
     full_unitary(*optimal_three_qubit_circuit()),
     *(sample_unitary(np.random.default_rng(seed), 8) for seed in spawn_seeds(31, 4)),
+    *(
+        full_unitary(*(a[0] for a in sample_ladders(np.random.default_rng(q), q, 1)))
+        for q in (1, 2, 3, 4)
+    ),
 ]
 
 
@@ -277,7 +284,7 @@ _MAP_UNITARIES = [
 )
 def test_three_qubit_map_matches_the_trig_route(points):
     for u in _MAP_UNITARIES:
-        direct = bloch_map_from_three_qubit_unitary(u)(points)
+        direct = bloch_map_from_unitary(u)(points)
         assert direct.shape == points.shape
         assert np.max(np.abs(direct - _trig_map(u)(points))) < 1e-13
 
@@ -285,19 +292,22 @@ def test_three_qubit_map_matches_the_trig_route(points):
 def test_three_qubit_map_takes_a_single_vector():
     point = np.array([0.36, -0.48, -0.8])
     for u in _MAP_UNITARIES:
-        direct = bloch_map_from_three_qubit_unitary(u)(point)
+        direct = bloch_map_from_unitary(u)(point)
         assert direct.shape == (1, 3)
         assert np.max(np.abs(direct - _trig_map(u)(point))) < 1e-13
 
 
 def test_three_qubit_map_rejects_other_shapes():
-    with pytest.raises(ValueError):
-        bloch_map_from_three_qubit_unitary(np.eye(4))
+    # Only square matrices of a power-of-two size from 2 up are unitaries of
+    # a system qubit and its ancillas.
+    for shape in [(8, 4), (4, 8), (1, 1), (6, 6), (8,)]:
+        with pytest.raises(ValueError):
+            bloch_map_from_unitary(np.ones(shape))
 
 
 def test_mc_standard_errors_follow_the_moment_formulas():
     u = sample_unitary(np.random.default_rng(33), 8)
-    bloch_map = bloch_map_from_three_qubit_unitary(u)
+    bloch_map = bloch_map_from_unitary(u)
     n = 20_000
     f_est, d_est = mc_stats(bloch_map, np.random.default_rng(34), n)
     a = sample_bloch(np.random.default_rng(34), n)
@@ -349,7 +359,7 @@ def test_mc_stats_rejects_non_finite_map_output(bad):
 def test_blocks_give_the_bits_of_one_draw(kind, n):
     if kind == "three-qubit":
         u = sample_unitary(np.random.default_rng(37), 8)
-        bloch_map = bloch_map_from_three_qubit_unitary(u)
+        bloch_map = bloch_map_from_unitary(u)
     else:
         u = sample_unitary(np.random.default_rng(37), 4)
         bloch_map = bloch_map_from_affine(*_stinespring_channel(u, 0.8))
@@ -361,7 +371,7 @@ def test_blocks_give_the_bits_of_one_draw(kind, n):
 def test_mc_stats_peak_memory_stays_below_64_bytes_per_sample():
     # The one-draw form peaks at about 272 bytes per sample on this map.
     u = sample_unitary(np.random.default_rng(39), 8)
-    bloch_map = bloch_map_from_three_qubit_unitary(u)
+    bloch_map = bloch_map_from_unitary(u)
     n = 200_000
     tracemalloc.start()
     try:
@@ -412,6 +422,6 @@ def test_affine_closed_form_within_five_sigma_of_the_oracle(seed, damping, sampl
 @given(seed=st.integers(0, 2**32), samples=st.integers(1000, 20_000))
 def test_three_qubit_closed_form_within_five_sigma_of_the_oracle(seed, samples):
     u = sample_unitary(np.random.default_rng(seed), 8)
-    bloch_map = bloch_map_from_three_qubit_unitary(u)
+    bloch_map = bloch_map_from_unitary(u)
     f, _ = mc_stats(bloch_map, np.random.default_rng(seed + 1), samples)
     assert abs(f.value - three_qubit_avg_fidelity(u)) <= 5.0 * f.std_error
