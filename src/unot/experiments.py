@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import csv
 import json
-from collections.abc import Callable
+import os
+import threading
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -420,6 +422,55 @@ def run_tradeoff(config: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(rows, report, violations == 0)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one (Linux), else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _on_two_threads(work: Callable, items: Sequence[tuple]) -> list:
+    """`[work(*item) for item in items]` on min(2, usable CPUs, len(items))
+    workers, for one or more independent items whose numpy work releases
+    the GIL.
+
+    The calling thread starts on item 0 and one more thread on item 1; then
+    each worker claims the next unclaimed item, so a worker slowed by a busy
+    CPU takes fewer items and the run does not wait on a fixed share.
+    Each result lands at its item's place, so the list does not depend on
+    the worker count or on which worker took an item.  After a failure each
+    worker stops before its next item, and the first exception raised is
+    raised here once all workers have stopped.
+    """
+    workers = min(2, _usable_cpus(), len(items))
+    results = [None] * len(items)
+    failures = []
+    claim = threading.Lock()
+    unclaimed = iter(range(workers, len(items)))
+
+    def run(k):
+        try:
+            while k is not None and not failures:
+                results[k] = work(*items[k])
+                with claim:
+                    k = next(unclaimed, None)
+        except BaseException as exc:
+            failures.append(exc)
+
+    helpers = [
+        threading.Thread(target=run, args=(k,), daemon=True) for k in range(1, workers)
+    ]
+    for helper in helpers:
+        helper.start()
+    run(0)
+    for helper in helpers:
+        helper.join()
+    if failures:
+        raise failures[0]
+    return results
+
+
 def run_noise_sweep(config: ExperimentConfig) -> ExperimentResult:
     p_star = optimal_controls()
     if config.eta_grid is not None:
@@ -428,12 +479,14 @@ def run_noise_sweep(config: ExperimentConfig) -> ExperimentResult:
         grid = (config.eta,)
     else:
         grid = tuple(np.arange(0.0, 1.0 + 1e-9, 0.05))
-    rows = []
-    for eta, seed in zip(grid, spawn_seeds(config.seed, len(grid))):
+
+    def row(eta, seed):
         noise = NoiseModel(eta, period=None)
         f, d = noise_stats(p_star, noise, np.random.default_rng(seed), config.trials)
         stats = {k: float(v) for k, v in _summary(f, d).items()}
-        rows.append({"eta": float(eta), **stats, "trials": config.trials})
+        return {"eta": float(eta), **stats, "trials": config.trials}
+
+    rows = _on_two_threads(row, list(zip(grid, spawn_seeds(config.seed, len(grid)))))
     report = [
         "noise-sweep: eta={:.2f} -> F={:.4f}+-{:.4f} Delta={:.4f}+-{:.4f}".format(
             r["eta"], r["mean_f"], r["std_f"], r["mean_delta"], r["std_delta"]

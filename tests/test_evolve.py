@@ -599,8 +599,8 @@ def test_batch_control_stats_check_their_controls():
 @pytest.mark.parametrize(
     "n",
     [1, 34]
-    + [k * _BLOCK_ROWS + j for k in (1, 2) for j in (-1, 0, 1)]
-    + [3 * _BLOCK_ROWS + 7, 6 * _BLOCK_ROWS + 7],
+    + [k * _BLOCK_ROWS + j for k in (1, 2, 4) for j in (-1, 0, 1)]
+    + [3 * _BLOCK_ROWS + 7, 6 * _BLOCK_ROWS + 7, 12 * _BLOCK_ROWS + 7],
 )
 def test_blocks_give_the_bits_of_one_call(n):
     pop = np.random.default_rng(47).uniform(-np.pi, np.pi, (n, 63))
@@ -631,7 +631,12 @@ def test_single_rows_give_the_bits_of_a_batch():
         assert one_f[0] == avg_f[k] and one_dev[0] == dev[k]
 
 
-@pytest.mark.parametrize("count", [1, 511, 512, 513, 4000])
+@pytest.mark.parametrize(
+    "count",
+    [0, 1]
+    + [k * _BLOCK_ROWS + j for k in (1, 2) for j in (-1, 0, 1)]
+    + [4000],
+)
 @pytest.mark.parametrize("strength", [0.0, 0.3])
 def test_noise_stats_give_the_bits_of_one_draw(count, strength):
     controls = optimal_controls()

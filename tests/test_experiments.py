@@ -2,6 +2,8 @@
 
 import csv
 import json
+import sys
+import threading
 import tracemalloc
 from dataclasses import fields
 
@@ -10,6 +12,8 @@ import pytest
 
 import unot.experiments
 from unot.circuit import ladder_linear, mixture_linear
+from unot.cli import EXIT_FAILURE, main
+from unot.evolve import _BLOCK_ROWS
 from unot.experiments import (
     EXPERIMENTS,
     MAX_ARRAY_BYTES,
@@ -181,6 +185,109 @@ def test_noise_sweep_zero_eta_row_is_exact():
     assert rows[0]["std_f"] < 1e-12
     assert rows[1]["mean_f"] < rows[0]["mean_f"]
     assert rows[1]["mean_delta"] > 0.01
+
+
+def _sweep_rows(**settings):
+    grid = (0.0, 0.1, 0.25, 0.5, 1.0)
+    config = ExperimentConfig("noise-sweep", seed=6, eta_grid=grid, **settings)
+    return run_experiment(config).rows
+
+
+def test_noise_sweep_rows_do_not_depend_on_the_thread_count(monkeypatch):
+    # Five points, each more than two kernel blocks: with two workers the
+    # calling thread starts on point 0 and the second thread on point 1,
+    # then each claims the next.  A short switch interval makes the threads
+    # trade the GIL often.
+    noise_stats = unot.experiments.noise_stats
+    threads = []
+
+    def noting_the_thread(*args):
+        threads.append(threading.get_ident())
+        return noise_stats(*args)
+
+    monkeypatch.setattr(unot.experiments, "noise_stats", noting_the_thread)
+    rows = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(
+                unot.experiments.os, "sched_getaffinity", lambda pid: cpus, raising=False
+            )
+            threads.clear()
+            rows[len(cpus)] = _sweep_rows(trials=2 * _BLOCK_ROWS + 7)
+            assert len(threads) == 5 and len(set(threads)) == len(cpus)
+    finally:
+        sys.setswitchinterval(interval)
+    assert rows[1] == rows[2]
+    assert [row["eta"] for row in rows[1]] == [0.0, 0.1, 0.25, 0.5, 1.0]
+
+
+def test_a_slow_thread_takes_fewer_points(monkeypatch):
+    # The second thread holds its first point until the calling thread is
+    # on the last one, so every other point goes to the calling thread.
+    monkeypatch.setattr(
+        unot.experiments.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False
+    )
+    caller = threading.get_ident()
+    last = threading.Event()
+    takers = {}
+
+    def work(k):
+        takers[k] = threading.get_ident()
+        if takers[k] == caller:
+            if k == 8:
+                last.set()
+        else:
+            assert last.wait(timeout=30)
+        return k * k
+
+    results = unot.experiments._on_two_threads(work, [(k,) for k in range(9)])
+    assert results == [k * k for k in range(9)]
+    assert [k for k, ident in takers.items() if ident != caller] == [1]
+
+
+def test_usable_cpus_fall_back_without_an_affinity_mask(monkeypatch):
+    monkeypatch.delattr(unot.experiments.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(unot.experiments.os, "cpu_count", lambda: 2)
+    assert unot.experiments._usable_cpus() == 2
+    monkeypatch.setattr(unot.experiments.os, "cpu_count", lambda: None)
+    assert unot.experiments._usable_cpus() == 1
+    assert len(_sweep_rows(trials=20)) == 5
+
+
+def _failing_point(monkeypatch, eta):
+    noise_stats = unot.experiments.noise_stats
+
+    def fail_at_eta(controls, noise, rng, count):
+        if noise.strength == eta:
+            raise RuntimeError("Kraus completeness violated beyond 1e-9")
+        return noise_stats(controls, noise, rng, count)
+
+    monkeypatch.setattr(unot.experiments, "noise_stats", fail_at_eta)
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.1, 1.0])
+def test_a_failing_sweep_point_reaches_the_caller(monkeypatch, eta):
+    # 0.0 fails on the calling thread's first point, 0.1 on the second
+    # thread's first, 1.0 on the thread that claims the last point.
+    monkeypatch.setattr(
+        unot.experiments.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False
+    )
+    _failing_point(monkeypatch, eta)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="Kraus completeness"):
+        _sweep_rows(trials=2 * _BLOCK_ROWS + 7)
+    assert threading.active_count() == before
+
+
+def test_a_failing_sweep_point_exits_1(monkeypatch, tmp_path, capsys):
+    _failing_point(monkeypatch, 0.1)
+    out = tmp_path / "sweep.csv"
+    code = main(["noise-sweep", "--trials", "20", "--out", str(out)])
+    assert code == EXIT_FAILURE
+    assert "invariant violation: Kraus completeness" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_largest_array_estimate_meets_the_ceiling_exactly():
