@@ -168,14 +168,20 @@ def _check_fields(record) -> None:
 
 
 def _check_controls(p: np.ndarray, batch: bool) -> np.ndarray:
-    """Finite controls of shape (63,), or also (n, 63) when `batch`."""
+    """Controls of shape (63,), or also (n, 63) when `batch`.  A single
+    vector must be finite; `_block_stats` checks a batch block by block."""
     p = np.asarray(p, dtype=float)
     if p.shape != (_COUNT,) and not (batch and p.ndim == 2 and p.shape[1] == _COUNT):
         allowed = f"([n,] {_COUNT})" if batch else f"({_COUNT},)"
         raise ValueError(f"controls must have shape {allowed}, got {p.shape}")
-    if not np.all(np.isfinite(p)):
-        raise ValueError("controls must be finite")
+    if not batch:
+        _check_finite(p)
     return p
+
+
+def _check_finite(p: np.ndarray) -> None:
+    if not np.isfinite(p).all():
+        raise ValueError("controls must be finite")
 
 
 def unitary_from_controls(p: np.ndarray) -> np.ndarray:
@@ -240,11 +246,14 @@ def channel_from_unitary(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _block_stats(count: int, block) -> tuple[np.ndarray, np.ndarray]:
     """(F, Delta) of `count` control rows that `block(start, m)` hands over
-    `_BLOCK_ROWS` at a time, as an (m, d) array of rows start to start + m."""
+    `_BLOCK_ROWS` at a time, as an (m, d) array of rows start to start + m.
+    Each block's rows must be finite, so no check builds a mask of all rows."""
     avg_f, dev = np.empty(count), np.empty(count)
     for start in range(0, count, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, count)
-        cols = _unitary_columns(block(start, stop - start), _CHANNEL_COLS)
+        rows = block(start, stop - start)
+        _check_finite(rows)
+        cols = _unitary_columns(rows, _CHANNEL_COLS)
         avg_f[start:stop], dev[start:stop] = affine_stats_batch(
             *_channel_parts_from_columns(cols)
         )
@@ -259,8 +268,8 @@ def control_stats_batch(pop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     and 4 of its unitaries, the two the channel reads.  Every row is
     computed on its own, so the results do not depend on the block size and
     are bitwise those of one call over all rows; zero rows give two empty
-    arrays.  Raises RuntimeError when a block breaks Kraus completeness or
-    leaves F in [0, 1] or Delta <= 1/2.
+    arrays.  Raises ValueError for a non-finite row, and RuntimeError when a
+    block breaks Kraus completeness or leaves F in [0, 1] or Delta <= 1/2.
     """
     pop = _check_controls(pop, batch=True).reshape(-1, _COUNT)
     return _block_stats(len(pop), lambda start, m: pop[start : start + m])

@@ -341,13 +341,18 @@ def _verify_families(config: ExperimentConfig):
 
     # Three-qubit ceiling and oracle agreement for Haar unitaries, F read
     # off the Choi kernel the searches run.  Each child draws its unitary and
-    # then its samples.
+    # then its samples; the estimates run on two threads, each through its
+    # own map, and are folded in unitary order.
     children = [np.random.default_rng(seed) for seed in spawn_seeds(seeds[6], 20)]
     unitaries = np.stack([sample_unitary(child, 8) for child in children])
     f, _ = affine_stats_batch(*channel_from_unitary(unitaries))
+
+    def estimate(u, child):
+        return mc_stats(bloch_map_from_unitary(u), child, config.samples)[0]
+
+    estimates = _on_two_threads(estimate, list(zip(unitaries, children)))
     worst_sigma = 0.0
-    for u, child, f_u in zip(unitaries, children, f):
-        est_f, _ = mc_stats(bloch_map_from_unitary(u), child, config.samples)
+    for f_u, est_f in zip(f, estimates):
         worst_sigma = _worst(
             worst_sigma, abs(f_u - est_f.value) / max(est_f.std_error, 1e-15)
         )

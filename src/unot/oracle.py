@@ -30,16 +30,21 @@ RNG_ALGORITHM = "numpy-pcg64/de-v2/arrays-v1"
 
 _TWO_PI = 2.0 * np.pi
 
-# Rows `mc_stats` draws and maps at a time.  A block's vectors and map
-# temporaries, the three-qubit map's (rows, 8) complex states included, take
-# a few hundred KiB whatever the sample count; only the (n,) fidelities grow
-# with n.  Blocks this small keep `verify`'s time off the heap state: at 8192
-# rows glibc handed the temporaries back and faulted them in again, or not,
-# depending on what ran before (even on the length of the checkout's path),
-# and a default `verify` took 18 700-66 400 minor page faults; at 2048 rows
-# it takes about 7 000 in every case and runs no slower.  1024 rows were no
-# faster.
-_BLOCK_ROWS = 2048
+# Rows `mc_stats` draws and maps at a time.  A block's vectors and the
+# three-qubit map's buffers take about 1 MB whatever the sample count; only
+# the (n,) fidelities grow with n.  `verify` runs its 20 estimates on two
+# threads, which overlap only while numpy works outside the GIL, so a block
+# must be long against the microseconds each of its numpy calls holds the
+# GIL for.  On 2 vCPUs (numpy 2.4, OpenBLAS 0.3.31): with the map's former
+# fresh temporaries, two threads ran 20 x 1e5 samples at 2048 rows no
+# faster than one (0.36-0.39 against 0.35-0.36 s); at 3072 rows with its
+# buffers a default `verify` takes about 0.30 s, against 0.41 s on one
+# thread at 2048.  At 4096 rows OpenBLAS's default thread pool takes up the
+# (m, 2) @ (2, 8) state product, and a two-thread `verify` then took
+# 0.45-0.78 s against 0.26-0.37 s at 3072 rows; at 8192 rows peak RSS rose
+# by 14%.  A default `verify` now takes 5 000-9 000 minor page faults,
+# against about 1 500 on one thread at 2048 rows.
+_BLOCK_ROWS = 3072
 
 
 def spawn_seeds(seed: int, count: int) -> list[int]:
@@ -83,8 +88,13 @@ def sample_bloch(rng: np.random.Generator, count: int) -> np.ndarray:
 
 
 def _unit_rows(v: np.ndarray) -> np.ndarray:
-    # Normalize the trailing 3-vectors of `v` in place.
-    v /= np.linalg.norm(v, axis=-1, keepdims=True)
+    # Normalize the trailing 3-vectors of `v` in place.  The squares are
+    # summed in the order `np.linalg.norm` sums them, so the bits are its.
+    x, y, z = np.moveaxis(v, -1, 0)
+    s = x * x
+    s += y * y
+    s += z * z
+    v /= np.sqrt(s)[..., None]
     return v
 
 
@@ -185,6 +195,10 @@ def bloch_map_from_unitary(u: np.ndarray) -> "callable":
     and the phase-equivalent (x - iy, 1 - z) / sqrt(2 (1 - z)) for z < 0, the
     joint state is evolved through columns 0 and 2^(q - 1) of `u`, and the
     reduced system Bloch vector is read off the 2x2 marginal.
+
+    Each call returns a fresh (m, 3) array.  The map keeps its temporaries
+    in buffers that it reuses from call to call and enlarges for a larger
+    block, so one map must not be called from two threads at once.
     """
     u = np.asarray(u, dtype=complex)
     dim = u.shape[0] if u.ndim == 2 else 0
@@ -192,23 +206,52 @@ def bloch_map_from_unitary(u: np.ndarray) -> "callable":
         raise ValueError(f"expected a (2^q, 2^q) matrix, got shape {u.shape}")
     half = dim // 2
     columns = u[:, [0, half]].T
+    buffers = []
+
+    def scratch(m):
+        # Rows 0 to m of each buffer: parts, scale, hemisphere mask, state,
+        # conjugate upper half, rho10 and the two half norms.
+        if not buffers or len(buffers[0]) < m:
+            buffers[:] = [
+                np.empty((m, 4)),
+                np.empty(m),
+                np.empty(m, dtype=bool),
+                np.empty((m, dim), dtype=complex),
+                np.empty((m, half), dtype=complex),
+                np.empty(m, dtype=complex),
+                np.empty((m, 2)),
+            ]
+        return [b[:m] for b in buffers]
 
     def act(a: np.ndarray) -> np.ndarray:
         a = np.atleast_2d(np.asarray(a, dtype=float))
+        m = len(a)
         x, y, z = a.T
-        zero = np.zeros_like(z)
-        parts = np.where(
-            (z >= 0.0)[:, None],
-            np.stack([1.0 + z, zero, x, y], axis=1),
-            np.stack([x, -y, 1.0 - z, zero], axis=1),
-        )
-        parts /= np.sqrt(2.0 * (1.0 + np.abs(z)))[:, None]
-        psi = parts.view(complex) @ columns
-        rho10 = np.einsum("nm,nm->n", psi[:, half:], psi[:, :half].conj())
-        halves = psi.view(float).reshape(-1, 2, dim)
-        norms = np.einsum("nsk,nsk->ns", halves, halves)
-        return np.stack(
-            [2.0 * rho10.real, 2.0 * rho10.imag, norms[:, 0] - norms[:, 1]], axis=1
-        )
+        parts, scale, upper, psi, conj, rho10, norms = scratch(m)
+        # The z < 0 amplitudes everywhere, then the z >= 0 ones over them.
+        parts[:, 0] = x
+        np.negative(y, out=parts[:, 1])
+        np.subtract(1.0, z, out=parts[:, 2])
+        parts[:, 3] = 0.0
+        np.greater_equal(z, 0.0, out=upper)
+        np.add(1.0, z, out=parts[:, 0], where=upper)
+        np.copyto(parts[:, 1], 0.0, where=upper)
+        np.copyto(parts[:, 2], x, where=upper)
+        np.copyto(parts[:, 3], y, where=upper)
+        np.abs(z, out=scale)
+        scale += 1.0
+        scale *= 2.0
+        np.sqrt(scale, out=scale)
+        parts /= scale[:, None]
+        np.matmul(parts.view(complex), columns, out=psi)
+        np.conjugate(psi[:, :half], out=conj)
+        np.einsum("nm,nm->n", psi[:, half:], conj, out=rho10)
+        halves = psi.view(float).reshape(m, 2, dim)
+        np.einsum("nsk,nsk->ns", halves, halves, out=norms)
+        out = np.empty((m, 3))
+        np.multiply(rho10.real, 2.0, out=out[:, 0])
+        np.multiply(rho10.imag, 2.0, out=out[:, 1])
+        np.subtract(norms[:, 0], norms[:, 1], out=out[:, 2])
+        return out
 
     return act

@@ -22,6 +22,7 @@ from unot.experiments import (
     write_config_echo,
     write_rows,
 )
+from unot.oracle import _BLOCK_ROWS as _ORACLE_BLOCK_ROWS
 from unot.oracle import sample_gates
 from unot.rotation import rotation_batch
 
@@ -287,6 +288,81 @@ def test_a_failing_sweep_point_exits_1(monkeypatch, tmp_path, capsys):
     code = main(["noise-sweep", "--trials", "20", "--out", str(out)])
     assert code == EXIT_FAILURE
     assert "invariant violation: Kraus completeness" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _verify_rows(**settings):
+    config = ExperimentConfig(
+        "verify", seed=4, trials=30, samples=2 * _ORACLE_BLOCK_ROWS + 7, **settings
+    )
+    return run_experiment(config).rows
+
+
+def test_verify_rows_do_not_depend_on_the_thread_count(monkeypatch):
+    # The 20 oracle estimates, each more than two oracle blocks: with two
+    # workers the calling thread and the second thread each take some.
+    mc_stats = unot.experiments.mc_stats
+    threads = []
+
+    def noting_the_thread(*args):
+        threads.append(threading.get_ident())
+        return mc_stats(*args)
+
+    monkeypatch.setattr(unot.experiments, "mc_stats", noting_the_thread)
+    rows = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(
+                unot.experiments.os, "sched_getaffinity", lambda pid: cpus, raising=False
+            )
+            threads.clear()
+            rows[len(cpus)] = _verify_rows()
+            assert len(threads) == 20 and len(set(threads)) == len(cpus)
+    finally:
+        sys.setswitchinterval(interval)
+    assert rows[1] == rows[2]
+    assert all(row["passed"] for row in rows[1])
+
+
+def _failing_estimate(monkeypatch, failing_call):
+    mc_stats = unot.experiments.mc_stats
+    calls = []
+    lock = threading.Lock()
+
+    def fail_at_call(*args):
+        with lock:
+            calls.append(None)
+            call = len(calls)
+        if call == failing_call:
+            raise RuntimeError("bloch_map returned a non-finite Bloch vector")
+        return mc_stats(*args)
+
+    monkeypatch.setattr(unot.experiments, "mc_stats", fail_at_call)
+
+
+@pytest.mark.parametrize("failing_call", [1, 2, 20])
+def test_a_failing_oracle_estimate_reaches_the_caller(monkeypatch, failing_call):
+    monkeypatch.setattr(
+        unot.experiments.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False
+    )
+    _failing_estimate(monkeypatch, failing_call)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="non-finite"):
+        _verify_rows()
+    assert threading.active_count() == before
+
+
+def test_a_failing_oracle_estimate_exits_1(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(
+        unot.experiments.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False
+    )
+    _failing_estimate(monkeypatch, 2)
+    out = tmp_path / "verify.csv"
+    argv = ["verify", "--trials", "30", "--samples", "1000", "--out", str(out)]
+    assert main(argv) == EXIT_FAILURE
+    assert "invariant violation: bloch_map returned" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -272,3 +272,24 @@ def test_command_line_runs_load_no_scipy(tmp_path):
     )
     result = json.loads(done.stdout.splitlines()[-1])
     assert result == {"codes": [0] * 6, "scipy": [], "numpy.ma": []}
+
+
+def test_importing_the_command_line_loads_no_logging():
+    # `concurrent.futures` pulls in `logging`; the two added 3.7-5.2 ms to
+    # every command's start-up.  The threads come from `threading`.
+    path = os.pathsep.join(
+        p for p in (str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH")) if p
+    )
+    script = (
+        "import json, sys, unot.cli\n"
+        "print(json.dumps(sorted(m for m in sys.modules"
+        " if m.split('.')[0] in ('concurrent', 'logging'))))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert json.loads(done.stdout) == []

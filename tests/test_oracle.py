@@ -343,17 +343,16 @@ def test_mc_stats_rejects_non_finite_map_output(bad):
         mc_stats(bad_tail, np.random.default_rng(36), _BLOCK_ROWS + 5)
 
 
-# Sample counts at and around block boundaries: those of `_BLOCK_ROWS`, and
-# 8191-8193 and 24583, around 4 and 12 blocks of 2048 rows (and 1 and 3 of
-# 8192).
+# Sample counts at and around 1 and 4 whole blocks, around two thirds into
+# the first block and the third, 7 rows past 2, 3, 8 and 12 blocks, and the
+# command line's default.
 @pytest.mark.parametrize(
     "n",
-    list(
-        dict.fromkeys(
-            [2, 1000, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 7]
-            + [8191, 8192, 8193, 24583, 100_000]
-        )
-    ),
+    [2, 1000]
+    + [k * _BLOCK_ROWS + j for k in (1, 4) for j in (-1, 0, 1)]
+    + [k * _BLOCK_ROWS // 3 + j for k in (2, 8) for j in (-1, 0, 1)]
+    + [k * _BLOCK_ROWS + 7 for k in (2, 3, 8, 12)]
+    + [100_000],
 )
 @pytest.mark.parametrize("kind", ["three-qubit", "affine"])
 def test_blocks_give_the_bits_of_one_draw(kind, n):
@@ -366,6 +365,28 @@ def test_blocks_give_the_bits_of_one_draw(kind, n):
     streamed, one_draw = np.random.default_rng(38), np.random.default_rng(38)
     assert mc_stats(bloch_map, streamed, n) == mc_stats_one_draw(bloch_map, one_draw, n)
     assert streamed.bit_generator.state == one_draw.bit_generator.state
+
+
+def test_a_map_call_leaves_earlier_results_unchanged():
+    # `circuit-map-equivalence` maps n and then -n with one map, and keeps
+    # both results.
+    act = bloch_map_from_unitary(sample_unitary(np.random.default_rng(41), 16))
+    a = sample_bloch(np.random.default_rng(42), 10)
+    first = act(a)
+    kept = first.copy()
+    second = act(-a)
+    assert np.array_equal(first, kept)
+    assert not np.array_equal(first, second)
+
+
+def test_a_larger_block_gives_the_bits_of_a_fresh_map():
+    u = sample_unitary(np.random.default_rng(43), 8)
+    small = sample_bloch(np.random.default_rng(44), 10)
+    large = sample_bloch(np.random.default_rng(45), _BLOCK_ROWS + 7)
+    act = bloch_map_from_unitary(u)
+    act(small)
+    assert np.array_equal(act(large), bloch_map_from_unitary(u)(large))
+    assert np.array_equal(act(small), bloch_map_from_unitary(u)(small))
 
 
 def test_mc_stats_peak_memory_stays_below_64_bytes_per_sample():
