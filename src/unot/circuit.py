@@ -57,13 +57,15 @@ def weights_from_preps(prep_params) -> np.ndarray:
 def mixture_linear(weights: np.ndarray, rotations: np.ndarray) -> np.ndarray:
     """Linear Bloch actions sum_k w_k R_k of a batch of gate mixtures.
 
-    `weights` has shape (n, k) and `rotations` shape (n, k, 3, 3); the sum
+    `weights` has shape (n, k) and `rotations` shape (n, k, 3, 3), each an
+    array or anything `np.asarray` takes, such as nested lists; the sum
     runs in gate order.  A zero weight adds nothing, so mixtures of fewer
     gates may be padded.  Raises ValueError unless there is one weight per
     gate and at least one gate, every weight is at least -1e-12 and each
     row sums to 1 within 1e-12, NaN weights failing.
     """
     weights = np.asarray(weights, dtype=float)
+    rotations = np.asarray(rotations, dtype=float)
     if weights.ndim != 2 or weights.shape[1] == 0 or rotations.shape[:2] != weights.shape:
         raise ValueError("need one weight per gate, at least one gate")
     # Each check is written so that a NaN fails it.

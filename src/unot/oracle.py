@@ -31,19 +31,19 @@ RNG_ALGORITHM = "numpy-pcg64/de-v2/arrays-v1"
 _TWO_PI = 2.0 * np.pi
 
 # Rows `mc_stats` draws and maps at a time.  A block's vectors and the
-# three-qubit map's buffers take about 1 MB whatever the sample count; only
-# the (n,) fidelities grow with n.  `verify` runs its 20 estimates on two
-# threads, which overlap only while numpy works outside the GIL, so a block
-# must be long against the microseconds each of its numpy calls holds the
-# GIL for.  On 2 vCPUs (numpy 2.4, OpenBLAS 0.3.31): with the map's former
-# fresh temporaries, two threads ran 20 x 1e5 samples at 2048 rows no
-# faster than one (0.36-0.39 against 0.35-0.36 s); at 3072 rows with its
-# buffers a default `verify` takes about 0.30 s, against 0.41 s on one
-# thread at 2048.  At 4096 rows OpenBLAS's default thread pool takes up the
-# (m, 2) @ (2, 8) state product, and a two-thread `verify` then took
-# 0.45-0.78 s against 0.26-0.37 s at 3072 rows; at 8192 rows peak RSS rose
-# by 14%.  A default `verify` now takes 5 000-9 000 minor page faults,
-# against about 1 500 on one thread at 2048 rows.
+# three-qubit map's temporaries take about 1 MB whatever the sample count;
+# only the (n,) fidelities grow with n.  `verify` runs its 20 estimates on
+# two threads, which overlap only while numpy works outside the GIL, so a
+# block must be long against the microseconds each of its numpy calls holds
+# the GIL for.  Medians of 8 fresh processes, each running those 20
+# estimates of 1e5 samples on 2 vCPUs (numpy 2.4, OpenBLAS 0.3.31): at one
+# BLAS thread two threads took 0.34 s at 2048 rows and 0.30 s at 3072, and
+# one thread 0.45-0.49 s at either.  From 4096 rows on, OpenBLAS's default
+# thread pool takes up the (m, 2) @ (2, 8) state product, and on that pool
+# two threads took 0.63 s at 4096 rows against 0.33 s at 3072; 8192 rows
+# raised peak RSS by 10%.  The map allocates its temporaries afresh for
+# each block, and a default `verify` call takes about 11 000 minor page
+# faults at one BLAS thread and 9 500 on the default pool.
 _BLOCK_ROWS = 3072
 
 
@@ -88,13 +88,8 @@ def sample_bloch(rng: np.random.Generator, count: int) -> np.ndarray:
 
 
 def _unit_rows(v: np.ndarray) -> np.ndarray:
-    # Normalize the trailing 3-vectors of `v` in place.  The squares are
-    # summed in the order `np.linalg.norm` sums them, so the bits are its.
-    x, y, z = np.moveaxis(v, -1, 0)
-    s = x * x
-    s += y * y
-    s += z * z
-    v /= np.sqrt(s)[..., None]
+    # Normalize the trailing 3-vectors of `v` in place.
+    v /= np.linalg.norm(v, axis=-1, keepdims=True)
     return v
 
 
@@ -196,9 +191,8 @@ def bloch_map_from_unitary(u: np.ndarray) -> "callable":
     joint state is evolved through columns 0 and 2^(q - 1) of `u`, and the
     reduced system Bloch vector is read off the 2x2 marginal.
 
-    Each call returns a fresh (m, 3) array.  The map keeps its temporaries
-    in buffers that it reuses from call to call and enlarges for a larger
-    block, so one map must not be called from two threads at once.
+    Each call returns a fresh (m, 3) array and allocates its temporaries
+    afresh, so the map keeps no state between calls.
     """
     u = np.asarray(u, dtype=complex)
     dim = u.shape[0] if u.ndim == 2 else 0
@@ -206,48 +200,31 @@ def bloch_map_from_unitary(u: np.ndarray) -> "callable":
         raise ValueError(f"expected a (2^q, 2^q) matrix, got shape {u.shape}")
     half = dim // 2
     columns = u[:, [0, half]].T
-    buffers = []
-
-    def scratch(m):
-        # Rows 0 to m of each buffer: parts, scale, hemisphere mask, state,
-        # conjugate upper half, rho10 and the two half norms.
-        if not buffers or len(buffers[0]) < m:
-            buffers[:] = [
-                np.empty((m, 4)),
-                np.empty(m),
-                np.empty(m, dtype=bool),
-                np.empty((m, dim), dtype=complex),
-                np.empty((m, half), dtype=complex),
-                np.empty(m, dtype=complex),
-                np.empty((m, 2)),
-            ]
-        return [b[:m] for b in buffers]
 
     def act(a: np.ndarray) -> np.ndarray:
         a = np.atleast_2d(np.asarray(a, dtype=float))
         m = len(a)
         x, y, z = a.T
-        parts, scale, upper, psi, conj, rho10, norms = scratch(m)
+        parts = np.empty((m, 4))
         # The z < 0 amplitudes everywhere, then the z >= 0 ones over them.
         parts[:, 0] = x
         np.negative(y, out=parts[:, 1])
         np.subtract(1.0, z, out=parts[:, 2])
         parts[:, 3] = 0.0
-        np.greater_equal(z, 0.0, out=upper)
+        upper = z >= 0.0
         np.add(1.0, z, out=parts[:, 0], where=upper)
         np.copyto(parts[:, 1], 0.0, where=upper)
         np.copyto(parts[:, 2], x, where=upper)
         np.copyto(parts[:, 3], y, where=upper)
-        np.abs(z, out=scale)
+        scale = np.abs(z)
         scale += 1.0
         scale *= 2.0
         np.sqrt(scale, out=scale)
         parts /= scale[:, None]
-        np.matmul(parts.view(complex), columns, out=psi)
-        np.conjugate(psi[:, :half], out=conj)
-        np.einsum("nm,nm->n", psi[:, half:], conj, out=rho10)
+        psi = parts.view(complex) @ columns
+        rho10 = np.einsum("nm,nm->n", psi[:, half:], np.conjugate(psi[:, :half]))
         halves = psi.view(float).reshape(m, 2, dim)
-        np.einsum("nsk,nsk->ns", halves, halves, out=norms)
+        norms = np.einsum("nsk,nsk->ns", halves, halves)
         out = np.empty((m, 3))
         np.multiply(rho10.real, 2.0, out=out[:, 0])
         np.multiply(rho10.imag, 2.0, out=out[:, 1])

@@ -243,6 +243,9 @@ def test_mixture_linear_is_the_gate_order_sum():
     rotations = rotation_batch(angles, axes)
     expected = sum(w * r for w, r in zip(weights, rotations))
     assert np.array_equal(mixture_linear(weights[None], rotations[None])[0], expected)
+    # Nested lists are taken as arrays.
+    nested = mixture_linear([weights.tolist()], [rotations.tolist()])
+    assert np.array_equal(nested[0], expected)
     # A zero-weight gate padded on adds nothing.
     padded = np.concatenate([rotations, rotation_batch([1.0], [_Z])])
     padded_weights = np.append(weights, 0.0)

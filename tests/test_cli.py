@@ -4,6 +4,9 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import types
 from pathlib import Path
@@ -13,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import unot
 from unot.cli import EXIT_BAD_CONFIG, EXIT_FAILURE, EXIT_OK, main
 from unot.experiments import EXPERIMENTS, SETTING_TYPES
 
@@ -62,6 +66,30 @@ def test_reruns_are_byte_identical(tmp_path):
         )
         assert code == EXIT_OK
     assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["noise-sweep", "--trials", "50"], ["verify", "--trials", "20", "--samples", "2000"]],
+    ids=["noise-sweep", "verify"],
+)
+def test_rows_do_not_depend_on_the_blas_thread_count(tmp_path, argv):
+    # The two-thread subcommands, run once with one OpenBLAS thread and once
+    # with its default pool.
+    src = str(Path(unot.__file__).parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    outputs = []
+    for blas in ({"OPENBLAS_NUM_THREADS": "1"}, {}):
+        out = tmp_path / f"rows{len(outputs)}.csv"
+        subprocess.run(
+            [sys.executable, "-m", "unot.cli", *argv, "--out", str(out)],
+            env={**env, **blas},
+            capture_output=True,
+            check=True,
+        )
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_seed_changes_output(tmp_path):

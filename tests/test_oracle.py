@@ -1,6 +1,8 @@
 """Tests for the seeded Monte Carlo oracle."""
 
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from threading import Barrier
 
 import numpy as np
 import pytest
@@ -387,6 +389,34 @@ def test_a_larger_block_gives_the_bits_of_a_fresh_map():
     act(small)
     assert np.array_equal(act(large), bloch_map_from_unitary(u)(large))
     assert np.array_equal(act(small), bloch_map_from_unitary(u)(small))
+
+
+def test_one_map_shared_by_two_threads_gives_the_serial_bits():
+    # `verify` runs its oracle estimates on two threads; a caller may hand
+    # both the same map.
+    act = bloch_map_from_unitary(sample_unitary(np.random.default_rng(46), 8))
+    inputs = [sample_bloch(np.random.default_rng(seed), _BLOCK_ROWS) for seed in (47, 48)]
+    serial = [act(a) for a in inputs]
+    start = Barrier(2)
+
+    def repeat(a):
+        start.wait()
+        return [act(a) for _ in range(100)]
+
+    with ThreadPoolExecutor(2) as pool:
+        shared = list(pool.map(repeat, inputs))
+    for calls, expected in zip(shared, serial):
+        assert all(np.array_equal(out, expected) for out in calls)
+
+    def estimate(seed):
+        start.wait()
+        return mc_stats(act, np.random.default_rng(seed), 40 * _BLOCK_ROWS)
+
+    seeds = (49, 50)
+    with ThreadPoolExecutor(2) as pool:
+        assert list(pool.map(estimate, seeds)) == [
+            mc_stats(act, np.random.default_rng(seed), 40 * _BLOCK_ROWS) for seed in seeds
+        ]
 
 
 def test_mc_stats_peak_memory_stays_below_64_bytes_per_sample():
